@@ -82,6 +82,8 @@ def _read_csv(path: Path) -> DataMatrix:
             rows = list(csv.reader(fh))
     except UnicodeDecodeError as e:
         raise InvalidData(f"{path}: not valid UTF-8 ({e})") from None
+    while rows and not rows[-1]:
+        rows.pop()  # trailing blank lines
     if len(rows) < 2:
         raise InvalidData(f"{path}: need a header row and at least one data row")
     header = rows[0]

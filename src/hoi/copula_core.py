@@ -189,19 +189,57 @@ def estimate_covariance(data) -> CovarianceMatrix:
     return CovarianceMatrix(0.5 * (s + s.T), n_samples_used=t)
 
 
-def _chol_with_jitter(sigma: np.ndarray) -> np.ndarray:
-    """Cholesky factor with a single jitter retry; hard error afterward."""
+def _factor_with_jitter(mats: np.ndarray, factor) -> tuple:
+    """factor(mats) for a (..., K, K) stack, with one jitter retry per failure.
+
+    factor maps a stack of matrices to a tuple of per-matrix arrays and
+    raises LinAlgError when any of them is not positive definite. If the
+    batched call fails, every matrix is factored on its own and a failing
+    one is retried once as m + eps * I with eps = 1e-10 * trace(m) / K, so
+    every healthy result stays bit-identical to the batched call. Matrices
+    that still fail raise NotPositiveDefinite with their coordinates in
+    the leading axes.
+    """
     try:
-        return np.linalg.cholesky(sigma)
+        return factor(mats)
     except np.linalg.LinAlgError:
-        n = sigma.shape[0]
-        eps = 1e-10 * np.trace(sigma) / n
+        pass
+    lead = mats.shape[:-2]
+    k = mats.shape[-1]
+    outs = None
+    bad = []
+    for coord in np.ndindex(lead):
+        m = mats[coord]
         try:
-            return np.linalg.cholesky(sigma + eps * np.eye(n))
+            res = factor(m)
         except np.linalg.LinAlgError:
-            raise NotPositiveDefinite(
-                "covariance is not positive definite (jitter retry failed)"
-            ) from None
+            try:
+                res = factor(m + 1e-10 * np.trace(m) / k * np.eye(k))
+            except np.linalg.LinAlgError:
+                bad.append(coord)
+                continue
+        if outs is None:
+            outs = tuple(np.empty(lead + np.shape(r)) for r in res)
+        for out, r in zip(outs, res):
+            out[coord] = r
+    if bad:
+        raise _not_positive_definite(bad)
+    return outs
+
+
+def _not_positive_definite(coords: list) -> NotPositiveDefinite:
+    """The error for matrices that failed even after the jitter retry."""
+    where = f", first at {coords[0]}" if coords[0] else ""
+    return NotPositiveDefinite(
+        f"{len(coords)} matrix(es) not positive definite even after a "
+        f"jitter retry{where}",
+        coords=coords,
+    )
+
+
+def _chol_with_jitter(sigma: np.ndarray) -> np.ndarray:
+    """Cholesky factor of one matrix under _factor_with_jitter's rule."""
+    return _factor_with_jitter(sigma, lambda m: (np.linalg.cholesky(m),))[0]
 
 
 def gaussian_entropy_nats(cov) -> EntropyValue:

@@ -27,28 +27,15 @@ class HoiBatch:
     order: np.ndarray
 
 
-def _term_arrays(terms: EntropyTerms):
-    # Prefer the baseline-free excess entropies: the unit-normal
-    # baselines cancel in every measure, so using them keeps exact zeros
-    # exact (identity covariance, independent blocks). Hand-built terms
-    # without excesses fall back to the plain entropies, same value up
-    # to float noise.
-    if terms.excess_joint is not None:
-        return terms.excess_joint, terms.excess_singles, terms.excess_leave_one_out
-    return terms.h_joint, terms.h_singles, terms.h_leave_one_out
-
-
 def tc_from_terms(terms: EntropyTerms) -> np.ndarray:
     """Total correlation: sum of marginal entropies minus the joint one."""
-    joint, singles, _ = _term_arrays(terms)
-    return singles.sum(axis=-1) - joint
+    return terms.excess_singles.sum(axis=-1) - terms.excess_joint
 
 
 def dtc_from_terms(terms: EntropyTerms) -> np.ndarray:
     """Dual total correlation: (1 - k) H(X) + sum_j H(X without j)."""
-    joint, _, loo = _term_arrays(terms)
     k = terms.orders.astype(np.float64)[:, None]
-    return (1.0 - k) * joint + loo.sum(axis=-1)
+    return (1.0 - k) * terms.excess_joint + terms.excess_leave_one_out.sum(axis=-1)
 
 
 def o_information(terms: EntropyTerms) -> np.ndarray:
@@ -58,10 +45,9 @@ def o_information(terms: EntropyTerms) -> np.ndarray:
     to tc - dtc; the expanded form skips one extra cancellation. Every
     2-element n-plet has O-information exactly 0.
     """
-    joint, singles, loo = _term_arrays(terms)
     k = terms.orders.astype(np.float64)[:, None]
-    gap = (singles - loo).sum(axis=-1)
-    return (k - 2.0) * joint + gap
+    gap = (terms.excess_singles - terms.excess_leave_one_out).sum(axis=-1)
+    return (k - 2.0) * terms.excess_joint + gap
 
 
 def s_information(terms: EntropyTerms) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 An n-plet is a subset of k variables out of N. Batches hold B of them,
 either as a (B, K) index matrix (fixed order) or as a (B, N) boolean mask
-matrix (mixed orders). Mixed-order batches are evaluated by padding each
-sub-covariance to N x N with an identity block at the unused positions,
-which leaves the log-determinant unchanged and contributes a known
-NORMAL_ENTROPY per padded dimension.
+matrix (mixed orders). Every batch is evaluated on compact k x k
+sub-covariances: a mixed-order batch is split by order, each group goes
+through the fixed-order path, and the results are scattered back to the
+rows' variable positions.
 """
 
 import itertools
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copula_core import NORMAL_ENTROPY, CovSet, _bias_table
+from .copula_core import CovSet, _bias_table, _factor_with_jitter, _not_positive_definite
 from .errors import (
     InvalidData,
     InvalidNplet,
@@ -141,45 +141,37 @@ class SubCovBatch:
     """Batched sub-covariance matrices.
 
     matrices : (B, D, K, K) array
-        K is the n-plet order for fixed-order batches and N for padded
-        mixed-order batches.
-    pad_counts : (B,) integer array
-        Number of identity-padded dimensions per row (0 when fixed).
+        K is the n-plet order for fixed-order batches (N for the N x N
+        embedding built by pad_subcov_batch).
     """
 
     matrices: np.ndarray
-    pad_counts: np.ndarray
 
 
 @dataclass
 class EntropyTerms:
-    """Entropy terms per (n-plet, dataset), in nats.
+    """Entropy terms per (n-plet, dataset), in nats, without baselines.
 
-    h_joint : (B, D) joint entropy of each n-plet.
-    h_singles : (B, D, K) marginal entropy of each member variable.
-    h_leave_one_out : (B, D, K) entropy of the n-plet minus one member.
+    excess_joint : (B, D) joint entropy of each n-plet.
+    excess_singles : (B, D, K) marginal entropy of each member variable.
+    excess_leave_one_out : (B, D, K) entropy of the n-plet minus one member.
     orders : (B,) effective order of each row.
 
-    For mixed-order batches K equals N and the positions outside an
-    n-plet hold zeros, so sums over the last axis never need a mask.
+    Each entropy has its independent-standard-normal baseline removed
+    (k, 1 and k - 1 times NORMAL_ENTROPY respectively): the baselines
+    cancel algebraically in every interaction measure, so an identity
+    covariance yields exact zeros instead of ~1e-16 residue. Bias
+    corrections, when requested, are already applied.
 
-    The excess_* fields mirror the three entropy arrays with the
-    independent-standard-normal baseline removed (k, 1 and k - 1 times
-    the unit-normal entropy respectively). The baselines cancel
-    algebraically in every interaction measure, so computing measures
-    from the excesses avoids re-cancelling them in floating point: an
-    identity covariance then yields exact zeros instead of ~1e-16
-    residue. They carry the same bias corrections and pad zeroing as
-    their h_* counterparts.
+    For mixed-order batches K equals N, each row's terms sit at its
+    variables' positions and every other position holds zero, so sums
+    over the last axis never need a mask.
     """
 
-    h_joint: np.ndarray
-    h_singles: np.ndarray
-    h_leave_one_out: np.ndarray
+    excess_joint: np.ndarray
+    excess_singles: np.ndarray
+    excess_leave_one_out: np.ndarray
     orders: np.ndarray
-    excess_joint: np.ndarray | None = None
-    excess_singles: np.ndarray | None = None
-    excess_leave_one_out: np.ndarray | None = None
 
 
 def extract_subcov_batch(covs: CovSet, batch: NpletBatch) -> SubCovBatch:
@@ -195,10 +187,7 @@ def extract_subcov_batch(covs: CovSet, batch: NpletBatch) -> SubCovBatch:
     d_ax = np.arange(sig.shape[0])[None, :, None, None]
     rows = idx[:, None, :, None]
     cols = idx[:, None, None, :]
-    return SubCovBatch(
-        matrices=sig[d_ax, rows, cols],
-        pad_counts=np.zeros(idx.shape[0], dtype=np.int64),
-    )
+    return SubCovBatch(matrices=sig[d_ax, rows, cols])
 
 
 def pad_subcov_batch(covs: CovSet, batch: NpletBatch) -> SubCovBatch:
@@ -206,7 +195,8 @@ def pad_subcov_batch(covs: CovSet, batch: NpletBatch) -> SubCovBatch:
 
     Selected rows and columns copy the full covariance in their original
     positions; everywhere else the matrix is the identity, so the
-    log-determinant equals that of the compact submatrix exactly.
+    log-determinant equals that of the compact submatrix exactly. The
+    engine itself never pads; this is a standalone helper.
     """
     if batch.mode != "mixed":
         raise InvalidNplet("pad_subcov_batch needs a mixed-order batch")
@@ -217,51 +207,14 @@ def pad_subcov_batch(covs: CovSet, batch: NpletBatch) -> SubCovBatch:
     sig = covs.stacked()
     m = batch.masks
     keep = m[:, None, :, None] & m[:, None, None, :]
-    matrices = np.where(keep, sig[None], np.eye(covs.n_variables))
-    return SubCovBatch(
-        matrices=matrices,
-        pad_counts=(batch.n_variables - m.sum(axis=1)).astype(np.int64),
-    )
+    return SubCovBatch(matrices=np.where(keep, sig[None], np.eye(covs.n_variables)))
 
 
-def _try_logdet_invdiag(m: np.ndarray):
-    """(logdet, inverse diagonal) of one matrix, or None if not PD."""
-    try:
-        chol = np.linalg.cholesky(m)
-        inv = np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        return None
-    return 2.0 * np.log(np.diagonal(chol)).sum(), np.diagonal(inv).copy()
-
-
-def _logdet_invdiag_fallback(mats: np.ndarray):
-    """Per-matrix pass used when the batched factorization fails.
-
-    Applies the single jitter retry only to the offending matrices so
-    every healthy result stays bit-identical to the batched path.
-    """
-    lead = mats.shape[:-2]
-    k = mats.shape[-1]
-    logdet = np.empty(lead)
-    invdiag = np.empty(lead + (k,))
-    bad = []
-    for coord in np.ndindex(lead):
-        m = mats[coord]
-        out = _try_logdet_invdiag(m)
-        if out is None:
-            eps = 1e-10 * np.trace(m) / k
-            out = _try_logdet_invdiag(m + eps * np.eye(k))
-        if out is None:
-            bad.append(coord)
-            continue
-        logdet[coord], invdiag[coord] = out
-    if bad:
-        raise NotPositiveDefinite(
-            f"{len(bad)} sub-covariance(s) not positive definite even after "
-            f"jitter, first at (batch, dataset)={bad[0]}",
-            coords=bad,
-        )
-    return logdet, invdiag
+def _logdet_invdiag(mats: np.ndarray):
+    chol = np.linalg.cholesky(mats)
+    inv = np.linalg.inv(mats)
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    return logdet, np.diagonal(inv, axis1=-2, axis2=-1)
 
 
 def _batched_logdet_invdiag(mats: np.ndarray):
@@ -271,14 +224,19 @@ def _batched_logdet_invdiag(mats: np.ndarray):
     logdet(sigma without j) = logdet(sigma) + log((sigma^-1)_jj), so one
     Cholesky plus one inverse per matrix covers all K subsystems.
     """
-    try:
-        chol = np.linalg.cholesky(mats)
-        inv = np.linalg.inv(mats)
-    except np.linalg.LinAlgError:
-        return _logdet_invdiag_fallback(mats)
-    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-    invdiag = np.diagonal(inv, axis1=-2, axis2=-1)
-    return logdet, invdiag
+    return _factor_with_jitter(mats, _logdet_invdiag)
+
+
+def _fixed_terms(covs: CovSet, batch: NpletBatch, x_singles, tables):
+    """(joint, singles, leave-one-out) excess arrays of a fixed-order batch."""
+    logdet, invdiag = _batched_logdet_invdiag(extract_subcov_batch(covs, batch).matrices)
+    k = batch.order
+    x_joint = 0.5 * logdet
+    x_loo = 0.5 * (logdet[..., None] + np.log(invdiag))
+    if tables is not None:
+        x_joint = x_joint - tables[:, k][None, :]
+        x_loo = x_loo - tables[:, k - 1][None, :, None]
+    return x_joint, x_singles[:, batch.indices].transpose(1, 0, 2), x_loo
 
 
 def entropy_terms(covs: CovSet, batch: NpletBatch, bias_correct: bool = False) -> EntropyTerms:
@@ -287,11 +245,15 @@ def entropy_terms(covs: CovSet, batch: NpletBatch, bias_correct: bool = False) -
     Marginal entropies are computed once per dataset from the covariance
     diagonal and gathered per n-plet. With bias_correct, every entropy is
     corrected at its effective dimension (the n-plet order for the joint
-    term, order minus one for leave-one-out, one for marginals); identity
-    padding is exact and receives no correction.
+    term, order minus one for leave-one-out, one for marginals).
+
+    A mixed-order batch is evaluated order by order on the fixed-order
+    path; a NotPositiveDefinite error reports (row, dataset) coordinates
+    in the caller's batch.
     """
     sig = covs.stacked()
     orders = batch.orders()
+    tables = None
     if bias_correct:
         t_used = covs.samples_used()
         if (t_used <= 0).any():
@@ -302,50 +264,33 @@ def entropy_terms(covs: CovSet, batch: NpletBatch, bias_correct: bool = False) -
         k_max = int(orders.max())
         tables = np.stack([_bias_table(int(t), k_max) for t in t_used])  # (D, k_max+1)
 
-    # Everything below works in baseline-free excess form; the plain
-    # entropies are reconstructed at the end by adding back multiples of
-    # the unit-normal entropy.
     x_singles = 0.5 * np.log(np.diagonal(sig, axis1=-2, axis2=-1))  # (D, N)
-    if bias_correct:
+    if tables is not None:
         x_singles = x_singles - tables[:, 1][:, None]
 
     if batch.mode == "fixed":
-        sub = extract_subcov_batch(covs, batch)
-        logdet, invdiag = _batched_logdet_invdiag(sub.matrices)
-        k = batch.order
-        x_joint = 0.5 * logdet
-        x_loo = 0.5 * (logdet[..., None] + np.log(invdiag))
-        x_sing = x_singles[:, batch.indices].transpose(1, 0, 2)  # (B, D, K)
-        if bias_correct:
-            x_joint = x_joint - tables[:, k][None, :]
-            x_loo = x_loo - tables[:, k - 1][None, :, None]
-        return EntropyTerms(
-            h_joint=x_joint + k * NORMAL_ENTROPY,
-            h_singles=x_sing + NORMAL_ENTROPY,
-            h_leave_one_out=x_loo + (k - 1) * NORMAL_ENTROPY,
-            orders=orders,
-            excess_joint=x_joint,
-            excess_singles=x_sing,
-            excess_leave_one_out=x_loo,
-        )
+        return EntropyTerms(*_fixed_terms(covs, batch, x_singles, tables), orders=orders)
 
-    sub = pad_subcov_batch(covs, batch)
-    logdet, invdiag = _batched_logdet_invdiag(sub.matrices)
-    ks = orders.astype(np.float64)[:, None]  # (B, 1)
-    x_joint = 0.5 * logdet
-    x_loo = 0.5 * (logdet[..., None] + np.log(invdiag))
-    in_set = batch.masks[:, None, :]
-    if bias_correct:
-        x_joint = x_joint - tables[:, orders].T
-        x_loo = x_loo - tables[:, orders - 1].T[..., None]
-    x_sing = np.where(in_set, x_singles[None], 0.0)
-    x_loo = np.where(in_set, x_loo, 0.0)
-    return EntropyTerms(
-        h_joint=x_joint + ks * NORMAL_ENTROPY,
-        h_singles=np.where(in_set, x_sing + NORMAL_ENTROPY, 0.0),
-        h_leave_one_out=np.where(in_set, x_loo + (ks[..., None] - 1.0) * NORMAL_ENTROPY, 0.0),
-        orders=orders,
-        excess_joint=x_joint,
-        excess_singles=x_sing,
-        excess_leave_one_out=x_loo,
-    )
+    b, n = batch.masks.shape
+    d_count = sig.shape[0]
+    x_joint = np.empty((b, d_count))
+    x_sing = np.zeros((b, d_count, n))
+    x_loo = np.zeros((b, d_count, n))
+    d_ax = np.arange(d_count)[None, :, None]
+    bad = []
+    for k in np.unique(orders):
+        rows = np.flatnonzero(orders == k)
+        idx = np.nonzero(batch.masks[rows])[1].reshape(-1, k)
+        try:
+            joint, sing, loo = _fixed_terms(
+                covs, NpletBatch(n, indices=idx, check_unique=False), x_singles, tables)
+        except NotPositiveDefinite as err:
+            bad += [(int(rows[g]), d) for g, d in err.coords]
+            continue
+        at = (rows[:, None, None], d_ax, idx[:, None, :])
+        x_joint[rows] = joint
+        x_sing[at] = sing
+        x_loo[at] = loo
+    if bad:
+        raise _not_positive_definite(sorted(bad))
+    return EntropyTerms(x_joint, x_sing, x_loo, orders=orders)

@@ -20,7 +20,7 @@ from .errors import (
 )
 from .measures import HoiBatch, compute_hoi_batch
 from .nplet_engine import NpletBatch, count_nplets, enumerate_order
-from .scanner import MEASURES
+from .scanner import MEASURES, best_rows
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,7 @@ def greedy(covs: CovSet, spec: ObjectiveSpec, start_order: int,
     top = []
     for batch in enumerate_order(n, start_order, batch_size):
         e = energies_of(batch.indices)
-        pairs = [(float(e[i]), batch.row_indices(i)) for i in range(len(e))]
+        pairs = [(float(e[i]), batch.row_indices(i)) for i in best_rows(e, kappa, "max")]
         _merge_top(top, pairs, kappa)
     beams = [top]
     report(start_order)
@@ -235,11 +235,9 @@ def greedy(covs: CovSet, spec: ObjectiveSpec, start_order: int,
             for at in range(0, len(cand), batch_size):
                 chunk = cand[at:at + batch_size]
                 e = energies_of(chunk)
-                _merge_top(
-                    nxt,
-                    [(float(e[i]), tuple(int(v) for v in chunk[i])) for i in range(len(e))],
-                    kappa,
-                )
+                pairs = [(float(e[i]), tuple(int(v) for v in chunk[i]))
+                         for i in best_rows(e, kappa, "max")]
+                _merge_top(nxt, pairs, kappa)
             record(order, nxt)
             current = nxt
             report(order)

@@ -34,6 +34,23 @@ class Reducer:
         raise NotImplementedError
 
 
+def best_rows(values: np.ndarray, k: int, direction: str) -> np.ndarray:
+    """Positions of the k best entries of a 1-D array, best first.
+
+    Ties go to the smaller position. In a lexicographically ordered batch
+    (enumerate_order, or sorted candidate rows) that is the smaller index
+    tuple. The k-th best value is found by partition; only the rows
+    strictly better than it are sorted.
+    """
+    key = -values if direction == "max" else values
+    k = min(k, key.shape[0])
+    thr = np.partition(key, k - 1)[k - 1]
+    better = np.flatnonzero(key < thr)
+    better = better[np.argsort(key[better], kind="stable")]
+    tied = np.flatnonzero(key == thr)[:k - better.size]
+    return np.concatenate([better, tied])
+
+
 @dataclass(frozen=True)
 class TopEntry:
     """One selected n-plet with all four measure values."""
@@ -52,7 +69,10 @@ class TopK(Reducer):
 
     Ties are broken by the lexicographically smallest index tuple, which
     makes the selection independent of batch size and worker count.
-    finalize() returns a list of TopEntry lists, one per dataset.
+    Each update selects its k best rows in numpy (best_rows, so rows must
+    arrive in lexicographic order, as scan delivers them) and builds at
+    most k TopEntry objects per dataset. finalize() returns a list of
+    TopEntry lists, one per dataset.
     """
 
     def __init__(self, measure: str, direction: str, k: int):
@@ -69,22 +89,12 @@ class TopK(Reducer):
 
     def update(self, batch, hoi):
         vals = getattr(hoi, self.measure)
-        b, d_count = vals.shape
         if self._best is None:
-            self._best = [[] for _ in range(d_count)]
+            self._best = [[] for _ in range(vals.shape[1])]
         sign = -1.0 if self.direction == "max" else 1.0
-        k_eff = min(self.k, b)
-        for d in range(d_count):
+        for d, entries in enumerate(self._best):
             v = vals[:, d]
-            # candidate cut keeps every row tied with the k-th best
-            if self.direction == "max":
-                thr = np.partition(v, b - k_eff)[b - k_eff]
-                cand = np.flatnonzero(v >= thr)
-            else:
-                thr = np.partition(v, k_eff - 1)[k_eff - 1]
-                cand = np.flatnonzero(v <= thr)
-            entries = self._best[d]
-            for i in cand:
+            for i in best_rows(v, self.k, self.direction):
                 idx = batch.row_indices(int(i))
                 entry = TopEntry(
                     indices=idx,

@@ -2,7 +2,7 @@ import re
 
 CRITERIA = {
     1: "batched terms match naive single-n-plet route",
-    2: "mixed-order padding matches fixed-order batches",
+    2: "mixed-order batches match fixed-order batches",
     3: "bias-corrected copula entropy near truth at T=10000",
     4: "whole-system O-information sign recovery from samples",
     5: "block-diagonal additivity and R+S cancellation",

@@ -104,7 +104,7 @@ def test_criterion_02_padded_mixed_orders_match_fixed_order():
     orders = masks.sum(axis=1)
 
     # analytic path raw, sampled path bias-corrected: the correction is
-    # applied at each row's effective order, so padding must stay neutral
+    # applied at each row's effective order, so grouping must stay neutral
     for cov, bias in ((analytic, False), (sampled, True)):
         covs = CovSet([cov])
         mixed = compute_hoi_batch(covs, NpletBatch(n, masks=masks),

@@ -258,3 +258,21 @@ def test_effect_objective_runs_on_directory(tmp_path):
     rows = read_rows(out)
     assert len(rows) == 3
     assert math.isfinite(float(rows[1][3]))
+
+
+def test_csv_trailing_blank_lines_are_ignored(tmp_path, data_csv, capsys):
+    text = data_csv.read_text()
+    (tmp_path / "t").mkdir()
+    trailing = tmp_path / "t" / data_csv.name  # same stem, same dataset column
+    trailing.write_text(text + "\n\n")
+    base = ["scan", "--orders", "3:3", "--reduce", "top:2:max:o"]
+    assert main(base + ["--input", str(data_csv), "--out", str(tmp_path / "a.csv")]) == 0
+    assert main(base + ["--input", str(trailing), "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    # a blank line with data after it is still an error, named by row
+    lines = text.splitlines()
+    inner = tmp_path / "inner.csv"
+    inner.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n")
+    capsys.readouterr()
+    assert main(base + ["--input", str(inner)]) == 1
+    assert "row 4 has 0 fields" in capsys.readouterr().err

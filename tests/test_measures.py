@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference as ref
 from hoi import (
@@ -119,11 +121,10 @@ def test_identity_covariance_measures_are_exact_zeros():
 
 
 def test_measures_from_hand_built_terms():
-    # terms without the excess arrays fall back to the plain entropies
     terms = EntropyTerms(
-        h_joint=np.array([[4.0]]),
-        h_singles=np.array([[[1.5, 1.6, 1.7]]]),
-        h_leave_one_out=np.array([[[3.0, 3.1, 3.2]]]),
+        excess_joint=np.array([[4.0]]),
+        excess_singles=np.array([[[1.5, 1.6, 1.7]]]),
+        excess_leave_one_out=np.array([[[3.0, 3.1, 3.2]]]),
         orders=np.array([3]),
     )
     assert tc_from_terms(terms)[0, 0] == pytest.approx(1.5 + 1.6 + 1.7 - 4.0)
@@ -160,3 +161,33 @@ def test_mixed_batch_measures_equal_fixed_order():
     mixed = compute_hoi_batch(covs, NpletBatch(4, masks=masks))
     for m in ("tc", "dtc", "o", "s"):
         np.testing.assert_allclose(getattr(mixed, m), getattr(fixed, m), atol=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_mixed_batch_rows_equal_fixed_batches_and_reference(seed, bias_correct):
+    n, t = 6, 40
+    rng = np.random.default_rng(seed)
+    sigmas = []
+    for _ in range(2):
+        a = rng.standard_normal((2 * n, n))
+        sigmas.append(a.T @ a / (2 * n) + 0.3 * np.eye(n))
+    covs = CovSet([CovarianceMatrix(sig, n_samples_used=t) for sig in sigmas])
+    # random orders 1..N, always including an order-1 and an order-N row
+    orders = np.concatenate([[1, n], rng.integers(1, n + 1, size=10)])
+    masks = np.zeros((len(orders), n), dtype=bool)
+    for r, k in enumerate(orders):
+        masks[r, rng.choice(n, size=k, replace=False)] = True
+    masks = masks[rng.permutation(len(orders))]
+    mixed = compute_hoi_batch(covs, NpletBatch(n, masks=masks, check_unique=False),
+                              bias_correct=bias_correct)
+    for r, mask in enumerate(masks):
+        idx = np.flatnonzero(mask)
+        fixed = compute_hoi_batch(covs, NpletBatch(n, indices=idx[None, :]),
+                                  bias_correct=bias_correct)
+        for d, sig in enumerate(sigmas):
+            want = ref.measures(sig, idx, t_samples=t if bias_correct else None)
+            for m, w in zip(("tc", "dtc", "o", "s"), want):
+                got = getattr(mixed, m)[r, d]
+                assert abs(got - getattr(fixed, m)[0, d]) <= 1e-10
+                assert abs(got - w) <= 1e-10

@@ -5,6 +5,7 @@ import pytest
 
 import reference as ref
 from hoi import (
+    NORMAL_ENTROPY,
     CovarianceMatrix,
     CovSet,
     InvalidData,
@@ -108,7 +109,6 @@ def test_extract_subcov_matches_explicit_gather():
     idx = np.array([[0, 1, 4], [2, 3, 5], [1, 2, 3]])
     sub = extract_subcov_batch(covs, NpletBatch(6, indices=idx))
     assert sub.matrices.shape == (3, 2, 3, 3)
-    assert sub.pad_counts.tolist() == [0, 0, 0]
     for b, row in enumerate(idx):
         for d in range(2):
             np.testing.assert_array_equal(
@@ -121,7 +121,6 @@ def test_pad_subcov_embeds_identity():
     masks = np.array([[True, False, True, False, True]])
     sub = pad_subcov_batch(covs, NpletBatch(5, masks=masks))
     m = sub.matrices[0, 0]
-    assert sub.pad_counts.tolist() == [2]
     keep = [0, 2, 4]
     np.testing.assert_array_equal(m[np.ix_(keep, keep)], covs.covs[0].sigma[np.ix_(keep, keep)])
     for j in (1, 3):
@@ -181,13 +180,16 @@ def test_entropy_terms_match_slogdet_reference():
         for d in range(2):
             sig = covs.covs[d].sigma
             sub = sig[np.ix_(row, row)]
-            assert terms.h_joint[b, d] == pytest.approx(ref.entropy(sub), rel=1e-12)
+            # excess entropies drop k, 1 and k - 1 unit-normal baselines
+            assert terms.excess_joint[b, d] + 3 * NORMAL_ENTROPY == pytest.approx(
+                ref.entropy(sub), rel=1e-12
+            )
             for pos, j in enumerate(row):
-                assert terms.h_singles[b, d, pos] == pytest.approx(
+                assert terms.excess_singles[b, d, pos] + NORMAL_ENTROPY == pytest.approx(
                     ref.entropy(sig[j : j + 1, j : j + 1]), rel=1e-12
                 )
                 keep = [i for i in range(3) if i != pos]
-                assert terms.h_leave_one_out[b, d, pos] == pytest.approx(
+                assert terms.excess_leave_one_out[b, d, pos] + 2 * NORMAL_ENTROPY == pytest.approx(
                     ref.entropy(sub[np.ix_(keep, keep)]), rel=1e-12
                 )
 
@@ -199,16 +201,18 @@ def test_entropy_terms_mixed_equals_fixed():
     masks = np.zeros((len(idx), 7), dtype=bool)
     np.put_along_axis(masks, idx, True, axis=1)
     mixed = entropy_terms(covs, NpletBatch(7, masks=masks))
-    np.testing.assert_allclose(mixed.h_joint, fixed.h_joint, atol=1e-12)
+    np.testing.assert_allclose(mixed.excess_joint, fixed.excess_joint, atol=1e-12)
+    at = idx[:, None, :].repeat(2, 1)
     np.testing.assert_allclose(
-        np.sort(mixed.h_singles, axis=-1)[..., -4:], np.sort(fixed.h_singles, axis=-1),
+        np.take_along_axis(mixed.excess_singles, at, -1), fixed.excess_singles, atol=1e-12
+    )
+    np.testing.assert_allclose(
+        np.take_along_axis(mixed.excess_leave_one_out, at, -1), fixed.excess_leave_one_out,
         atol=1e-12,
     )
-    np.testing.assert_allclose(mixed.h_leave_one_out.sum(-1), fixed.h_leave_one_out.sum(-1),
-                               atol=1e-12)
-    # pad positions hold exact zeros
-    assert (mixed.h_singles[~masks[:, None, :].repeat(2, 1)] == 0.0).all()
-    assert (mixed.h_leave_one_out[~masks[:, None, :].repeat(2, 1)] == 0.0).all()
+    # positions outside each n-plet hold exact zeros
+    assert (mixed.excess_singles[~masks[:, None, :].repeat(2, 1)] == 0.0).all()
+    assert (mixed.excess_leave_one_out[~masks[:, None, :].repeat(2, 1)] == 0.0).all()
 
 
 def test_entropy_terms_bias_needs_sample_counts():
@@ -223,12 +227,15 @@ def test_entropy_terms_bias_correction_uses_effective_dimension():
     batch = NpletBatch(4, indices=np.array([[0, 1, 2]]))
     raw = entropy_terms(covs, batch)
     corr = entropy_terms(covs, batch, bias_correct=True)
-    assert corr.h_joint[0, 0] == pytest.approx(raw.h_joint[0, 0] - ref.entropy_bias(3, 60), abs=1e-12)
-    np.testing.assert_allclose(
-        corr.h_singles[0, 0], raw.h_singles[0, 0] - ref.entropy_bias(1, 60), atol=1e-12
+    assert corr.excess_joint[0, 0] == pytest.approx(
+        raw.excess_joint[0, 0] - ref.entropy_bias(3, 60), abs=1e-12
     )
     np.testing.assert_allclose(
-        corr.h_leave_one_out[0, 0], raw.h_leave_one_out[0, 0] - ref.entropy_bias(2, 60),
+        corr.excess_singles[0, 0], raw.excess_singles[0, 0] - ref.entropy_bias(1, 60),
+        atol=1e-12,
+    )
+    np.testing.assert_allclose(
+        corr.excess_leave_one_out[0, 0], raw.excess_leave_one_out[0, 0] - ref.entropy_bias(2, 60),
         atol=1e-12,
     )
 
@@ -237,4 +244,21 @@ def test_order_one_rows_have_zero_leave_one_out():
     covs = random_covset(8, 3)
     masks = np.eye(3, dtype=bool)
     terms = entropy_terms(covs, NpletBatch(3, masks=masks))
-    np.testing.assert_allclose(terms.h_leave_one_out, 0.0, atol=1e-12)
+    np.testing.assert_allclose(terms.excess_leave_one_out, 0.0, atol=1e-12)
+
+
+def test_mixed_batch_failure_reports_caller_row():
+    # dataset 1 couples variables 3 and 4 beyond correlation 1, so every
+    # n-plet holding both is indefinite there and survives no jitter
+    good = random_covset(9, 5).covs[0]
+    bad = np.eye(5)
+    bad[3, 4] = bad[4, 3] = 2.0
+    covs = CovSet([good, CovarianceMatrix(bad)])
+    masks = np.zeros((5, 5), dtype=bool)
+    for r, row in enumerate([(0, 1, 2), (0, 1), (1, 3, 4), (2, 4), (0, 1, 2, 3)]):
+        masks[r, list(row)] = True
+    with pytest.raises(NotPositiveDefinite) as err:
+        entropy_terms(covs, NpletBatch(5, masks=masks))
+    # row 2 is the second row of the order-3 group; coordinates name the
+    # caller's row, not the position inside the group
+    assert err.value.coords == [(2, 1)]

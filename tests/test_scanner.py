@@ -24,6 +24,8 @@ from hoi import (
     s_system_cov,
     scan,
 )
+from hoi import scanner
+from hoi.scanner import best_rows
 
 
 def toy_covset(seed=0, n=6, d=1):
@@ -73,6 +75,36 @@ def test_topk_tie_break_is_lexicographic():
     got = scan(covs, 3, 3, TopK("o", "max", 4), batch_size=2)
     assert [e.indices for e in got[0]] == [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3)]
     assert all(e.value == 0.0 for e in got[0])
+
+
+def test_topk_builds_at_most_k_entries_per_batch(monkeypatch):
+    # identity covariance: every o is 0, so every row ties at the cut
+    built = []
+    entry_type = scanner.TopEntry
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return entry_type(*args, **kwargs)
+
+    monkeypatch.setattr(scanner, "TopEntry", counted)
+    batches = []
+    covs = CovSet([CovarianceMatrix(np.eye(16))])
+    got = scan(covs, 3, 16, TopK("o", "max", 10), batch_size=4096,
+               progress=lambda info: batches.append(info["batches"]))
+    assert len(built) <= 10 * batches[-1]
+    assert [e.indices for e in got[0]][:2] == [(0, 1, 2), (0, 1, 2, 3)]
+    assert [e.value for e in got[0]] == [0.0] * 10
+
+
+def test_best_rows_ties_go_to_the_smaller_position():
+    v = np.array([1.0, 3.0, 2.0, 3.0, 2.0, 2.0, -1.0])
+    assert best_rows(v, 4, "max").tolist() == [1, 3, 2, 4]
+    assert best_rows(v, 3, "min").tolist() == [6, 0, 2]
+    assert best_rows(v, 20, "max").tolist() == [1, 3, 2, 4, 5, 0, 6]
+    for k in range(1, 8):
+        for direction in ("max", "min"):
+            assert best_rows(v, k, direction).tolist() == ref.top_k(
+                v.tolist(), k, largest=direction == "max")
 
 
 def test_topk_validation():
