@@ -1,12 +1,17 @@
 """Command line interface.
 
 Subcommands: scan, greedy, anneal, features, synth, count. Data inputs
-are CSV files (header row of variable names, one sample per row, UTF-8,
-'.' decimals); a directory of CSVs with identical headers maps to one
-dataset per file, ordered lexicographically by filename. Raw data are
-copula-transformed before covariance estimation. Exit codes: 0 success,
-1 validation error, 2 computation error. With --progress, machine
-readable key=value lines go to the error stream.
+are CSV files (a required header row of variable names, one sample per
+row, UTF-8, '.' decimals); a directory of CSVs with identical headers
+maps to one dataset per file, ordered lexicographically by filename. Raw
+data are copula-transformed before covariance estimation. With
+--progress, machine readable key=value lines go to the error stream.
+
+The exit code follows the type of the error, wherever it is raised:
+0 success; 2 when the data defeat the computation (NotPositiveDefinite,
+DegenerateEffectSize) or the output cannot be written (OSError); 1 for
+every other HoiError and every usage error. Unreadable input is
+reported as InvalidData, so it exits 1.
 """
 
 import argparse
@@ -20,12 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .copula_core import CovSet, DataMatrix, copula_transform, estimate_covariance
-from .errors import (
-    ExhaustiveLimitExceeded,
-    HoiError,
-    InvalidData,
-    InvalidOrderRange,
-)
+from .errors import DegenerateEffectSize, HoiError, InvalidData, NotPositiveDefinite
 from .nplet_engine import count_nplets
 from .optimizers import AnnealSchedule, ObjectiveSpec, anneal, greedy
 from .scanner import (
@@ -38,6 +38,7 @@ from .scanner import (
 from .synthetic import PgmSpec, sample_gaussian
 
 _MEASURE_CHOICES = ("tc", "dtc", "o", "s")
+_EXIT_TWO = (NotPositiveDefinite, DegenerateEffectSize, OSError)
 
 
 class _UsageError(Exception):
@@ -82,6 +83,8 @@ def _read_csv(path: Path) -> DataMatrix:
             rows = list(csv.reader(fh))
     except UnicodeDecodeError as e:
         raise InvalidData(f"{path}: not valid UTF-8 ({e})") from None
+    except OSError as e:
+        raise InvalidData(f"cannot read input: {e}") from None
     while rows and not rows[-1]:
         rows.pop()  # trailing blank lines
     if len(rows) < 2:
@@ -102,14 +105,9 @@ def _read_csv(path: Path) -> DataMatrix:
 def _load_datasets(input_path: str):
     """(dataset names, DataMatrix list) from a CSV file or directory."""
     path = Path(input_path)
-    if path.is_dir():
-        files = sorted(path.glob("*.csv"), key=lambda p: p.name)
-        if not files:
-            raise InvalidData(f"{path}: no .csv files in directory")
-    elif path.is_file():
-        files = [path]
-    else:
-        raise InvalidData(f"{input_path}: no such file or directory")
+    files = sorted(path.glob("*.csv"), key=lambda p: p.name) if path.is_dir() else [path]
+    if not files:
+        raise InvalidData(f"{path}: no .csv files in directory")
     datas = [_read_csv(f) for f in files]
     header = datas[0].column_names
     for f, d in zip(files[1:], datas[1:]):
@@ -131,8 +129,6 @@ def _resolve_workers(args) -> int:
             workers = int(env)
         except ValueError:
             raise InvalidData(f"HOI_WORKERS must be an integer, got {env!r}") from None
-    if workers < 1:
-        raise InvalidData(f"workers must be >= 1, got {workers}")
     return workers
 
 
@@ -150,7 +146,6 @@ def _parse_orders(text: str, n: int):
         raise InvalidData(
             f"orders must look like '3:all', '3:5' or '4', got {text!r}"
         ) from None
-    count_nplets(n, lo, hi)  # validates the range against n
     return lo, hi
 
 
@@ -177,22 +172,18 @@ def _parse_cond(text: str, flag: str):
         raise InvalidData(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
-def _objective_from_args(args, d_count: int) -> ObjectiveSpec:
+def _objective_from_args(args) -> ObjectiveSpec:
     if args.aggregate == "mean":
         if args.cond_a or args.cond_b:
             raise InvalidData("--cond-a/--cond-b only apply to --aggregate effect")
         return ObjectiveSpec(measure=args.measure, direction=args.direction)
     if not args.cond_a or not args.cond_b:
         raise InvalidData("--aggregate effect needs --cond-a and --cond-b")
-    spec = ObjectiveSpec(
+    return ObjectiveSpec(
         measure=args.measure, direction=args.direction, aggregator="effect",
         cond_a=_parse_cond(args.cond_a, "--cond-a"),
         cond_b=_parse_cond(args.cond_b, "--cond-b"),
     )
-    for i in spec.cond_a + spec.cond_b:
-        if not 0 <= i < d_count:
-            raise InvalidData(f"condition index {i} out of range for {d_count} dataset(s)")
-    return spec
 
 
 def _write_text(out_path, text: str) -> None:
@@ -218,78 +209,60 @@ def _cmd_scan(args):
     var_names = datas[0].column_names
     lo, hi = _parse_orders(args.orders, covs.n_variables)
     reducer = _parse_reduce(args.reduce)
-    workers = _resolve_workers(args)
-    progress = _progress_printer(args.progress)
-
-    def execute():
-        result = scan(covs, lo, hi, reducer, batch_size=args.batch_size,
-                      bias_correct=args.bias_correct, workers=workers,
-                      progress=progress)
-        if isinstance(reducer, TopK):
-            rows = []
-            for name, entries in zip(names, result):
-                for e in entries:
-                    rows.append([
-                        name, e.order,
-                        ",".join(var_names[i] for i in e.indices),
-                        _mask_hex(e.indices),
-                        _fmt(e.tc), _fmt(e.dtc), _fmt(e.o), _fmt(e.s),
-                    ])
-            text = _csv_text(
-                ["dataset", "order", "variables", "mask", "tc", "dtc", "o", "s"], rows)
-        else:
-            edges, counts = result
-            rows = [
-                [name, _fmt(edges[b]), _fmt(edges[b + 1]), int(counts[d, b])]
-                for d, name in enumerate(names)
-                for b in range(counts.shape[1])
-            ]
-            text = _csv_text(["dataset", "bin_lo", "bin_hi", "count"], rows)
-        _write_text(args.out, text)
-
-    return execute
+    result = scan(covs, lo, hi, reducer, batch_size=args.batch_size,
+                  bias_correct=args.bias_correct, workers=_resolve_workers(args),
+                  progress=_progress_printer(args.progress))
+    if isinstance(reducer, TopK):
+        rows = []
+        for name, entries in zip(names, result):
+            for e in entries:
+                rows.append([
+                    name, e.order,
+                    ",".join(var_names[i] for i in e.indices),
+                    _mask_hex(e.indices),
+                    _fmt(e.tc), _fmt(e.dtc), _fmt(e.o), _fmt(e.s),
+                ])
+        text = _csv_text(
+            ["dataset", "order", "variables", "mask", "tc", "dtc", "o", "s"], rows)
+    else:
+        edges, counts = result
+        rows = [
+            [name, _fmt(edges[b]), _fmt(edges[b + 1]), int(counts[d, b])]
+            for d, name in enumerate(names)
+            for b in range(counts.shape[1])
+        ]
+        text = _csv_text(["dataset", "bin_lo", "bin_hi", "count"], rows)
+    _write_text(args.out, text)
 
 
 def _cmd_greedy(args):
     _, datas = _load_datasets(args.input)
     covs = _covset_from_data(datas)
     var_names = datas[0].column_names
-    n = covs.n_variables
-    spec = _objective_from_args(args, covs.n_datasets)
+    spec = _objective_from_args(args)
     try:
-        target = n if args.target_order == "all" else int(args.target_order)
+        target = covs.n_variables if args.target_order == "all" else int(args.target_order)
     except ValueError:
         raise InvalidData(
             f"--target-order must be an integer or 'all', got {args.target_order!r}"
         ) from None
-    if not 1 <= args.start_order <= target <= n:
-        raise InvalidOrderRange(
-            f"need 1 <= start-order <= target-order <= N, got "
-            f"start={args.start_order}, target={target}, N={n}"
-        )
-    progress = _progress_printer(args.progress)
-
-    def execute():
-        result = greedy(covs, spec, args.start_order, target, kappa=args.kappa,
-                        seed=args.seed, bias_correct=args.bias_correct,
-                        batch_size=args.batch_size, restarts=args.restarts,
-                        progress=progress)
-        rows = [
-            [e.order, ",".join(var_names[i] for i in e.indices),
-             _mask_hex(e.indices), _fmt(e.value)]
-            for e in result.per_order
-        ]
-        _write_text(args.out, _csv_text(["order", "variables", "mask", "value"], rows))
-
-    return execute
+    result = greedy(covs, spec, args.start_order, target, kappa=args.kappa,
+                    seed=args.seed, bias_correct=args.bias_correct,
+                    batch_size=args.batch_size, restarts=args.restarts,
+                    progress=_progress_printer(args.progress))
+    rows = [
+        [e.order, ",".join(var_names[i] for i in e.indices),
+         _mask_hex(e.indices), _fmt(e.value)]
+        for e in result.per_order
+    ]
+    _write_text(args.out, _csv_text(["order", "variables", "mask", "value"], rows))
 
 
 def _cmd_anneal(args):
     _, datas = _load_datasets(args.input)
     covs = _covset_from_data(datas)
     var_names = datas[0].column_names
-    n = covs.n_variables
-    spec = _objective_from_args(args, covs.n_datasets)
+    spec = _objective_from_args(args)
     temp0 = None
     if args.temp0 != "auto":
         try:
@@ -297,70 +270,46 @@ def _cmd_anneal(args):
         except ValueError:
             raise InvalidData(f"--temp0 must be 'auto' or a number, got {args.temp0!r}") from None
     try:
-        max_order = n if args.max_order == "all" else int(args.max_order)
+        max_order = covs.n_variables if args.max_order == "all" else int(args.max_order)
     except ValueError:
         raise InvalidData(
             f"--max-order must be an integer or 'all', got {args.max_order!r}"
         ) from None
-    if not 1 <= args.min_order <= max_order <= n:
-        raise InvalidOrderRange(
-            f"need 1 <= min-order <= max-order <= N, got "
-            f"min={args.min_order}, max={max_order}, N={n}"
-        )
     schedule = AnnealSchedule(
         temp0=temp0, alpha=args.alpha, max_iters=args.iters,
         patience=args.patience, mode=args.mode, min_order=args.min_order,
         max_order=max_order,
     )
-    progress = _progress_printer(args.progress)
+    state = anneal(covs, spec, schedule, kappa=args.kappa, seed=args.seed,
+                   bias_correct=args.bias_correct,
+                   progress=_progress_printer(args.progress))
+    rows = []
 
-    def execute():
-        state = anneal(covs, spec, schedule, kappa=args.kappa, seed=args.seed,
-                       bias_correct=args.bias_correct, progress=progress)
-        rows = []
+    def add_row(kind, mask, energy):
+        indices = tuple(int(v) for v in np.flatnonzero(mask))
+        rows.append([
+            kind, len(indices),
+            ",".join(var_names[i] for i in indices),
+            _mask_hex(indices), _fmt(spec.value_of(energy)),
+        ])
 
-        def add_row(kind, mask, energy):
-            indices = tuple(int(v) for v in np.flatnonzero(mask))
-            rows.append([
-                kind, len(indices),
-                ",".join(var_names[i] for i in indices),
-                _mask_hex(indices), _fmt(spec.value_of(energy)),
-            ])
-
-        add_row("best", state.best_mask, state.best_energy)
-        for c in range(state.masks.shape[0]):
-            add_row(f"chain_{c}", state.masks[c], float(state.energies[c]))
-        _write_text(args.out, _csv_text(["kind", "order", "variables", "mask", "value"], rows))
-
-    return execute
+    add_row("best", state.best_mask, state.best_energy)
+    for c in range(state.masks.shape[0]):
+        add_row(f"chain_{c}", state.masks[c], float(state.energies[c]))
+    _write_text(args.out, _csv_text(["kind", "order", "variables", "mask", "value"], rows))
 
 
 def _cmd_features(args):
     names, datas = _load_datasets(args.input)
-    covs = _covset_from_data(datas)
-    workers = _resolve_workers(args)
-    progress = _progress_printer(args.progress)
-    n = covs.n_variables
-    # size refusal is a usage problem, not a compute failure
-    if n > args.limit:
-        raise ExhaustiveLimitExceeded(
-            f"N={n} exceeds the exhaustive feature limit ({args.limit}); "
-            "use greedy or annealing search"
-        )
-    if n < 3:
-        raise InvalidOrderRange(f"feature extraction needs N >= 3, got {n}")
-
-    def execute():
-        feats = extract_features(covs, bias_correct=args.bias_correct,
-                                 limit=args.limit, batch_size=args.batch_size,
-                                 workers=workers, progress=progress)
-        rows = [
-            [name] + [_fmt(fv.as_dict()[col]) for col in FEATURE_NAMES]
-            for name, fv in zip(names, feats)
-        ]
-        _write_text(args.out, _csv_text(["dataset", *FEATURE_NAMES], rows))
-
-    return execute
+    feats = extract_features(_covset_from_data(datas), bias_correct=args.bias_correct,
+                             limit=args.limit, batch_size=args.batch_size,
+                             workers=_resolve_workers(args),
+                             progress=_progress_printer(args.progress))
+    rows = [
+        [name] + [_fmt(fv.as_dict()[col]) for col in FEATURE_NAMES]
+        for name, fv in zip(names, feats)
+    ]
+    _write_text(args.out, _csv_text(["dataset", *FEATURE_NAMES], rows))
 
 
 def _cmd_synth(args):
@@ -369,40 +318,28 @@ def _cmd_synth(args):
     except OSError as e:
         raise InvalidData(f"cannot read spec: {e}") from None
     pgm = PgmSpec.from_json(text)
-    if args.samples < 3:
-        raise InvalidData(f"--samples must be >= 3, got {args.samples}")
     progress = _progress_printer(args.progress)
-
-    def execute():
-        t0 = time.perf_counter()
-        cov = pgm.build()
-        data = sample_gaussian(cov, args.samples, args.seed)
-        rows = [[_fmt(x) for x in row] for row in data.values]
-        _write_text(args.out, _csv_text(pgm.variable_names(), rows))
-        if progress is not None:
-            progress({
-                "samples": args.samples,
-                "variables": cov.n_variables,
-                "elapsed": time.perf_counter() - t0,
-            })
-
-    return execute
+    t0 = time.perf_counter()
+    cov = pgm.build()
+    data = sample_gaussian(cov, args.samples, args.seed)
+    rows = [[_fmt(x) for x in row] for row in data.values]
+    _write_text(args.out, _csv_text(pgm.variable_names(), rows))
+    if progress is not None:
+        progress({
+            "samples": args.samples,
+            "variables": cov.n_variables,
+            "elapsed": time.perf_counter() - t0,
+        })
 
 
 def _cmd_count(args):
-    if args.n < 1:
-        raise InvalidData(f"--n must be >= 1, got {args.n}")
     lo, hi = _parse_orders(args.orders, args.n)
     progress = _progress_printer(args.progress)
-
-    def execute():
-        t0 = time.perf_counter()
-        total = count_nplets(args.n, lo, hi)
-        _write_text(args.out, f"{total}\n")
-        if progress is not None:
-            progress({"total": total, "elapsed": time.perf_counter() - t0})
-
-    return execute
+    t0 = time.perf_counter()
+    total = count_nplets(args.n, lo, hi)
+    _write_text(args.out, f"{total}\n")
+    if progress is not None:
+        progress({"total": total, "elapsed": time.perf_counter() - t0})
 
 
 def _add_common(p, *, data_input=True):
@@ -415,8 +352,9 @@ def _add_common(p, *, data_input=True):
                    help="print machine-readable progress to stderr")
 
 
-def _add_compute(p, *, workers=True):
-    p.add_argument("--batch-size", type=int, default=10000)
+def _add_compute(p, *, batch_size=True, workers=True):
+    if batch_size:
+        p.add_argument("--batch-size", type=int, default=10000)
     p.add_argument("--bias-correct", action="store_true",
                    help="apply the finite-sample entropy correction")
     if workers:
@@ -459,7 +397,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("anneal", help="simulated annealing over n-plets")
     _add_common(p)
-    _add_compute(p, workers=False)
+    _add_compute(p, batch_size=False, workers=False)
     _add_objective(p)
     p.add_argument("--min-order", type=int, default=3)
     p.add_argument("--max-order", default="all")
@@ -504,18 +442,12 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        execute = _HANDLERS[args.command](args)
+        args = _build_parser().parse_args(argv)
+        _HANDLERS[args.command](args)
     except (_UsageError, HoiError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    try:
-        execute()
-    except (HoiError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(e, _EXIT_TWO) else 1
     return 0
 
 

@@ -263,10 +263,7 @@ def entropy_bias(n: int, t: int) -> float:
     """
     if n < 1:
         raise InvalidData(f"dimension must be >= 1, got {n}")
-    if t <= n:
-        raise InsufficientSamples(f"bias correction needs T > n, got T={t}, n={n}")
-    j = np.arange(1, n + 1)
-    return float(0.5 * (n * np.log(2.0 / (t - 1)) + psi((t - j) / 2.0).sum()))
+    return float(_bias_table(t, n)[n])
 
 
 def _bias_table(t: int, k_max: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import itertools
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -164,17 +164,6 @@ class Callback(Reducer):
         return self._results
 
 
-FEATURE_NAMES = (
-    "tc_max", "tc_min", "tc_mean", "tc_whole",
-    "dtc_max", "dtc_min", "dtc_mean", "dtc_whole",
-    "o_max", "o_min", "o_mean", "o_whole",
-    "s_max", "s_min", "s_mean", "s_whole",
-    "mi_mean", "mi_std",
-    "o_max_order_norm", "o_min_order_norm",
-    "prop_synergistic",
-)
-
-
 @dataclass(frozen=True)
 class FeatureVector:
     """21 summary features of one dataset's interaction structure.
@@ -210,6 +199,9 @@ class FeatureVector:
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in FEATURE_NAMES}
+
+
+FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
 
 
 class FeatureAccumulator(Reducer):

@@ -184,6 +184,11 @@ def test_usage_and_validation_failures_exit_one(tmp_path, data_csv, capsys):
     ragged.write_text("a,b\n1,2\n3\n")
     empty_dir = tmp_path / "empty"
     empty_dir.mkdir()
+    short = tmp_path / "short.csv"  # T = 5 samples, orders up to 5
+    short.write_text("".join(data_csv.read_text().splitlines(keepends=True)[:6]))
+    unreadable = tmp_path / "unreadable"
+    (unreadable / "zz.csv").mkdir(parents=True)
+    (unreadable / "aa.csv").write_text(data_csv.read_text())
     cases = [
         [],
         ["bogus"],
@@ -214,6 +219,18 @@ def test_usage_and_validation_failures_exit_one(tmp_path, data_csv, capsys):
         ["synth", "--spec", str(tmp_path / "nope.json"), "--samples", "50",
          "--out", str(tmp_path / "x.csv")],
         ["count", "--n", "5", "--orders", "3:9"],
+        # argument errors the library raises while computing
+        ["scan", "--input", str(data_csv), "--orders", "3:3",
+         "--reduce", "top:1:max:o", "--batch-size", "0"],
+        ["features", "--input", str(data_csv), "--batch-size", "0"],
+        ["greedy", "--input", str(data_csv), "--kappa", "0"],
+        ["greedy", "--input", str(data_csv), "--restarts", "0"],
+        ["anneal", "--input", str(data_csv), "--kappa", "0"],
+        ["scan", "--input", str(short), "--orders", "3:5",
+         "--reduce", "top:1:max:o", "--bias-correct"],
+        ["anneal", "--input", str(data_csv), "--batch-size", "10"],
+        ["scan", "--input", str(unreadable), "--orders", "3:3",
+         "--reduce", "top:1:max:o"],
     ]
     for argv in cases:
         assert main(argv) == 1, argv
@@ -226,6 +243,14 @@ def test_compute_phase_failures_exit_two(tmp_path, data_csv, capsys):
                  "--reduce", "top:1:max:o", "--out", str(dest)]) == 2
     err = capsys.readouterr().err
     assert "error" in err.lower()
+    # condition B repeats condition A, so every paired difference is zero
+    same = tmp_path / "same"
+    same.mkdir()
+    for name in ("a0", "a1", "b0", "b1"):
+        (same / f"{name}.csv").write_text(data_csv.read_text())
+    assert main(["greedy", "--input", str(same), "--aggregate", "effect",
+                 "--cond-a", "0,1", "--cond-b", "2,3", "--target-order", "4"]) == 2
+    assert "effect size" in capsys.readouterr().err
 
 
 def test_bias_correct_flag_changes_values(tmp_path, data_csv):
