@@ -1,8 +1,8 @@
 """Command line interface.
 
 Subcommands: scan, greedy, anneal, features, synth, count. Data inputs
-are CSV files (a required header row of variable names, one sample per
-row, UTF-8, '.' decimals); a directory of CSVs with identical headers
+are CSV files (a required header row of variable names, not all of them
+numbers; one sample per row, UTF-8, '.' decimals); a directory of CSVs with identical headers
 maps to one dataset per file, ordered lexicographically by filename. Raw
 data are copula-transformed before covariance estimation. With
 --progress, machine readable key=value lines go to the error stream.
@@ -77,6 +77,14 @@ def _progress_printer(enabled: bool):
     return emit
 
 
+def _parses_as_float(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_csv(path: Path) -> DataMatrix:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -90,6 +98,9 @@ def _read_csv(path: Path) -> DataMatrix:
     if len(rows) < 2:
         raise InvalidData(f"{path}: need a header row and at least one data row")
     header = rows[0]
+    if header and all(_parses_as_float(cell) for cell in header):
+        raise InvalidData(f"{path}: the first row must be a header of variable names, "
+                          "but every cell is a number")
     width = len(header)
     values = np.empty((len(rows) - 1, width))
     for r, row in enumerate(rows[1:]):

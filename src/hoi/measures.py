@@ -55,16 +55,20 @@ def s_information(terms: EntropyTerms) -> np.ndarray:
     return tc_from_terms(terms) + dtc_from_terms(terms)
 
 
+def hoi_from_terms(terms: EntropyTerms) -> HoiBatch:
+    """All four measures from one set of entropy terms."""
+    tc = tc_from_terms(terms)
+    dtc = dtc_from_terms(terms)
+    return HoiBatch(tc=tc, dtc=dtc, o=o_information(terms), s=tc + dtc,
+                    order=terms.orders)
+
+
 def compute_hoi_batch(covs: CovSet, batch: NpletBatch, bias_correct: bool = False) -> HoiBatch:
     """All four measures for a whole batch in a single pass.
 
     The entropy terms are computed once and shared by every measure.
     """
-    terms = entropy_terms(covs, batch, bias_correct=bias_correct)
-    tc = tc_from_terms(terms)
-    dtc = dtc_from_terms(terms)
-    return HoiBatch(tc=tc, dtc=dtc, o=o_information(terms), s=tc + dtc,
-                    order=terms.orders)
+    return hoi_from_terms(entropy_terms(covs, batch, bias_correct=bias_correct))
 
 
 def pairwise_mi(cov, i: int, j: int, bias_correct: bool = False) -> float:

@@ -5,10 +5,11 @@ either as a (B, K) index matrix (fixed order) or as a (B, N) boolean mask
 matrix (mixed orders). Every batch is evaluated on compact k x k
 sub-covariances: a mixed-order batch is split by order, each group goes
 through the fixed-order path, and the results are scattered back to the
-rows' variable positions.
+rows' variable positions. Exhaustive scans evaluate whole orders through
+a LogdetLattice instead, which reads every leave-one-out term from the
+previous order's log-determinants.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -106,34 +107,75 @@ class NpletBatch:
             return tuple(int(v) for v in self.indices[i])
         return tuple(int(v) for v in np.flatnonzero(self.masks[i]))
 
-    def to_masks(self) -> np.ndarray:
-        """(B, N) boolean view of the batch."""
-        if self.mode == "mixed":
-            return self.masks
-        out = np.zeros((self.batch_size, self.n_variables), dtype=bool)
-        np.put_along_axis(out, self.indices, True, axis=1)
-        return out
+
+#: Rows one prefix expansion in enumerate_order builds at most, unless the
+#: batch size is larger.
+_BLOCK_ROWS = 4096
+
+
+def _expand(prefixes: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Every k-combination of range(n) that extends a row of prefixes
+    (a nonempty (P, p) array).
+
+    Each step repeats every row once per admissible next element, so
+    lexicographically ordered prefixes give lexicographically ordered
+    combinations.
+    """
+    rows = prefixes
+    for q in range(prefixes.shape[1], k):
+        last = rows[:, -1]
+        counts = n - k + q - last
+        step = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.column_stack([np.repeat(rows, counts, axis=0),
+                                np.repeat(last + 1, counts) + step])
+    return rows
+
+
+def _lex_blocks(n: int, k: int, limit: int):
+    """Yield every k-combination of range(n) in lexicographic order, as
+    blocks of at most limit rows, each built by one _expand call."""
+
+    def walk(prefix):
+        p = len(prefix)
+        group, size = [], 0
+        for a in range(prefix[-1] + 1 if p else 0, n - k + p + 1):
+            count = math.comb(n - a - 1, k - p - 1)  # completions of prefix + (a,)
+            if count > limit:  # counts shrink with a, so group is still empty
+                yield from walk(prefix + (a,))
+                continue
+            if size + count > limit:
+                yield _expand(np.array(group, dtype=np.int64), n, k)
+                group, size = [], 0
+            group.append(prefix + (a,))
+            size += count
+        if group:
+            yield _expand(np.array(group, dtype=np.int64), n, k)
+
+    yield from walk(())
 
 
 def enumerate_order(n: int, k: int, batch_size: int = 10000):
     """Yield every C(n, k) combination exactly once, in lexicographic order.
 
-    Combinations stream in chunks of at most batch_size rows, so memory
-    stays O(batch_size * k) no matter how large C(n, k) is.
+    Combinations stream in chunks of exactly batch_size rows (the last
+    chunk may be shorter). They are generated in numpy by prefix
+    expansion, a block of at most max(batch_size, 4096) rows at a time, so
+    memory stays O(batch_size * k) no matter how large C(n, k) is.
     """
     if not 1 <= k <= n:
         raise InvalidOrderRange(f"need 1 <= k <= n, got k={k}, n={n}")
     if batch_size < 1:
         raise InvalidData(f"batch_size must be >= 1, got {batch_size}")
-    combos = itertools.combinations(range(n), k)
-    while True:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(combos, batch_size)),
-            dtype=np.int64,
-        )
-        if flat.size == 0:
-            return
-        yield NpletBatch(n, indices=flat.reshape(-1, k), check_unique=False)
+    rest = np.empty((0, k), dtype=np.int64)
+    for block in _lex_blocks(n, k, max(batch_size, _BLOCK_ROWS)):
+        if rest.shape[0]:
+            block = np.concatenate([rest, block])
+        full = block.shape[0] - block.shape[0] % batch_size
+        for at in range(0, full, batch_size):
+            yield NpletBatch(n, indices=block[at:at + batch_size], check_unique=False)
+        rest = block[full:]
+    if rest.shape[0]:
+        yield NpletBatch(n, indices=rest, check_unique=False)
 
 
 @dataclass
@@ -183,11 +225,12 @@ def extract_subcov_batch(covs: CovSet, batch: NpletBatch) -> SubCovBatch:
             f"batch is over {batch.n_variables} variables, covariances over {covs.n_variables}"
         )
     sig = covs.stacked()
+    d, n = sig.shape[0], sig.shape[1]
     idx = batch.indices
-    d_ax = np.arange(sig.shape[0])[None, :, None, None]
-    rows = idx[:, None, :, None]
-    cols = idx[:, None, None, :]
-    return SubCovBatch(matrices=sig[d_ax, rows, cols])
+    flat = idx[:, :, None] * n + idx[:, None, :]  # (B, K, K) positions in an N x N matrix
+    # one take over the flattened matrices, viewed as (B, D, K, K)
+    mats = np.take(sig.reshape(d, n * n), flat, axis=1)
+    return SubCovBatch(matrices=mats.transpose(1, 0, 2, 3))
 
 
 def pad_subcov_batch(covs: CovSet, batch: NpletBatch) -> SubCovBatch:
@@ -227,15 +270,32 @@ def _batched_logdet_invdiag(mats: np.ndarray):
     return _factor_with_jitter(mats, _logdet_invdiag)
 
 
-def _fixed_terms(covs: CovSet, batch: NpletBatch, x_singles, tables):
+def _bias_offsets(covs: CovSet, k_max: int, bias_correct: bool) -> np.ndarray:
+    """(D, k_max + 1) entropy bias eta(k, T_d) per dataset; zeros without
+    bias correction, so subtracting it leaves raw values bit-identical."""
+    if not bias_correct:
+        return np.zeros((covs.n_datasets, k_max + 1))
+    t_used = covs.samples_used()
+    if (t_used <= 0).any():
+        raise InvalidData(
+            "bias correction needs sample-estimated covariances "
+            "(n_samples_used > 0)"
+        )
+    return np.stack([_bias_table(int(t), k_max) for t in t_used])
+
+
+def _excess_singles(covs: CovSet, bias: np.ndarray) -> np.ndarray:
+    """(D, N) marginal excess entropies from the covariance diagonals."""
+    diag = np.diagonal(covs.stacked(), axis1=-2, axis2=-1)
+    return 0.5 * np.log(diag) - bias[:, 1][:, None]
+
+
+def _fixed_terms(covs: CovSet, batch: NpletBatch, x_singles, bias):
     """(joint, singles, leave-one-out) excess arrays of a fixed-order batch."""
     logdet, invdiag = _batched_logdet_invdiag(extract_subcov_batch(covs, batch).matrices)
     k = batch.order
-    x_joint = 0.5 * logdet
-    x_loo = 0.5 * (logdet[..., None] + np.log(invdiag))
-    if tables is not None:
-        x_joint = x_joint - tables[:, k][None, :]
-        x_loo = x_loo - tables[:, k - 1][None, :, None]
+    x_joint = 0.5 * logdet - bias[:, k][None, :]
+    x_loo = 0.5 * (logdet[..., None] + np.log(invdiag)) - bias[:, k - 1][None, :, None]
     return x_joint, x_singles[:, batch.indices].transpose(1, 0, 2), x_loo
 
 
@@ -251,28 +311,15 @@ def entropy_terms(covs: CovSet, batch: NpletBatch, bias_correct: bool = False) -
     path; a NotPositiveDefinite error reports (row, dataset) coordinates
     in the caller's batch.
     """
-    sig = covs.stacked()
     orders = batch.orders()
-    tables = None
-    if bias_correct:
-        t_used = covs.samples_used()
-        if (t_used <= 0).any():
-            raise InvalidData(
-                "bias correction needs sample-estimated covariances "
-                "(n_samples_used > 0)"
-            )
-        k_max = int(orders.max())
-        tables = np.stack([_bias_table(int(t), k_max) for t in t_used])  # (D, k_max+1)
-
-    x_singles = 0.5 * np.log(np.diagonal(sig, axis1=-2, axis2=-1))  # (D, N)
-    if tables is not None:
-        x_singles = x_singles - tables[:, 1][:, None]
+    bias = _bias_offsets(covs, int(orders.max()), bias_correct)
+    x_singles = _excess_singles(covs, bias)
 
     if batch.mode == "fixed":
-        return EntropyTerms(*_fixed_terms(covs, batch, x_singles, tables), orders=orders)
+        return EntropyTerms(*_fixed_terms(covs, batch, x_singles, bias), orders=orders)
 
     b, n = batch.masks.shape
-    d_count = sig.shape[0]
+    d_count = covs.n_datasets
     x_joint = np.empty((b, d_count))
     x_sing = np.zeros((b, d_count, n))
     x_loo = np.zeros((b, d_count, n))
@@ -283,7 +330,7 @@ def entropy_terms(covs: CovSet, batch: NpletBatch, bias_correct: bool = False) -
         idx = np.nonzero(batch.masks[rows])[1].reshape(-1, k)
         try:
             joint, sing, loo = _fixed_terms(
-                covs, NpletBatch(n, indices=idx, check_unique=False), x_singles, tables)
+                covs, NpletBatch(n, indices=idx, check_unique=False), x_singles, bias)
         except NotPositiveDefinite as err:
             bad += [(int(rows[g]), d) for g, d in err.coords]
             continue
@@ -294,3 +341,124 @@ def entropy_terms(covs: CovSet, batch: NpletBatch, bias_correct: bool = False) -
     if bad:
         raise _not_positive_definite(sorted(bad))
     return EntropyTerms(x_joint, x_sing, x_loo, orders=orders)
+
+
+#: Cap, in bytes, on the raw log-determinant tables a LogdetLattice keeps
+#: live at once (two orders at most). An order whose tables would exceed it
+#: is evaluated on the direct path.
+LATTICE_TABLE_BYTES = 64 * 2**20
+
+
+class LogdetLattice:
+    """Raw log-determinants by order, for scanning whole orders in turn.
+
+    Table k holds logdet(sigma_d[c, c]) of every k-plet c at its colex rank
+    sum_i C(c_i, i + 1) (the combinatorial number system), one column per
+    dataset. Every leave-one-out term of a k-plet is the joint term of a
+    (k - 1)-plet, at rank sum_{p<j} C(c_p, p + 1) + sum_{p>j} C(c_p, p), so
+    an order-k batch needs one batched Cholesky and table lookups, and no
+    inverse. Tables hold raw values; bias corrections apply on reading.
+
+    The caller opens orders in increasing order and evaluates every batch
+    of an order before opening the next. open(k) builds a missing table
+    k - 1 first (table 0 is zero, table 1 is log sigma_ii, higher ones
+    take a Cholesky pass) and keeps table k only if order k + 1 reads it.
+    The two live tables are capped by LATTICE_TABLE_BYTES.
+
+    terms() returns None, for the caller to evaluate the batch with
+    compute_hoi_batch, when the order is over the cap or the batch's plain
+    Cholesky fails (its entries then stay NaN). A row that reads a NaN
+    entry is evaluated on the direct path's fixed-order terms. Either way
+    the row keeps the direct path's value or NotPositiveDefinite
+    coordinates.
+    """
+
+    def __init__(self, covs: CovSet, min_order: int, max_order: int, bias_correct: bool):
+        self.covs = covs
+        n, d = covs.n_variables, covs.n_datasets
+        self.bias = _bias_offsets(covs, max_order, bias_correct)
+        self.x_singles = _excess_singles(covs, self.bias)
+        cap = LATTICE_TABLE_BYTES // (8 * d)
+        self.served = {
+            k for k in range(min_order, max_order + 1)
+            if math.comb(n, k - 1) + (math.comb(n, k) if k < max_order else 0) <= cap
+        }
+        # C(a, b), clipped at 2**62 to fit int64; no rank of a served order
+        # reads a clipped entry (every term of a rank is below C(N, k) <= cap)
+        self.binom = np.array(
+            [[min(math.comb(a, b), 2**62) for b in range(max_order + 1)] for a in range(n)],
+            dtype=np.int64,
+        )
+        self.tables = {}
+
+    def open(self, k: int, batch_size: int) -> None:
+        """Make order k current; tables below order k - 1 are dropped."""
+        self.tables = {m: t for m, t in self.tables.items() if m == k - 1}
+        if k not in self.served:
+            return
+        n, d = self.covs.n_variables, self.covs.n_datasets
+        if k - 1 not in self.tables:
+            if k == 1:
+                self.tables[0] = np.zeros((1, d))
+            elif k == 2:
+                self.tables[1] = np.log(np.diagonal(self.covs.stacked(), axis1=-2, axis2=-1)).T
+            else:
+                self.tables[k - 1] = np.full((math.comb(n, k - 1), d), np.nan)
+                for batch in enumerate_order(n, k - 1, batch_size):
+                    self._joint(batch, self._ranks(batch.indices)[0])
+        if k + 1 in self.served:
+            self.tables[k] = np.full((math.comb(n, k), d), np.nan)
+
+    def _ranks(self, idx: np.ndarray):
+        """(B,) colex ranks of the rows of idx and (B, K) ranks of each row
+        without its member j."""
+        pos = np.arange(idx.shape[1])
+        stay = self.binom[idx, pos + 1]  # member p at position p
+        move = self.binom[idx, pos]  # member p at position p - 1, after j < p left
+        stay_sum = np.cumsum(stay, axis=1)
+        move_sum = np.cumsum(move, axis=1)
+        return stay_sum[:, -1], stay_sum - stay + move_sum[:, -1:] - move_sum
+
+    def _joint(self, batch: NpletBatch, rank: np.ndarray):
+        """(B, D) raw log-determinants of a batch, stored at rank in its
+        order's table when one is open; None if the batched Cholesky fails,
+        which leaves the batch's entries NaN."""
+        k = batch.order
+        try:
+            chol = np.linalg.cholesky(extract_subcov_batch(self.covs, batch).matrices)
+        except np.linalg.LinAlgError:
+            return None
+        raw = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+        if k in self.tables:
+            self.tables[k][rank] = raw
+        return raw
+
+    def terms(self, batch: NpletBatch):
+        """(EntropyTerms or None, rows on the direct path) of a batch of the
+        open order. None means the lattice served no row of the batch."""
+        k = batch.order
+        prev = self.tables.get(k - 1)
+        if prev is None:
+            return None, batch.batch_size
+        idx = batch.indices
+        rank, loo_rank = self._ranks(idx)
+        raw = self._joint(batch, rank)
+        if raw is None:
+            return None, batch.batch_size
+        loo = prev[loo_rank].transpose(0, 2, 1)  # (B, D, k)
+        terms = EntropyTerms(
+            excess_joint=0.5 * raw - self.bias[:, k],
+            excess_singles=self.x_singles[:, idx].transpose(1, 0, 2),
+            excess_leave_one_out=0.5 * loo - self.bias[:, k - 1][None, :, None],
+            orders=batch.orders(),
+        )
+        rows = np.flatnonzero(np.isnan(loo).any(axis=(1, 2)))
+        if rows.size:
+            sub = NpletBatch(batch.n_variables, indices=idx[rows], check_unique=False)
+            try:
+                joint, _, x_loo = _fixed_terms(self.covs, sub, self.x_singles, self.bias)
+            except NotPositiveDefinite as err:
+                raise _not_positive_definite([(int(rows[g]), d) for g, d in err.coords]) from None
+            terms.excess_joint[rows] = joint
+            terms.excess_leave_one_out[rows] = x_loo
+        return terms, rows.size

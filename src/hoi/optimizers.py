@@ -19,8 +19,9 @@ from .errors import (
     InvalidOrderRange,
 )
 from .measures import HoiBatch, compute_hoi_batch
-from .nplet_engine import NpletBatch, count_nplets, enumerate_order
-from .scanner import MEASURES, best_rows
+# bench/tracer.py wraps optimizers.enumerate_order, so the name stays importable here
+from .nplet_engine import NpletBatch, count_nplets, enumerate_order  # noqa: F401
+from .scanner import MEASURES, Reducer, best_rows, scan
 
 
 @dataclass(frozen=True)
@@ -132,6 +133,23 @@ def _merge_top(entries, new_pairs, kappa):
     del entries[kappa:]
 
 
+class _SeedBeam(Reducer):
+    """The kappa best (energy, indices) pairs of a scan under an objective."""
+
+    def __init__(self, spec: ObjectiveSpec, kappa: int):
+        self.spec = spec
+        self.kappa = kappa
+        self.top = []
+
+    def update(self, batch, hoi):
+        e = evaluate_objective(hoi, self.spec)
+        pairs = [(float(e[i]), batch.row_indices(i)) for i in best_rows(e, self.kappa, "max")]
+        _merge_top(self.top, pairs, self.kappa)
+
+    def finalize(self):
+        return self.top
+
+
 def greedy(covs: CovSet, spec: ObjectiveSpec, start_order: int,
            target_order: int, kappa: int = 10, seed: int = 0, *,
            bias_correct: bool = False, batch_size: int = 10000,
@@ -139,7 +157,9 @@ def greedy(covs: CovSet, spec: ObjectiveSpec, start_order: int,
     """Beam search growing n-plets one variable at a time.
 
     The beam is seeded with the kappa best n-plets from an exhaustive
-    scan of start_order. Each step evaluates every one-variable extension
+    scan of start_order (scanner.scan, so the seed reads its leave-one-out
+    terms from the log-determinant lattice and needs only the table of
+    order start_order - 1). Each step evaluates every one-variable extension
     of every beam member as a single batch and keeps the kappa best
     distinct candidates (ties to the lexicographically smallest).
 
@@ -188,11 +208,12 @@ def greedy(covs: CovSet, spec: ObjectiveSpec, start_order: int,
             })
 
     # deterministic seed beam: top kappa of the exhaustive start order
-    top = []
-    for batch in enumerate_order(n, start_order, batch_size):
-        e = energies_of(batch.indices)
-        pairs = [(float(e[i]), batch.row_indices(i)) for i in best_rows(e, kappa, "max")]
-        _merge_top(top, pairs, kappa)
+    seed_scan = {}
+    top = scan(covs, start_order, start_order, _SeedBeam(spec, kappa),
+               batch_size=batch_size, bias_correct=bias_correct,
+               progress=seed_scan.update)
+    evaluated += seed_scan["nplets"]
+    batches += seed_scan["batches"]
     beams = [top]
     report(start_order)
 

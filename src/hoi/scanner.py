@@ -4,8 +4,9 @@ A scan visits every n-plet in an order range exactly once per dataset,
 in lexicographic order within each order, feeding (batch, measures)
 pairs to a reducer. Reduction always happens in the parent process in
 enumeration order, so the result is independent of batch size and worker
-count. The 21-feature informational fingerprint of a dataset is one such
-reduction over orders 2..N.
+count. Orders are evaluated one after another on a log-determinant
+lattice (nplet_engine.LogdetLattice). The 21-feature informational
+fingerprint of a dataset is one such reduction over orders 2..N.
 """
 
 import itertools
@@ -18,8 +19,8 @@ import numpy as np
 
 from .copula_core import CovSet
 from .errors import ExhaustiveLimitExceeded, InvalidData, InvalidOrderRange
-from .measures import HoiBatch, compute_hoi_batch
-from .nplet_engine import NpletBatch, count_nplets, enumerate_order
+from .measures import HoiBatch, compute_hoi_batch, hoi_from_terms
+from .nplet_engine import LogdetLattice, NpletBatch, count_nplets, enumerate_order
 
 MEASURES = ("tc", "dtc", "o", "s")
 
@@ -312,6 +313,24 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
          workers: int = 1, progress=None):
     """Visit every n-plet with order in [min_order, max_order] once.
 
+    Orders run one after another on a log-determinant lattice
+    (nplet_engine.LogdetLattice): order k's batched Cholesky gives every
+    joint log-determinant and fills a table indexed by colex rank, and
+    each leave-one-out term is read from order k - 1's table, so no
+    matrix is inverted. Table min_order - 1 is built first. The thread
+    pool waits at every order boundary until the previous table is
+    complete.
+
+    Rows the lattice cannot serve run on the direct path
+    (compute_hoi_batch: Cholesky plus inverse, with its jitter retry), so
+    their values or NotPositiveDefinite coordinates are exactly those of
+    compute_hoi_batch on the same batch. These are every row of a batch
+    whose plain batched Cholesky fails, every row that reads such a
+    batch's entries, and every row of an order whose two tables would
+    exceed nplet_engine.LATTICE_TABLE_BYTES (64 MiB; C(N, k) * D floats
+    per table, about 1.4 MB per table at N=20 and D=1). The progress
+    counter fallback_rows counts them.
+
     Parameters
     ----------
     covs : CovSet
@@ -321,7 +340,8 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
     reducer : Reducer
         Receives every (batch, measures) pair in enumeration order.
     batch_size : int
-        Rows per streamed batch; memory stays O(batch_size).
+        Rows per streamed batch; memory stays O(batch_size) plus the two
+        lattice tables, at most 64 MiB.
     bias_correct : bool
         Apply the finite-sample entropy correction (needs estimated
         covariances).
@@ -331,7 +351,7 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
         on this value.
     progress : callable, optional
         Called after each batch with a dict of counters
-        (batches, nplets, total, order, elapsed).
+        (batches, nplets, total, order, fallback_rows, elapsed).
 
     Returns
     -------
@@ -343,27 +363,35 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
     total = count_nplets(n, min_order, max_order)  # validates the range
     if workers < 1:
         raise InvalidData(f"workers must be >= 1, got {workers}")
-
-    batches = itertools.chain.from_iterable(
-        enumerate_order(n, k, batch_size) for k in range(min_order, max_order + 1)
-    )
+    lattice = LogdetLattice(covs, min_order, max_order, bias_correct)
 
     def score(batch):
-        return batch, compute_hoi_batch(covs, batch, bias_correct=bias_correct)
+        terms, direct = lattice.terms(batch)
+        if terms is None:
+            return batch, compute_hoi_batch(covs, batch, bias_correct=bias_correct), direct
+        return batch, hoi_from_terms(terms), direct
 
     t0 = time.perf_counter()
-    seen = 0
-    for i, (batch, hoi) in enumerate(_ordered_map(score, batches, workers)):
-        reducer.update(batch, hoi)
-        seen += batch.batch_size
-        if progress is not None:
-            progress({
-                "batches": i + 1,
-                "nplets": seen,
-                "total": total,
-                "order": int(batch.order),
-                "elapsed": time.perf_counter() - t0,
-            })
+    seen = fallback = batches = 0
+    for k in range(min_order, max_order + 1):
+        lattice.open(k, batch_size)
+        # one pool per order: every batch of order k - 1 has filled its
+        # table entries before any batch of order k reads them
+        for batch, hoi, direct in _ordered_map(
+                score, enumerate_order(n, k, batch_size), workers):
+            reducer.update(batch, hoi)
+            batches += 1
+            seen += batch.batch_size
+            fallback += direct
+            if progress is not None:
+                progress({
+                    "batches": batches,
+                    "nplets": seen,
+                    "total": total,
+                    "order": k,
+                    "fallback_rows": fallback,
+                    "elapsed": time.perf_counter() - t0,
+                })
     return reducer.finalize()
 
 

@@ -175,6 +175,7 @@ def test_progress_lines_go_to_stderr(capsys, data_csv):
     err = capsys.readouterr().err
     assert err.startswith("progress ")
     assert "nplets=" in err
+    assert "fallback_rows=0" in err
 
 
 def test_usage_and_validation_failures_exit_one(tmp_path, data_csv, capsys):
@@ -301,3 +302,12 @@ def test_csv_trailing_blank_lines_are_ignored(tmp_path, data_csv, capsys):
     capsys.readouterr()
     assert main(base + ["--input", str(inner)]) == 1
     assert "row 4 has 0 fields" in capsys.readouterr().err
+
+
+def test_headerless_csv_is_rejected(tmp_path, data_csv, capsys):
+    # without its header the first sample would become the variable names
+    headerless = tmp_path / "headerless.csv"
+    headerless.write_text("".join(data_csv.read_text().splitlines(keepends=True)[1:]))
+    assert main(["scan", "--input", str(headerless), "--orders", "3:3",
+                 "--reduce", "top:1:max:o"]) == 1
+    assert "header" in capsys.readouterr().err

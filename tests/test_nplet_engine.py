@@ -56,6 +56,17 @@ def test_enumeration_is_complete_ordered_and_duplicate_free(batch_size):
     assert got == list(ref.all_subsets(7, 3, 3))
 
 
+@pytest.mark.parametrize("batch_size", [1, 3, 10000])
+def test_enumeration_matches_itertools_rows_and_batch_boundaries(batch_size):
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            combos = list(itertools.combinations(range(n), k))
+            want = [combos[at:at + batch_size] for at in range(0, len(combos), batch_size)]
+            got = [[tuple(row) for row in batch.indices.tolist()]
+                   for batch in enumerate_order(n, k, batch_size)]
+            assert got == want, (n, k)
+
+
 def test_enumeration_stream_count_only():
     # never materialize; just count rows across batches
     total = sum(b.batch_size for b in enumerate_order(18, 9, batch_size=4096))
@@ -97,7 +108,9 @@ def test_nplet_batch_views_round_trip():
     assert b.order == 3
     np.testing.assert_array_equal(b.orders(), [3, 3])
     assert b.row_indices(1) == (1, 2, 4)
-    m = NpletBatch(5, masks=b.to_masks())
+    masks = np.zeros((2, 5), dtype=bool)
+    np.put_along_axis(masks, idx, True, axis=1)
+    m = NpletBatch(5, masks=masks)
     np.testing.assert_array_equal(m.orders(), [3, 3])
     assert m.row_indices(0) == (0, 2, 3)
     with pytest.raises(InvalidNplet):

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -16,16 +17,21 @@ from hoi import (
     Histogram,
     InvalidData,
     InvalidOrderRange,
+    NotPositiveDefinite,
+    ObjectiveSpec,
     TopK,
     block_concat,
+    compute_hoi_batch,
     count_nplets,
+    enumerate_order,
     extract_features,
+    greedy,
     r_system_cov,
     s_system_cov,
     scan,
 )
-from hoi import scanner
-from hoi.scanner import best_rows
+from hoi import nplet_engine, scanner
+from hoi.scanner import MEASURES, best_rows
 
 
 def toy_covset(seed=0, n=6, d=1):
@@ -164,6 +170,137 @@ def test_scan_progress_counters():
     assert all(t["order"] in (2, 3, 4) for t in ticks)
     nplets = [t["nplets"] for t in ticks]
     assert nplets == sorted(nplets)
+    assert all(t["fallback_rows"] == 0 for t in ticks)  # a PD input needs no direct path
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 9), d=st.integers(1, 3),
+       bias_correct=st.booleans(), batch_size=st.sampled_from([1, 7, 64]),
+       workers=st.sampled_from([1, 2]), min_order=st.integers(1, 3))
+def test_lattice_scan_rows_match_direct_path_and_reference(
+        seed, n, d, bias_correct, batch_size, workers, min_order):
+    t = 40
+    rng = np.random.default_rng(seed)
+    sigmas = []
+    for _ in range(d):
+        a = rng.standard_normal((2 * n, n))
+        sigmas.append(a.T @ a / (2 * n) + 0.3 * np.eye(n))
+    covs = CovSet([CovarianceMatrix(sig, n_samples_used=t) for sig in sigmas])
+
+    def check(batch, hoi):
+        direct = compute_hoi_batch(covs, batch, bias_correct=bias_correct)
+        for m in MEASURES:
+            np.testing.assert_allclose(getattr(hoi, m), getattr(direct, m), rtol=0, atol=1e-12)
+        for i in range(batch.batch_size):
+            idx = batch.row_indices(i)
+            for dd, sig in enumerate(sigmas):
+                want = ref.measures(sig, idx, t_samples=t if bias_correct else None)
+                got = [getattr(hoi, m)[i, dd] for m in MEASURES]
+                # criterion 01's tolerances
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-11)
+        if batch.order == 1:
+            # order-1 rows read table 0: their leave-one-out term, and so
+            # their dtc, is exactly zero
+            assert (hoi.dtc == 0.0).all()
+        return batch.batch_size
+
+    ticks = []
+    sizes = scan(covs, min_order, n, Callback(check), batch_size=batch_size,
+                 bias_correct=bias_correct, workers=workers, progress=ticks.append)
+    assert sum(sizes) == count_nplets(n, min_order, n)
+    assert ticks[-1]["fallback_rows"] == 0
+
+
+def test_collinear_triple_rows_take_the_direct_path():
+    # x2 = x0 + x1 exactly: every n-plet holding 0, 1 and 2 is singular, its
+    # batched Cholesky fails, and its rows must get the direct path's
+    # jittered values
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((20, 4))
+    sigma = np.eye(7)
+    sigma[:3, :3] = [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]]
+    sigma[3:, 3:] = a.T @ a / 20
+    covs = CovSet([CovarianceMatrix(sigma)])
+    for batch_size in (1, 5, 100):
+        ticks, seen = [], []
+        scan(covs, 2, 7, Callback(lambda batch, hoi: seen.append((batch, hoi))),
+             batch_size=batch_size, progress=ticks.append)
+        assert ticks[-1]["fallback_rows"] >= 2 ** 4  # every superset of the triple
+        for batch, hoi in seen:
+            direct = compute_hoi_batch(covs, batch)
+            singular = [i for i in range(batch.batch_size)
+                        if {0, 1, 2} <= set(batch.row_indices(i))]
+            for m in MEASURES:
+                got, want = getattr(hoi, m), getattr(direct, m)
+                np.testing.assert_array_equal(got[singular], want[singular])
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_indefinite_input_raises_the_direct_paths_coordinates():
+    # dataset 1 couples variables 3 and 4 beyond correlation 1: no jitter
+    # rescues a pair holding both
+    good = toy_covset(10, n=5).covs[0]
+    bad = np.eye(5)
+    bad[3, 4] = bad[4, 3] = 2.0
+    covs = CovSet([good, CovarianceMatrix(bad)])
+    for batch_size in (1, 3, 100):
+        for batch in enumerate_order(5, 2, batch_size):
+            try:
+                compute_hoi_batch(covs, batch)
+            except NotPositiveDefinite as err:
+                want = err.coords
+                break
+        with pytest.raises(NotPositiveDefinite) as err:
+            scan(covs, 2, 5, TopK("o", "max", 2), batch_size=batch_size, workers=2)
+        assert err.value.coords == want
+
+
+def measure_rows(covs, lo, hi, **kw):
+    """(4, rows, D) measures of a scan, rows in enumeration order."""
+    parts = scan(covs, lo, hi, Callback(
+        lambda batch, hoi: np.stack([getattr(hoi, m) for m in MEASURES])), **kw)
+    return np.concatenate(parts, axis=1)
+
+
+def test_orders_over_the_table_cap_run_on_the_direct_path(monkeypatch):
+    covs = toy_covset(8, n=8, d=2)
+    base = measure_rows(covs, 2, 8)
+    # 60 entries per dataset: C(8, k - 1) + C(8, k) exceeds it for k = 3..6,
+    # so orders 3..6 go direct and table 6 is rebuilt before order 7
+    monkeypatch.setattr(nplet_engine, "LATTICE_TABLE_BYTES", 8 * 2 * 60)
+    ticks = []
+    capped = measure_rows(covs, 2, 8, batch_size=9, progress=ticks.append)
+    np.testing.assert_allclose(capped, base, rtol=0, atol=1e-12)
+    assert ticks[-1]["fallback_rows"] == count_nplets(8, 3, 6)
+
+
+def test_threaded_table_writes_are_never_lost():
+    # more workers than cores, tiny batches and a short switch interval: a
+    # lost table write leaves a NaN entry that the next order reads, which
+    # shows as a fallback row
+    covs = toy_covset(12, n=10, d=2)
+    base = measure_rows(covs, 2, 10, batch_size=3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ticks = []
+        got = measure_rows(covs, 2, 10, batch_size=3, workers=8, progress=ticks.append)
+    finally:
+        sys.setswitchinterval(interval)
+    assert ticks[-1]["fallback_rows"] == 0
+    np.testing.assert_array_equal(got, base)
+
+
+def test_exhaustive_paths_never_invert(monkeypatch):
+    def no_inverse(*args, **kwargs):
+        raise AssertionError("np.linalg.inv called on an exhaustive path")
+
+    monkeypatch.setattr(np.linalg, "inv", no_inverse)
+    covs = toy_covset(11, n=7, d=2)
+    assert len(scan(covs, 1, 7, TopK("o", "max", 3), batch_size=16, workers=2)[0]) == 3
+    assert len(extract_features(covs, batch_size=16)) == 2
+    res = greedy(covs, ObjectiveSpec("o", "max"), start_order=3, target_order=3, kappa=4)
+    assert res.best.order == 3
 
 
 @settings(max_examples=10, deadline=None)
