@@ -7,7 +7,9 @@ sub-covariances: a mixed-order batch is split by order, each group goes
 through the fixed-order path, and the results are scattered back to the
 rows' variable positions. Exhaustive scans evaluate whole orders through
 a LogdetLattice instead, which reads every leave-one-out term from the
-previous order's log-determinants.
+previous order's log-determinants; rows it cannot serve fall back to the
+fixed-order path there and nowhere else. enumerate_order and the lattice
+number n-plets in one combinatorial number system, with int64 ranks.
 """
 
 import math
@@ -17,6 +19,7 @@ import numpy as np
 
 from .copula_core import CovSet, _bias_table, _factor_with_jitter, _not_positive_definite
 from .errors import (
+    ExhaustiveLimitExceeded,
     InvalidData,
     InvalidNplet,
     InvalidOrderRange,
@@ -108,74 +111,74 @@ class NpletBatch:
         return tuple(int(v) for v in np.flatnonzero(self.masks[i]))
 
 
-#: Rows one prefix expansion in enumerate_order builds at most, unless the
-#: batch size is larger.
-_BLOCK_ROWS = 4096
+_RANK_LIMIT = 2**62  # largest C(n, k) whose int64 ranks cannot wrap around
 
 
-def _expand(prefixes: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Every k-combination of range(n) that extends a row of prefixes
-    (a nonempty (P, p) array).
+def _binomial_table(n: int, k_max: int) -> np.ndarray:
+    """(n, k_max + 1) int64 table of C(a, b) for a < n and b <= k_max.
 
-    Each step repeats every row once per admissible next element, so
-    lexicographically ordered prefixes give lexicographically ordered
-    combinations.
+    Entries are clipped at 2**62 to fit int64; no served rank reads a
+    clipped entry (every term of a k-subset's rank is below C(n, k), which
+    enumerate_order keeps <= 2**62 and LogdetLattice below its cap).
     """
-    rows = prefixes
-    for q in range(prefixes.shape[1], k):
-        last = rows[:, -1]
-        counts = n - k + q - last
-        step = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        rows = np.column_stack([np.repeat(rows, counts, axis=0),
-                                np.repeat(last + 1, counts) + step])
+    return np.array(
+        [[min(math.comb(a, b), _RANK_LIMIT) for b in range(k_max + 1)] for a in range(n)],
+        dtype=np.int64,
+    )
+
+
+def _colex_unrank(ranks: np.ndarray, k: int, binom: np.ndarray) -> np.ndarray:
+    """(B, k) strictly increasing rows at the given colex ranks.
+
+    The inverse of the combinatorial number system rank sum_p C(c_p, p + 1):
+    from p = k - 1 down, c_p is the largest a with C(a, p + 1) <= the rank
+    left over. C(a, 1) = a, so the last remainder is c_0 itself.
+    """
+    rows = np.empty((ranks.shape[0], k), dtype=np.int64)
+    r = np.array(ranks, dtype=np.int64)
+    for p in range(k - 1, 0, -1):
+        col = binom[:, p + 1]
+        rows[:, p] = np.searchsorted(col, r, side="right") - 1
+        r -= col[rows[:, p]]
+    rows[:, 0] = r
     return rows
 
 
-def _lex_blocks(n: int, k: int, limit: int):
-    """Yield every k-combination of range(n) in lexicographic order, as
-    blocks of at most limit rows, each built by one _expand call."""
-
-    def walk(prefix):
-        p = len(prefix)
-        group, size = [], 0
-        for a in range(prefix[-1] + 1 if p else 0, n - k + p + 1):
-            count = math.comb(n - a - 1, k - p - 1)  # completions of prefix + (a,)
-            if count > limit:  # counts shrink with a, so group is still empty
-                yield from walk(prefix + (a,))
-                continue
-            if size + count > limit:
-                yield _expand(np.array(group, dtype=np.int64), n, k)
-                group, size = [], 0
-            group.append(prefix + (a,))
-            size += count
-        if group:
-            yield _expand(np.array(group, dtype=np.int64), n, k)
-
-    yield from walk(())
+def _ranks(idx: np.ndarray, binom: np.ndarray):
+    """(B,) colex ranks of the rows of idx and (B, K) ranks of each row
+    without its member j."""
+    pos = np.arange(idx.shape[1])
+    stay = binom[idx, pos + 1]  # member p at position p
+    move = binom[idx, pos]  # member p at position p - 1, after j < p left
+    stay_sum = np.cumsum(stay, axis=1)
+    move_sum = np.cumsum(move, axis=1)
+    return stay_sum[:, -1], stay_sum - stay + move_sum[:, -1:] - move_sum
 
 
 def enumerate_order(n: int, k: int, batch_size: int = 10000):
     """Yield every C(n, k) combination exactly once, in lexicographic order.
 
     Combinations stream in chunks of exactly batch_size rows (the last
-    chunk may be shorter). They are generated in numpy by prefix
-    expansion, a block of at most max(batch_size, 4096) rows at a time, so
-    memory stays O(batch_size * k) no matter how large C(n, k) is.
+    chunk may be shorter), each unranked on its own from LogdetLattice's
+    number system: c has lexicographic rank C(n, k) - 1 - r', r' the colex
+    rank of its mirror n - 1 - c. Memory stays O(batch_size * k); an order
+    with C(n, k) > 2**62 raises ExhaustiveLimitExceeded.
     """
     if not 1 <= k <= n:
         raise InvalidOrderRange(f"need 1 <= k <= n, got k={k}, n={n}")
     if batch_size < 1:
         raise InvalidData(f"batch_size must be >= 1, got {batch_size}")
-    rest = np.empty((0, k), dtype=np.int64)
-    for block in _lex_blocks(n, k, max(batch_size, _BLOCK_ROWS)):
-        if rest.shape[0]:
-            block = np.concatenate([rest, block])
-        full = block.shape[0] - block.shape[0] % batch_size
-        for at in range(0, full, batch_size):
-            yield NpletBatch(n, indices=block[at:at + batch_size], check_unique=False)
-        rest = block[full:]
-    if rest.shape[0]:
-        yield NpletBatch(n, indices=rest, check_unique=False)
+    total = math.comb(n, k)
+    if total > _RANK_LIMIT:
+        raise ExhaustiveLimitExceeded(
+            f"C({n}, {k}) = {total} combinations exceed the int64 rank limit 2**62"
+        )
+    binom = _binomial_table(n, k)
+    for start in range(0, total, batch_size):
+        stop = min(start + batch_size, total)
+        # lexicographic ranks [start, stop) are mirror colex ranks, reversed
+        mirror = _colex_unrank(np.arange(total - stop, total - start), k, binom)
+        yield NpletBatch(n, indices=n - 1 - mirror[::-1, ::-1], check_unique=False)
 
 
 @dataclass
@@ -362,15 +365,15 @@ class LogdetLattice:
     The caller opens orders in increasing order and evaluates every batch
     of an order before opening the next. open(k) builds a missing table
     k - 1 first (table 0 is zero, table 1 is log sigma_ii, higher ones
-    take a Cholesky pass) and keeps table k only if order k + 1 reads it.
-    The two live tables are capped by LATTICE_TABLE_BYTES.
+    take a Cholesky pass over unranked colex ranks) and keeps table k only
+    if order k + 1 reads it. The two live tables are capped by
+    LATTICE_TABLE_BYTES.
 
-    terms() returns None, for the caller to evaluate the batch with
-    compute_hoi_batch, when the order is over the cap or the batch's plain
-    Cholesky fails (its entries then stay NaN). A row that reads a NaN
-    entry is evaluated on the direct path's fixed-order terms. Either way
-    the row keeps the direct path's value or NotPositiveDefinite
-    coordinates.
+    terms() is the one fallback site: every row of an order over the cap
+    or of a batch whose plain Cholesky fails (its entries then stay NaN),
+    and every row that reads a NaN entry, runs on the direct path's
+    fixed-order terms, so it keeps compute_hoi_batch's value or
+    NotPositiveDefinite coordinates.
     """
 
     def __init__(self, covs: CovSet, min_order: int, max_order: int, bias_correct: bool):
@@ -383,12 +386,7 @@ class LogdetLattice:
             k for k in range(min_order, max_order + 1)
             if math.comb(n, k - 1) + (math.comb(n, k) if k < max_order else 0) <= cap
         }
-        # C(a, b), clipped at 2**62 to fit int64; no rank of a served order
-        # reads a clipped entry (every term of a rank is below C(N, k) <= cap)
-        self.binom = np.array(
-            [[min(math.comb(a, b), 2**62) for b in range(max_order + 1)] for a in range(n)],
-            dtype=np.int64,
-        )
+        self.binom = _binomial_table(n, max_order)
         self.tables = {}
 
     def open(self, k: int, batch_size: int) -> None:
@@ -403,21 +401,14 @@ class LogdetLattice:
             elif k == 2:
                 self.tables[1] = np.log(np.diagonal(self.covs.stacked(), axis1=-2, axis2=-1)).T
             else:
-                self.tables[k - 1] = np.full((math.comb(n, k - 1), d), np.nan)
-                for batch in enumerate_order(n, k - 1, batch_size):
-                    self._joint(batch, self._ranks(batch.indices)[0])
+                size = math.comb(n, k - 1)
+                self.tables[k - 1] = np.full((size, d), np.nan)
+                for start in range(0, size, batch_size):
+                    rank = np.arange(start, min(start + batch_size, size))
+                    idx = _colex_unrank(rank, k - 1, self.binom)
+                    self._joint(NpletBatch(n, indices=idx, check_unique=False), rank)
         if k + 1 in self.served:
             self.tables[k] = np.full((math.comb(n, k), d), np.nan)
-
-    def _ranks(self, idx: np.ndarray):
-        """(B,) colex ranks of the rows of idx and (B, K) ranks of each row
-        without its member j."""
-        pos = np.arange(idx.shape[1])
-        stay = self.binom[idx, pos + 1]  # member p at position p
-        move = self.binom[idx, pos]  # member p at position p - 1, after j < p left
-        stay_sum = np.cumsum(stay, axis=1)
-        move_sum = np.cumsum(move, axis=1)
-        return stay_sum[:, -1], stay_sum - stay + move_sum[:, -1:] - move_sum
 
     def _joint(self, batch: NpletBatch, rank: np.ndarray):
         """(B, D) raw log-determinants of a batch, stored at rank in its
@@ -434,17 +425,16 @@ class LogdetLattice:
         return raw
 
     def terms(self, batch: NpletBatch):
-        """(EntropyTerms or None, rows on the direct path) of a batch of the
-        open order. None means the lattice served no row of the batch."""
-        k = batch.order
+        """(EntropyTerms, rows on the direct path) of a batch of the open order."""
+        k, idx = batch.order, batch.indices
         prev = self.tables.get(k - 1)
-        if prev is None:
-            return None, batch.batch_size
-        idx = batch.indices
-        rank, loo_rank = self._ranks(idx)
-        raw = self._joint(batch, rank)
-        if raw is None:
-            return None, batch.batch_size
+        raw = None
+        if prev is not None:
+            rank, loo_rank = _ranks(idx, self.binom)
+            raw = self._joint(batch, rank)
+        if raw is None:  # the lattice serves no row: the whole batch is direct
+            terms = _fixed_terms(self.covs, batch, self.x_singles, self.bias)
+            return EntropyTerms(*terms, orders=batch.orders()), batch.batch_size
         loo = prev[loo_rank].transpose(0, 2, 1)  # (B, D, k)
         terms = EntropyTerms(
             excess_joint=0.5 * raw - self.bias[:, k],

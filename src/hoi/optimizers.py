@@ -243,14 +243,12 @@ def greedy(covs: CovSet, spec: ObjectiveSpec, start_order: int,
         record(start_order, beam)
         current = beam
         for order in range(start_order + 1, target_order + 1):
-            seen = {idx for _, idx in current}
             candidates = set()
             for _, idx in current:
                 members = set(idx)
                 for v in range(n):
                     if v not in members:
                         candidates.add(tuple(sorted(members | {v})))
-            candidates -= seen
             cand = np.array(sorted(candidates), dtype=np.int64)
             nxt = []
             for at in range(0, len(cand), batch_size):

@@ -19,7 +19,8 @@ import numpy as np
 
 from .copula_core import CovSet
 from .errors import ExhaustiveLimitExceeded, InvalidData, InvalidOrderRange
-from .measures import HoiBatch, compute_hoi_batch, hoi_from_terms
+# bench/tracer.py wraps scanner.compute_hoi_batch, so the name stays importable here
+from .measures import HoiBatch, compute_hoi_batch, hoi_from_terms  # noqa: F401
 from .nplet_engine import LogdetLattice, NpletBatch, count_nplets, enumerate_order
 
 MEASURES = ("tc", "dtc", "o", "s")
@@ -321,15 +322,16 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
     pool waits at every order boundary until the previous table is
     complete.
 
-    Rows the lattice cannot serve run on the direct path
-    (compute_hoi_batch: Cholesky plus inverse, with its jitter retry), so
+    Rows the lattice cannot serve run on the direct path inside
+    LogdetLattice.terms (Cholesky plus inverse, with its jitter retry), so
     their values or NotPositiveDefinite coordinates are exactly those of
     compute_hoi_batch on the same batch. These are every row of a batch
     whose plain batched Cholesky fails, every row that reads such a
     batch's entries, and every row of an order whose two tables would
     exceed nplet_engine.LATTICE_TABLE_BYTES (64 MiB; C(N, k) * D floats
     per table, about 1.4 MB per table at N=20 and D=1). The progress
-    counter fallback_rows counts them.
+    counter fallback_rows counts them. An order with more than 2**62
+    n-plets (int64 ranks) raises ExhaustiveLimitExceeded.
 
     Parameters
     ----------
@@ -340,8 +342,8 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
     reducer : Reducer
         Receives every (batch, measures) pair in enumeration order.
     batch_size : int
-        Rows per streamed batch; memory stays O(batch_size) plus the two
-        lattice tables, at most 64 MiB.
+        Rows per streamed batch, at least 1; memory stays O(batch_size)
+        plus the two lattice tables, at most 64 MiB.
     bias_correct : bool
         Apply the finite-sample entropy correction (needs estimated
         covariances).
@@ -363,12 +365,12 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
     total = count_nplets(n, min_order, max_order)  # validates the range
     if workers < 1:
         raise InvalidData(f"workers must be >= 1, got {workers}")
+    if batch_size < 1:
+        raise InvalidData(f"batch_size must be >= 1, got {batch_size}")
     lattice = LogdetLattice(covs, min_order, max_order, bias_correct)
 
     def score(batch):
         terms, direct = lattice.terms(batch)
-        if terms is None:
-            return batch, compute_hoi_batch(covs, batch, bias_correct=bias_correct), direct
         return batch, hoi_from_terms(terms), direct
 
     t0 = time.perf_counter()

@@ -225,6 +225,7 @@ def test_usage_and_validation_failures_exit_one(tmp_path, data_csv, capsys):
          "--reduce", "top:1:max:o", "--batch-size", "0"],
         ["features", "--input", str(data_csv), "--batch-size", "0"],
         ["greedy", "--input", str(data_csv), "--kappa", "0"],
+        ["greedy", "--input", str(data_csv), "--batch-size", "0"],
         ["greedy", "--input", str(data_csv), "--restarts", "0"],
         ["anneal", "--input", str(data_csv), "--kappa", "0"],
         ["scan", "--input", str(short), "--orders", "3:5",

@@ -8,6 +8,7 @@ from hoi import (
     NORMAL_ENTROPY,
     CovarianceMatrix,
     CovSet,
+    ExhaustiveLimitExceeded,
     InvalidData,
     InvalidNplet,
     InvalidOrderRange,
@@ -19,7 +20,7 @@ from hoi import (
     extract_subcov_batch,
     pad_subcov_batch,
 )
-from hoi.nplet_engine import _batched_logdet_invdiag
+from hoi.nplet_engine import _batched_logdet_invdiag, _binomial_table, _colex_unrank, _ranks
 
 
 def random_covset(seed, n, d=1, samples=None):
@@ -56,15 +57,48 @@ def test_enumeration_is_complete_ordered_and_duplicate_free(batch_size):
     assert got == list(ref.all_subsets(7, 3, 3))
 
 
-@pytest.mark.parametrize("batch_size", [1, 3, 10000])
-def test_enumeration_matches_itertools_rows_and_batch_boundaries(batch_size):
-    for n in range(1, 10):
+SMALL_ORDERS = [(n, k) for n in range(1, 10) for k in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("batch_size, sizes", [
+    pytest.param(1, SMALL_ORDERS, id="1"),
+    pytest.param(3, SMALL_ORDERS, id="3"),
+    pytest.param(10000, SMALL_ORDERS, id="10000"),
+    pytest.param(4096, [(22, 11)], id="4096"),  # 705,432 rows
+])
+def test_enumeration_matches_itertools_rows_and_batch_boundaries(batch_size, sizes):
+    for n, k in sizes:
+        combos = itertools.combinations(range(n), k)
+        for batch in enumerate_order(n, k, batch_size):
+            want = list(itertools.islice(combos, batch_size))
+            assert [tuple(row) for row in batch.indices.tolist()] == want, (n, k)
+        assert next(combos, None) is None, (n, k)
+
+
+def test_colex_unrank_inverts_the_rank():
+    for n in range(1, 13):
         for k in range(1, n + 1):
-            combos = list(itertools.combinations(range(n), k))
-            want = [combos[at:at + batch_size] for at in range(0, len(combos), batch_size)]
-            got = [[tuple(row) for row in batch.indices.tolist()]
-                   for batch in enumerate_order(n, k, batch_size)]
-            assert got == want, (n, k)
+            binom = _binomial_table(n, k)
+            ranks = np.arange(count_nplets(n, k, k))
+            rows = _colex_unrank(ranks, k, binom)
+            assert (rows >= 0).all() and (rows < n).all(), (n, k)
+            assert (np.diff(rows, axis=1) > 0).all(), (n, k)
+            np.testing.assert_array_equal(_ranks(rows, binom)[0], ranks)
+    rng = np.random.default_rng(0)
+    for k in range(3, 7):
+        binom = _binomial_table(200, k)
+        ranks = rng.integers(0, count_nplets(200, k, k), size=5000)
+        np.testing.assert_array_equal(_ranks(_colex_unrank(ranks, k, binom), binom)[0], ranks)
+
+
+def test_enumeration_is_lazy_below_the_rank_limit_and_refused_above():
+    # C(60, 30) ~ 1.2e17 rows: the first batch comes without walking the rest
+    first = next(enumerate_order(60, 30, 16))
+    want = list(itertools.islice(itertools.combinations(range(60), 30), 16))
+    assert [tuple(row) for row in first.indices.tolist()] == want
+    # C(70, 35) ~ 1.1e20 > 2**62: int64 ranks cannot number it
+    with pytest.raises(ExhaustiveLimitExceeded):
+        next(enumerate_order(70, 35))
 
 
 def test_enumeration_stream_count_only():
