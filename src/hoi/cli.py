@@ -17,6 +17,7 @@ reported as InvalidData, so it exits 1.
 import argparse
 import csv
 import io
+import itertools
 import os
 import sys
 import time
@@ -97,20 +98,21 @@ def _read_csv(path: Path) -> DataMatrix:
         rows.pop()  # trailing blank lines
     if len(rows) < 2:
         raise InvalidData(f"{path}: need a header row and at least one data row")
-    header = rows[0]
+    header, data = rows[0], rows[1:]
     if header and all(_parses_as_float(cell) for cell in header):
         raise InvalidData(f"{path}: the first row must be a header of variable names, "
                           "but every cell is a number")
     width = len(header)
-    values = np.empty((len(rows) - 1, width))
-    for r, row in enumerate(rows[1:]):
+    for r, row in enumerate(data):
         if len(row) != width:
             raise InvalidData(f"{path}: row {r + 2} has {len(row)} fields, expected {width}")
-        try:
-            values[r] = [float(x) for x in row]
-        except ValueError:
-            raise InvalidData(f"{path}: non-numeric value in row {r + 2}") from None
-    return DataMatrix(values, column_names=header)
+    try:
+        values = np.fromiter(map(float, itertools.chain.from_iterable(data)), np.float64,
+                             count=len(data) * width)
+    except ValueError:
+        r = next(r for r, row in enumerate(data) if not all(map(_parses_as_float, row)))
+        raise InvalidData(f"{path}: non-numeric value in row {r + 2}") from None
+    return DataMatrix(values.reshape(len(data), width), column_names=header)
 
 
 def _load_datasets(input_path: str):

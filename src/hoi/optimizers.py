@@ -125,16 +125,9 @@ class GreedyResult:
         return max(self.per_order, key=lambda e: (e.energy, -e.order))
 
 
-def _merge_top(entries, new_pairs, kappa):
-    """Keep the kappa best (energy, indices) pairs, ties to the smallest
-    index tuple."""
-    entries.extend(new_pairs)
-    entries.sort(key=lambda p: (-p[0], p[1]))
-    del entries[kappa:]
-
-
-class _SeedBeam(Reducer):
-    """The kappa best (energy, indices) pairs of a scan under an objective."""
+class _Beam(Reducer):
+    """The kappa best (energy, indices) pairs fed to it under an objective,
+    best first, ties to the smallest index tuple."""
 
     def __init__(self, spec: ObjectiveSpec, kappa: int):
         self.spec = spec
@@ -143,11 +136,24 @@ class _SeedBeam(Reducer):
 
     def update(self, batch, hoi):
         e = evaluate_objective(hoi, self.spec)
-        pairs = [(float(e[i]), batch.row_indices(i)) for i in best_rows(e, self.kappa, "max")]
-        _merge_top(self.top, pairs, self.kappa)
+        self.top.extend((float(e[i]), batch.row_indices(i))
+                        for i in best_rows(e, self.kappa, "max"))
+        self.top.sort(key=lambda p: (-p[0], p[1]))
+        del self.top[self.kappa:]
 
     def finalize(self):
         return self.top
+
+
+def _extensions(beam, n: int) -> np.ndarray:
+    """Every distinct one-variable extension of the beam's members, as
+    sorted rows in lexicographic order."""
+    members = np.array([idx for _, idx in beam], dtype=np.int64)
+    k = members.shape[1]
+    rows = np.column_stack([np.repeat(members, n, axis=0),
+                            np.tile(np.arange(n), len(members))])
+    rows = rows[(rows[:, :k] != rows[:, k:]).all(axis=1)]
+    return np.unique(np.sort(rows, axis=1), axis=0)
 
 
 def greedy(covs: CovSet, spec: ObjectiveSpec, start_order: int,
@@ -160,14 +166,16 @@ def greedy(covs: CovSet, spec: ObjectiveSpec, start_order: int,
     scan of start_order (scanner.scan, so the seed reads its leave-one-out
     terms from the log-determinant lattice and needs only the table of
     order start_order - 1). Each step evaluates every one-variable extension
-    of every beam member as a single batch and keeps the kappa best
+    of every beam member in batch_size chunks and keeps the kappa best
     distinct candidates (ties to the lexicographically smallest).
 
     restarts > 1 adds extra beams seeded with random start_order n-plets
-    (drawn from seed) and merges their per-order bests; the first beam is
-    always the deterministic top-kappa one, so the default restarts=1
-    needs no randomness at all. progress, if given, is called after every
-    completed order with evaluation counters.
+    (drawn from seed); the first beam is always the deterministic
+    top-kappa one, so the default restarts=1 needs no randomness at all.
+    All beams grow in lockstep: at each order every beam takes one step,
+    and the order's result is the best member across beams. progress, if
+    given, is called once per order, after every beam has reached it,
+    with evaluation counters.
     """
     n = covs.n_variables
     if not 1 <= start_order <= target_order <= n:
@@ -187,84 +195,43 @@ def greedy(covs: CovSet, spec: ObjectiveSpec, start_order: int,
         kappa = pool_size
 
     t0 = time.perf_counter()
-    evaluated = 0
-    batches = 0
-
-    def energies_of(indices: np.ndarray) -> np.ndarray:
-        nonlocal evaluated, batches
-        batch = NpletBatch(n, indices=indices, check_unique=False)
-        evaluated += batch.batch_size
-        batches += 1
-        return evaluate_objective(
-            compute_hoi_batch(covs, batch, bias_correct=bias_correct), spec)
-
-    def report(order):
-        if progress is not None:
-            progress({
-                "order": order,
-                "batches": batches,
-                "nplets": evaluated,
-                "elapsed": time.perf_counter() - t0,
-            })
-
-    # deterministic seed beam: top kappa of the exhaustive start order
     seed_scan = {}
-    top = scan(covs, start_order, start_order, _SeedBeam(spec, kappa),
-               batch_size=batch_size, bias_correct=bias_correct,
-               progress=seed_scan.update)
-    evaluated += seed_scan["nplets"]
-    batches += seed_scan["batches"]
-    beams = [top]
-    report(start_order)
+    beams = [scan(covs, start_order, start_order, _Beam(spec, kappa),
+                  batch_size=batch_size, bias_correct=bias_correct,
+                  progress=seed_scan.update)]
+    evaluated = seed_scan["nplets"]
+    batches = seed_scan["batches"]
 
-    if restarts > 1:
-        rng = np.random.default_rng(seed)
-        for _ in range(restarts - 1):
-            starts = set()
-            attempts = 0
-            while len(starts) < min(kappa, pool_size) and attempts < 1000 * kappa:
-                starts.add(tuple(np.sort(rng.choice(n, start_order, replace=False)).tolist()))
-                attempts += 1
-            idx = np.array(sorted(starts), dtype=np.int64)
-            e = energies_of(idx)
-            beams.append(
-                [(float(e[i]), tuple(int(v) for v in idx[i])) for i in range(len(e))]
-            )
+    def best_of(rows: np.ndarray):
+        nonlocal evaluated, batches
+        beam = _Beam(spec, kappa)
+        for at in range(0, len(rows), batch_size):
+            batch = NpletBatch(n, indices=rows[at:at + batch_size], check_unique=False)
+            beam.update(batch, compute_hoi_batch(covs, batch, bias_correct=bias_correct))
+            evaluated += batch.batch_size
+            batches += 1
+        return beam.finalize()
 
-    per_order = {}
+    rng = np.random.default_rng(seed)
+    for _ in range(restarts - 1):
+        starts = set()
+        attempts = 0
+        while len(starts) < kappa and attempts < 1000 * kappa:
+            starts.add(tuple(np.sort(rng.choice(n, start_order, replace=False)).tolist()))
+            attempts += 1
+        beams.append(best_of(np.array(sorted(starts), dtype=np.int64)))
 
-    def record(order, entries):
-        best_e, best_idx = min(entries, key=lambda p: (-p[0], p[1]))
-        cur = per_order.get(order)
-        if cur is None or (-best_e, best_idx) < (-cur[0], cur[1]):
-            per_order[order] = (best_e, best_idx)
-
-    for beam in beams:
-        record(start_order, beam)
-        current = beam
-        for order in range(start_order + 1, target_order + 1):
-            candidates = set()
-            for _, idx in current:
-                members = set(idx)
-                for v in range(n):
-                    if v not in members:
-                        candidates.add(tuple(sorted(members | {v})))
-            cand = np.array(sorted(candidates), dtype=np.int64)
-            nxt = []
-            for at in range(0, len(cand), batch_size):
-                chunk = cand[at:at + batch_size]
-                e = energies_of(chunk)
-                pairs = [(float(e[i]), tuple(int(v) for v in chunk[i]))
-                         for i in best_rows(e, kappa, "max")]
-                _merge_top(nxt, pairs, kappa)
-            record(order, nxt)
-            current = nxt
-            report(order)
-
-    return GreedyResult(per_order=tuple(
-        OrderBest(order=o, indices=idx, energy=e, value=float(spec.value_of(e)))
-        for o, (e, idx) in sorted(per_order.items())
-    ))
+    per_order = []
+    for order in range(start_order, target_order + 1):
+        if order > start_order:
+            beams = [best_of(_extensions(beam, n)) for beam in beams]
+        e, idx = min((p for beam in beams for p in beam), key=lambda p: (-p[0], p[1]))
+        per_order.append(OrderBest(order=order, indices=idx, energy=e,
+                                   value=float(spec.value_of(e))))
+        if progress is not None:
+            progress({"order": order, "batches": batches, "nplets": evaluated,
+                      "elapsed": time.perf_counter() - t0})
+    return GreedyResult(per_order=tuple(per_order))
 
 
 @dataclass(frozen=True)

@@ -237,6 +237,12 @@ def test_usage_and_validation_failures_exit_one(tmp_path, data_csv, capsys):
     for argv in cases:
         assert main(argv) == 1, argv
         capsys.readouterr()  # drain
+    # CSV errors name the offending row
+    for path, message in ((ragged, "row 3 has 1 fields, expected 2"),
+                          (bad, "non-numeric value in row 3")):
+        assert main(["scan", "--input", str(path), "--orders", "3:3",
+                     "--reduce", "top:1:max:o"]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_compute_phase_failures_exit_two(tmp_path, data_csv, capsys):

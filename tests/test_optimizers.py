@@ -166,6 +166,22 @@ def test_greedy_progress_counts_evaluations():
     assert [t["order"] for t in ticks] == [3, 4, 5]
     assert ticks[0]["nplets"] == 220  # exhaustive C(12, 3) seed scan
     assert ticks[-1]["nplets"] > ticks[0]["nplets"]
+    # with restarts every beam grows in lockstep: one report per order
+    ticks = []
+    greedy(covs, ObjectiveSpec(), 3, 6, kappa=3, seed=2, restarts=3, progress=ticks.append)
+    assert [t["order"] for t in ticks] == [3, 4, 5, 6]
+    counts = [t["nplets"] for t in ticks]
+    assert counts[0] > 220  # the restart beams are evaluated at the start order
+    assert counts == sorted(counts)
+
+
+@pytest.mark.parametrize("restarts", [1, 3])
+def test_greedy_does_not_depend_on_batch_size(restarts):
+    covs = planted_covset()
+    spec = ObjectiveSpec(measure="o", direction="max")
+    results = [greedy(covs, spec, 3, 7, kappa=5, seed=4, batch_size=b, restarts=restarts)
+               for b in (1, 7, 10000)]
+    assert results[0] == results[1] == results[2]
 
 
 def test_anneal_is_deterministic_per_seed():
