@@ -115,8 +115,9 @@ def _read_csv(path: Path) -> DataMatrix:
     return DataMatrix(values.reshape(len(data), width), column_names=header)
 
 
-def _load_datasets(input_path: str):
-    """(dataset names, DataMatrix list) from a CSV file or directory."""
+def _load_input(input_path: str):
+    """(dataset names, CovSet, variable names) from a CSV file or directory;
+    each dataset is copula-transformed before covariance estimation."""
     path = Path(input_path)
     files = sorted(path.glob("*.csv"), key=lambda p: p.name) if path.is_dir() else [path]
     if not files:
@@ -126,11 +127,8 @@ def _load_datasets(input_path: str):
     for f, d in zip(files[1:], datas[1:]):
         if d.column_names != header:
             raise InvalidData(f"{f}: header differs from {files[0]}")
-    return [f.stem for f in files], datas
-
-
-def _covset_from_data(datas) -> CovSet:
-    return CovSet([estimate_covariance(copula_transform(d)) for d in datas])
+    covs = CovSet([estimate_covariance(copula_transform(d)) for d in datas])
+    return [f.stem for f in files], covs, header
 
 
 def _resolve_workers(args) -> int:
@@ -160,6 +158,13 @@ def _parse_orders(text: str, n: int):
             f"orders must look like '3:all', '3:5' or '4', got {text!r}"
         ) from None
     return lo, hi
+
+
+def _int_or_all(text: str, n: int, flag: str) -> int:
+    try:
+        return n if text == "all" else int(text)
+    except ValueError:
+        raise InvalidData(f"{flag} must be an integer or 'all', got {text!r}") from None
 
 
 def _parse_reduce(text: str):
@@ -217,9 +222,7 @@ def _csv_text(header, rows) -> str:
 
 
 def _cmd_scan(args):
-    names, datas = _load_datasets(args.input)
-    covs = _covset_from_data(datas)
-    var_names = datas[0].column_names
+    names, covs, var_names = _load_input(args.input)
     lo, hi = _parse_orders(args.orders, covs.n_variables)
     reducer = _parse_reduce(args.reduce)
     result = scan(covs, lo, hi, reducer, batch_size=args.batch_size,
@@ -249,16 +252,9 @@ def _cmd_scan(args):
 
 
 def _cmd_greedy(args):
-    _, datas = _load_datasets(args.input)
-    covs = _covset_from_data(datas)
-    var_names = datas[0].column_names
+    _, covs, var_names = _load_input(args.input)
     spec = _objective_from_args(args)
-    try:
-        target = covs.n_variables if args.target_order == "all" else int(args.target_order)
-    except ValueError:
-        raise InvalidData(
-            f"--target-order must be an integer or 'all', got {args.target_order!r}"
-        ) from None
+    target = _int_or_all(args.target_order, covs.n_variables, "--target-order")
     result = greedy(covs, spec, args.start_order, target, kappa=args.kappa,
                     seed=args.seed, bias_correct=args.bias_correct,
                     batch_size=args.batch_size, restarts=args.restarts,
@@ -272,9 +268,7 @@ def _cmd_greedy(args):
 
 
 def _cmd_anneal(args):
-    _, datas = _load_datasets(args.input)
-    covs = _covset_from_data(datas)
-    var_names = datas[0].column_names
+    _, covs, var_names = _load_input(args.input)
     spec = _objective_from_args(args)
     temp0 = None
     if args.temp0 != "auto":
@@ -282,16 +276,10 @@ def _cmd_anneal(args):
             temp0 = float(args.temp0)
         except ValueError:
             raise InvalidData(f"--temp0 must be 'auto' or a number, got {args.temp0!r}") from None
-    try:
-        max_order = covs.n_variables if args.max_order == "all" else int(args.max_order)
-    except ValueError:
-        raise InvalidData(
-            f"--max-order must be an integer or 'all', got {args.max_order!r}"
-        ) from None
     schedule = AnnealSchedule(
         temp0=temp0, alpha=args.alpha, max_iters=args.iters,
         patience=args.patience, mode=args.mode, min_order=args.min_order,
-        max_order=max_order,
+        max_order=_int_or_all(args.max_order, covs.n_variables, "--max-order"),
     )
     state = anneal(covs, spec, schedule, kappa=args.kappa, seed=args.seed,
                    bias_correct=args.bias_correct,
@@ -313,15 +301,13 @@ def _cmd_anneal(args):
 
 
 def _cmd_features(args):
-    names, datas = _load_datasets(args.input)
-    feats = extract_features(_covset_from_data(datas), bias_correct=args.bias_correct,
+    names, covs, _ = _load_input(args.input)
+    feats = extract_features(covs, bias_correct=args.bias_correct,
                              limit=args.limit, batch_size=args.batch_size,
                              workers=_resolve_workers(args),
                              progress=_progress_printer(args.progress))
-    rows = [
-        [name] + [_fmt(fv.as_dict()[col]) for col in FEATURE_NAMES]
-        for name, fv in zip(names, feats)
-    ]
+    # as_dict() lists the features in FEATURE_NAMES order
+    rows = [[name, *map(_fmt, fv.as_dict().values())] for name, fv in zip(names, feats)]
     _write_text(args.out, _csv_text(["dataset", *FEATURE_NAMES], rows))
 
 

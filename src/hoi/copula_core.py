@@ -242,14 +242,21 @@ def _chol_with_jitter(sigma: np.ndarray) -> np.ndarray:
     return _factor_with_jitter(sigma, lambda m: (np.linalg.cholesky(m),))[0]
 
 
+def _cholesky_logdet(mats: np.ndarray) -> np.ndarray:
+    """Log-determinants of a (..., K, K) stack from Cholesky factors;
+    LinAlgError if any matrix is not positive definite."""
+    chol = np.linalg.cholesky(mats)
+    return 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+
+
 def gaussian_entropy_nats(cov) -> EntropyValue:
     """Entropy of N(0, sigma): 0.5 * [n * log(2 pi e) + logdet(sigma)].
 
-    The log-determinant comes from a Cholesky factorization (twice the
-    log-trace of the factor's diagonal), never from a raw determinant.
+    The log-determinant comes from a Cholesky factorization under
+    _factor_with_jitter's rule, never from a raw determinant.
     """
     c = _as_cov(cov)
-    logdet = 2.0 * np.log(np.diagonal(_chol_with_jitter(c.sigma))).sum()
+    logdet = _factor_with_jitter(c.sigma, lambda m: (_cholesky_logdet(m),))[0]
     nats = 0.5 * (c.n_variables * _LOG_2PI_E + logdet)
     return EntropyValue(nats=float(nats), bias_corrected=False)
 

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copula_core import CovSet, _bias_table, _factor_with_jitter, _not_positive_definite
+from .copula_core import (
+    CovSet,
+    _bias_table,
+    _cholesky_logdet,
+    _factor_with_jitter,
+    _not_positive_definite,
+)
 from .errors import (
     ExhaustiveLimitExceeded,
     InvalidData,
@@ -256,21 +262,21 @@ def pad_subcov_batch(covs: CovSet, batch: NpletBatch) -> SubCovBatch:
     return SubCovBatch(matrices=np.where(keep, sig[None], np.eye(covs.n_variables)))
 
 
-def _logdet_invdiag(mats: np.ndarray):
-    chol = np.linalg.cholesky(mats)
-    inv = np.linalg.inv(mats)
-    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-    return logdet, np.diagonal(inv, axis1=-2, axis2=-1)
+def _logdet_loo(mats: np.ndarray):
+    """Joint and leave-one-out log-determinants of a (..., K, K) stack, via
+    logdet(sigma without j) = logdet(sigma) + log((sigma^-1)_jj). An inverse
+    diagonal entry <= 0 (a singular matrix whose Cholesky passed on rounding
+    noise) fails like a failed Cholesky, so the jitter rule applies to it."""
+    logdet = _cholesky_logdet(mats)
+    invdiag = np.diagonal(np.linalg.inv(mats), axis1=-2, axis2=-1)
+    if not (invdiag > 0.0).all():
+        raise np.linalg.LinAlgError("inverse diagonal entry <= 0")
+    return logdet, logdet[..., None] + np.log(invdiag)
 
 
-def _batched_logdet_invdiag(mats: np.ndarray):
-    """Joint log-determinants and inverse diagonals of a (..., K, K) stack.
-
-    The inverse diagonal gives every leave-one-out log-determinant via
-    logdet(sigma without j) = logdet(sigma) + log((sigma^-1)_jj), so one
-    Cholesky plus one inverse per matrix covers all K subsystems.
-    """
-    return _factor_with_jitter(mats, _logdet_invdiag)
+def _direct_logdets(covs: CovSet, batch: NpletBatch):
+    """Raw (B, D) joint and (B, D, K) leave-one-out log-determinants, jittered."""
+    return _factor_with_jitter(extract_subcov_batch(covs, batch).matrices, _logdet_loo)
 
 
 def _bias_offsets(covs: CovSet, k_max: int, bias_correct: bool) -> np.ndarray:
@@ -293,13 +299,16 @@ def _excess_singles(covs: CovSet, bias: np.ndarray) -> np.ndarray:
     return 0.5 * np.log(diag) - bias[:, 1][:, None]
 
 
-def _fixed_terms(covs: CovSet, batch: NpletBatch, x_singles, bias):
-    """(joint, singles, leave-one-out) excess arrays of a fixed-order batch."""
-    logdet, invdiag = _batched_logdet_invdiag(extract_subcov_batch(covs, batch).matrices)
-    k = batch.order
-    x_joint = 0.5 * logdet - bias[:, k][None, :]
-    x_loo = 0.5 * (logdet[..., None] + np.log(invdiag)) - bias[:, k - 1][None, :, None]
-    return x_joint, x_singles[:, batch.indices].transpose(1, 0, 2), x_loo
+def _excess_terms(joint, loo, idx: np.ndarray, x_singles, bias) -> EntropyTerms:
+    """EntropyTerms of a fixed-order (B, K) index batch from its raw (B, D)
+    joint and (B, D, K) leave-one-out log-determinants."""
+    b, k = idx.shape
+    return EntropyTerms(
+        excess_joint=0.5 * joint - bias[:, k],
+        excess_singles=x_singles[:, idx].transpose(1, 0, 2),
+        excess_leave_one_out=0.5 * loo - bias[:, k - 1][None, :, None],
+        orders=np.full(b, k, dtype=np.int64),
+    )
 
 
 def entropy_terms(covs: CovSet, batch: NpletBatch, bias_correct: bool = False) -> EntropyTerms:
@@ -319,7 +328,7 @@ def entropy_terms(covs: CovSet, batch: NpletBatch, bias_correct: bool = False) -
     x_singles = _excess_singles(covs, bias)
 
     if batch.mode == "fixed":
-        return EntropyTerms(*_fixed_terms(covs, batch, x_singles, bias), orders=orders)
+        return _excess_terms(*_direct_logdets(covs, batch), batch.indices, x_singles, bias)
 
     b, n = batch.masks.shape
     d_count = covs.n_datasets
@@ -332,15 +341,15 @@ def entropy_terms(covs: CovSet, batch: NpletBatch, bias_correct: bool = False) -
         rows = np.flatnonzero(orders == k)
         idx = np.nonzero(batch.masks[rows])[1].reshape(-1, k)
         try:
-            joint, sing, loo = _fixed_terms(
-                covs, NpletBatch(n, indices=idx, check_unique=False), x_singles, bias)
+            raw = _direct_logdets(covs, NpletBatch(n, indices=idx, check_unique=False))
         except NotPositiveDefinite as err:
             bad += [(int(rows[g]), d) for g, d in err.coords]
             continue
+        group = _excess_terms(*raw, idx, x_singles, bias)
         at = (rows[:, None, None], d_ax, idx[:, None, :])
-        x_joint[rows] = joint
-        x_sing[at] = sing
-        x_loo[at] = loo
+        x_joint[rows] = group.excess_joint
+        x_sing[at] = group.excess_singles
+        x_loo[at] = group.excess_leave_one_out
     if bad:
         raise _not_positive_definite(sorted(bad))
     return EntropyTerms(x_joint, x_sing, x_loo, orders=orders)
@@ -369,11 +378,11 @@ class LogdetLattice:
     if order k + 1 reads it. The two live tables are capped by
     LATTICE_TABLE_BYTES.
 
-    terms() is the one fallback site: every row of an order over the cap
-    or of a batch whose plain Cholesky fails (its entries then stay NaN),
-    and every row that reads a NaN entry, runs on the direct path's
-    fixed-order terms, so it keeps compute_hoi_batch's value or
-    NotPositiveDefinite coordinates.
+    terms() is the one fallback site, with one rule: a row runs on the
+    direct path when any log-determinant it needs is NaN (its own joint
+    after a failed batched Cholesky, a leave-one-out entry, or all of them
+    when order k - 1 has no table), so it keeps compute_hoi_batch's value
+    or NotPositiveDefinite coordinates.
     """
 
     def __init__(self, covs: CovSet, min_order: int, max_order: int, bias_correct: bool):
@@ -410,45 +419,33 @@ class LogdetLattice:
         if k + 1 in self.served:
             self.tables[k] = np.full((math.comb(n, k), d), np.nan)
 
-    def _joint(self, batch: NpletBatch, rank: np.ndarray):
+    def _joint(self, batch: NpletBatch, rank: np.ndarray) -> np.ndarray:
         """(B, D) raw log-determinants of a batch, stored at rank in its
-        order's table when one is open; None if the batched Cholesky fails,
-        which leaves the batch's entries NaN."""
-        k = batch.order
+        order's table when one is open; all NaN if the batched Cholesky fails."""
         try:
-            chol = np.linalg.cholesky(extract_subcov_batch(self.covs, batch).matrices)
+            raw = _cholesky_logdet(extract_subcov_batch(self.covs, batch).matrices)
         except np.linalg.LinAlgError:
-            return None
-        raw = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-        if k in self.tables:
-            self.tables[k][rank] = raw
+            raw = np.full((batch.batch_size, self.covs.n_datasets), np.nan)
+        if batch.order in self.tables:
+            self.tables[batch.order][rank] = raw
         return raw
 
     def terms(self, batch: NpletBatch):
         """(EntropyTerms, rows on the direct path) of a batch of the open order."""
         k, idx = batch.order, batch.indices
         prev = self.tables.get(k - 1)
-        raw = None
-        if prev is not None:
+        if prev is None:  # no table k - 1: every log-determinant is missing
+            joint = np.full((batch.batch_size, self.covs.n_datasets), np.nan)
+            loo = np.full(joint.shape + (k,), np.nan)
+        else:
             rank, loo_rank = _ranks(idx, self.binom)
-            raw = self._joint(batch, rank)
-        if raw is None:  # the lattice serves no row: the whole batch is direct
-            terms = _fixed_terms(self.covs, batch, self.x_singles, self.bias)
-            return EntropyTerms(*terms, orders=batch.orders()), batch.batch_size
-        loo = prev[loo_rank].transpose(0, 2, 1)  # (B, D, k)
-        terms = EntropyTerms(
-            excess_joint=0.5 * raw - self.bias[:, k],
-            excess_singles=self.x_singles[:, idx].transpose(1, 0, 2),
-            excess_leave_one_out=0.5 * loo - self.bias[:, k - 1][None, :, None],
-            orders=batch.orders(),
-        )
-        rows = np.flatnonzero(np.isnan(loo).any(axis=(1, 2)))
+            joint = self._joint(batch, rank)
+            loo = prev[loo_rank].transpose(0, 2, 1)  # (B, D, k)
+        rows = np.flatnonzero(np.isnan(joint).any(axis=1) | np.isnan(loo).any(axis=(1, 2)))
         if rows.size:
             sub = NpletBatch(batch.n_variables, indices=idx[rows], check_unique=False)
             try:
-                joint, _, x_loo = _fixed_terms(self.covs, sub, self.x_singles, self.bias)
+                joint[rows], loo[rows] = _direct_logdets(self.covs, sub)
             except NotPositiveDefinite as err:
                 raise _not_positive_definite([(int(rows[g]), d) for g, d in err.coords]) from None
-            terms.excess_joint[rows] = joint
-            terms.excess_leave_one_out[rows] = x_loo
-        return terms, rows.size
+        return _excess_terms(joint, loo, idx, self.x_singles, self.bias), rows.size

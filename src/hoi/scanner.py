@@ -322,16 +322,16 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
     pool waits at every order boundary until the previous table is
     complete.
 
-    Rows the lattice cannot serve run on the direct path inside
-    LogdetLattice.terms (Cholesky plus inverse, with its jitter retry), so
-    their values or NotPositiveDefinite coordinates are exactly those of
-    compute_hoi_batch on the same batch. These are every row of a batch
-    whose plain batched Cholesky fails, every row that reads such a
-    batch's entries, and every row of an order whose two tables would
-    exceed nplet_engine.LATTICE_TABLE_BYTES (64 MiB; C(N, k) * D floats
-    per table, about 1.4 MB per table at N=20 and D=1). The progress
-    counter fallback_rows counts them. An order with more than 2**62
-    n-plets (int64 ranks) raises ExhaustiveLimitExceeded.
+    A row runs on the direct path inside LogdetLattice.terms (Cholesky
+    plus inverse, with its jitter retry) when any log-determinant it needs
+    is NaN in the lattice: a failed batched Cholesky leaves its rows'
+    entries NaN, and an order whose two tables would exceed
+    nplet_engine.LATTICE_TABLE_BYTES (64 MiB; C(N, k) * D floats per
+    table, about 1.4 MB per table at N=20 and D=1) has no previous table.
+    Such a row's entropy terms or NotPositiveDefinite coordinates are
+    exactly those of compute_hoi_batch, and the progress counter
+    fallback_rows counts it. An order with more than 2**62 n-plets (int64
+    ranks) raises ExhaustiveLimitExceeded.
 
     Parameters
     ----------

@@ -20,7 +20,13 @@ from hoi import (
     extract_subcov_batch,
     pad_subcov_batch,
 )
-from hoi.nplet_engine import _batched_logdet_invdiag, _binomial_table, _colex_unrank, _ranks
+from hoi.copula_core import _factor_with_jitter
+from hoi.nplet_engine import _binomial_table, _colex_unrank, _logdet_loo, _ranks
+
+
+def jittered_logdets(mats):
+    """Joint and leave-one-out log-determinants on the direct path's jitter rule."""
+    return _factor_with_jitter(mats, _logdet_loo)
 
 
 def random_covset(seed, n, d=1, samples=None):
@@ -175,7 +181,7 @@ def test_pad_subcov_embeds_identity():
         assert np.all(m[j, [i for i in range(5) if i != j]] == 0.0)
     # identity padding leaves the log-determinant of the kept block intact
     sign, want = np.linalg.slogdet(covs.covs[0].sigma[np.ix_(keep, keep)])
-    got, _ = _batched_logdet_invdiag(sub.matrices)
+    got, _ = jittered_logdets(sub.matrices)
     assert got[0, 0] == pytest.approx(want, rel=1e-12)
 
 
@@ -186,16 +192,16 @@ def test_batched_logdet_invdiag_matches_slogdet_submatrices():
         for d in range(3):
             a = rng.standard_normal((8, 5))
             mats[b, d] = a.T @ a / 8 + 0.3 * np.eye(5)
-    logdet, invdiag = _batched_logdet_invdiag(mats)
+    logdet, loo = jittered_logdets(mats)
     for b in range(4):
         for d in range(3):
             _, want = np.linalg.slogdet(mats[b, d])
             assert logdet[b, d] == pytest.approx(want, rel=1e-10)
             for j in range(5):
                 keep = [i for i in range(5) if i != j]
-                _, loo = np.linalg.slogdet(mats[b, d][np.ix_(keep, keep)])
+                _, minor = np.linalg.slogdet(mats[b, d][np.ix_(keep, keep)])
                 # logdet(minor) = logdet(full) + log((inverse)_jj)
-                assert want + np.log(invdiag[b, d, j]) == pytest.approx(loo, rel=1e-9)
+                assert loo[b, d, j] == pytest.approx(minor, rel=1e-9)
 
 
 def test_fallback_keeps_healthy_matrices_bit_identical():
@@ -204,10 +210,10 @@ def test_fallback_keeps_healthy_matrices_bit_identical():
     # singular (duplicated variable) matrix forces the per-matrix fallback
     singular = np.ones((1, 1, 3, 3)) + np.eye(3) * 1e-14
     stack = np.concatenate([good, singular])
-    logdet, invdiag = _batched_logdet_invdiag(stack)
-    pure_ld, pure_id = _batched_logdet_invdiag(good)
+    logdet, loo = jittered_logdets(stack)
+    pure_ld, pure_loo = jittered_logdets(good)
     assert logdet[0, 0] == pure_ld[0, 0]
-    np.testing.assert_array_equal(invdiag[0, 0], pure_id[0, 0])
+    np.testing.assert_array_equal(loo[0, 0], pure_loo[0, 0])
     assert np.isfinite(logdet[1, 0])  # jitter rescued the singular one
 
 
@@ -215,8 +221,23 @@ def test_indefinite_matrix_raises_with_coordinates():
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
     stack = np.stack([np.eye(2), bad])[:, None]
     with pytest.raises(NotPositiveDefinite) as err:
-        _batched_logdet_invdiag(stack)
+        jittered_logdets(stack)
     assert err.value.coords == [(1, 0)]
+
+
+def test_collinear_matrices_never_give_non_finite_terms():
+    # x2 = w0 x0 + w1 x1 exactly: the Cholesky may pass on rounding noise and
+    # leave an inverse diagonal entry <= 0, which must take the jitter retry
+    # like a failed Cholesky instead of giving a NaN leave-one-out term
+    base = np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    for w0 in np.linspace(0.3, 2.0, 18):
+        for w1 in np.linspace(0.3, 2.0, 18):
+            t = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [w0, w1, 0.0]])
+            sigma = t @ base @ t.T
+            covs = CovSet([CovarianceMatrix(0.5 * (sigma + sigma.T))])
+            terms = entropy_terms(covs, NpletBatch(3, indices=[[0, 1, 2]]))
+            assert np.isfinite(terms.excess_joint).all()
+            assert np.isfinite(terms.excess_leave_one_out).all()
 
 
 def test_entropy_terms_match_slogdet_reference():

@@ -18,19 +18,23 @@ from hoi import (
     InvalidData,
     InvalidOrderRange,
     NotPositiveDefinite,
+    NpletBatch,
     ObjectiveSpec,
     TopK,
     block_concat,
     compute_hoi_batch,
     count_nplets,
+    entropy_terms,
     enumerate_order,
     extract_features,
+    extract_subcov_batch,
     greedy,
     r_system_cov,
     s_system_cov,
     scan,
 )
 from hoi import nplet_engine, scanner
+from hoi.copula_core import _cholesky_logdet
 from hoi.scanner import MEASURES, best_rows
 
 
@@ -253,6 +257,141 @@ def test_indefinite_input_raises_the_direct_paths_coordinates():
         with pytest.raises(NotPositiveDefinite) as err:
             scan(covs, 2, 5, TopK("o", "max", 2), batch_size=batch_size, workers=2)
         assert err.value.coords == want
+
+
+def degenerate_covset(seed, n, kinds):
+    """One covariance per kind, each singular, near-singular or indefinite."""
+    rng = np.random.default_rng(seed)
+    covs = []
+    for kind in kinds:
+        a = rng.standard_normal((2 * n, n))
+        sigma = a.T @ a / (2 * n) + 0.3 * np.eye(n)
+        if kind == "combination":  # x_j = w_i x_i + w_l x_l exactly
+            i, l, j = rng.choice(n, 3, replace=False)
+            t = np.eye(n)
+            t[j, j] = 0.0
+            t[j, [i, l]] = rng.uniform(0.5, 2.0, 2)
+            sigma = t @ sigma @ t.T
+        elif kind == "eigenvalue":
+            vals, vecs = np.linalg.eigh(sigma)
+            vals[0] = 1e-13
+            sigma = (vecs * vals) @ vecs.T
+        else:  # "correlation": one pair beyond correlation 1
+            i, j = rng.choice(n, 2, replace=False)
+            sigma[i, j] = sigma[j, i] = rng.uniform(1.001, 2.0) * np.sqrt(sigma[i, i] * sigma[j, j])
+        covs.append(CovarianceMatrix(0.5 * (sigma + sigma.T)))
+    return CovSet(covs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 8),
+       kinds=st.lists(st.sampled_from(["combination", "eigenvalue", "correlation"]),
+                      min_size=1, max_size=2),
+       batch_size=st.sampled_from([1, 7, 64]), workers=st.sampled_from([1, 2]),
+       min_order=st.integers(1, 3))
+def test_near_singular_scan_matches_the_direct_path(
+        seed, n, kinds, batch_size, workers, min_order):
+    # Rows the lattice cannot serve take the direct path and get
+    # entropy_terms' values bit for bit; rows it serves hold the Cholesky
+    # log-determinants of their own and their minors' submatrices. Both
+    # paths raise the same NotPositiveDefinite coordinates, and no value is
+    # left non-finite.
+    covs = degenerate_covset(seed, n, kinds)
+    lattice_terms, direct_logdets = nplet_engine.LogdetLattice.terms, nplet_engine._direct_logdets
+    terms_of, direct = {}, set()
+
+    def recorded_terms(self, batch):
+        terms, count = lattice_terms(self, batch)
+        terms_of[id(batch)] = terms
+        return terms, count
+
+    def recorded_direct(c, batch):
+        direct.update(map(tuple, batch.indices.tolist()))
+        return direct_logdets(c, batch)
+
+    seen, raised = [], None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nplet_engine.LogdetLattice, "terms", recorded_terms)
+        mp.setattr(nplet_engine, "_direct_logdets", recorded_direct)
+        try:
+            scan(covs, min_order, n, Callback(lambda batch, hoi: seen.append((batch, hoi))),
+                 batch_size=batch_size, workers=workers)
+        except NotPositiveDefinite as err:
+            raised = err.coords
+
+    wanted = None
+    for batch in itertools.chain.from_iterable(
+            enumerate_order(n, k, batch_size) for k in range(min_order, n + 1)):
+        try:
+            compute_hoi_batch(covs, batch)
+        except NotPositiveDefinite as err:
+            wanted = err.coords
+            break
+    assert raised == wanted
+
+    def half_logdets(rows):
+        mats = extract_subcov_batch(covs, NpletBatch(n, indices=rows)).matrices
+        return 0.5 * _cholesky_logdet(mats)
+
+    half_log_var = 0.5 * np.log(np.diagonal(covs.stacked(), axis1=1, axis2=2)).T  # table 1
+
+    for batch, hoi in seen:
+        got, k = terms_of[id(batch)], batch.order
+        assert all(np.isfinite(getattr(hoi, m)).all() for m in MEASURES)
+        rows = batch.indices.tolist()
+        on_direct = [i for i, row in enumerate(rows) if tuple(row) in direct]
+        if on_direct:
+            want = entropy_terms(covs, NpletBatch(n, indices=[rows[i] for i in on_direct]))
+            np.testing.assert_array_equal(got.excess_joint[on_direct], want.excess_joint)
+            np.testing.assert_array_equal(
+                got.excess_leave_one_out[on_direct], want.excess_leave_one_out)
+        for i in sorted(set(range(len(rows))) - set(on_direct)):
+            row = rows[i]
+            np.testing.assert_array_equal(got.excess_joint[i], half_logdets([row])[0])
+            if k == 1:
+                loo = 0.0
+            elif k == min_order == 2:  # table 1 built from the diagonal, not by order 1
+                loo = half_log_var[row[::-1]].T
+            else:
+                loo = half_logdets([row[:j] + row[j + 1:] for j in range(k)]).T
+            np.testing.assert_array_equal(got.excess_leave_one_out[i], loo)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 8), d=st.integers(1, 2),
+       bias_correct=st.booleans(), batch_size=st.sampled_from([1, 7, 64]))
+def test_lattice_scan_is_permutation_equivariant(seed, n, d, bias_correct, batch_size):
+    t = 40
+    rng = np.random.default_rng(seed)
+    sigmas = []
+    for _ in range(d):
+        a = rng.standard_normal((2 * n, n))
+        sigmas.append(a.T @ a / (2 * n) + 0.3 * np.eye(n))
+    perm = rng.permutation(n)  # variable v of the image is variable perm[v]
+
+    def measures_by_nplet(mats):
+        covs = CovSet([CovarianceMatrix(m, n_samples_used=t) for m in mats])
+        out, ticks = {}, []
+
+        def keep(batch, hoi):
+            for i, row in enumerate(batch.indices.tolist()):
+                out[tuple(row)] = np.array([getattr(hoi, m)[i] for m in MEASURES])
+
+        scan(covs, 1, n, Callback(keep), batch_size=batch_size,
+             bias_correct=bias_correct, progress=ticks.append)
+        assert ticks[-1]["fallback_rows"] == 0
+        return out
+
+    base = measures_by_nplet(sigmas)
+    image = measures_by_nplet([sig[np.ix_(perm, perm)] for sig in sigmas])
+    assert len(base) == len(image) == count_nplets(n, 1, n)
+    for row, got in image.items():
+        np.testing.assert_allclose(got, base[tuple(sorted(perm[list(row)]))], rtol=0, atol=1e-12)
+    for row, got in base.items():
+        for dd, sig in enumerate(sigmas):
+            want = ref.measures(sig, row, t_samples=t if bias_correct else None)
+            # criterion 01's tolerances
+            np.testing.assert_allclose(got[:, dd], want, rtol=1e-9, atol=1e-11)
 
 
 def measure_rows(covs, lo, hi, **kw):
