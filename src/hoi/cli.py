@@ -2,10 +2,17 @@
 
 Subcommands: scan, greedy, anneal, features, synth, count. Data inputs
 are CSV files (a required header row of variable names, not all of them
-numbers; one sample per row, UTF-8, '.' decimals); a directory of CSVs with identical headers
+numbers; one sample per row); a directory of CSVs with identical headers
 maps to one dataset per file, ordered lexicographically by filename. Raw
 data are copula-transformed before covariance estimation. With
 --progress, machine readable key=value lines go to the error stream.
+
+The CSV dialect: UTF-8, comma delimiter, optional double quotes around
+a cell, LF or CRLF line endings. Trailing blank lines are ignored, an
+interior blank line is an error, and there are no comment lines. Every
+cell is read exactly as float() reads it. Data rows are parsed in one
+numpy pass per file; a file that pass rejects is read again row by row,
+so an error names its row.
 
 The exit code follows the type of the error, wherever it is raised:
 0 success; 2 when the data defeat the computation (NotPositiveDefinite,
@@ -89,11 +96,39 @@ def _parses_as_float(cell: str) -> bool:
 def _read_csv(path: Path) -> DataMatrix:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            lines = fh.readlines()
     except UnicodeDecodeError as e:
         raise InvalidData(f"{path}: not valid UTF-8 ({e})") from None
     except OSError as e:
         raise InvalidData(f"cannot read input: {e}") from None
+    try:
+        header, values = _parse_lines(lines)
+    except ValueError:
+        header, values = _parse_rows(path, lines)
+    return DataMatrix(values, column_names=header)
+
+
+def _parse_lines(lines):
+    """(header, values): the header row through csv, every data line in one
+    numpy parse. ValueError wherever the result could differ from
+    _parse_rows', including a line that loadtxt would skip."""
+    reader = csv.reader(lines)
+    header = next(reader, [])
+    data = lines[reader.line_num:]
+    while data and data[-1] in ("\n", "\r\n", "\r"):
+        data.pop()  # trailing blank lines
+    if not data or all(map(_parses_as_float, header)):
+        raise ValueError
+    values = np.loadtxt(data, dtype=np.float64, delimiter=",", comments=None,
+                        quotechar='"', ndmin=2)
+    if values.shape != (len(data), len(header)):
+        raise ValueError
+    return header, values
+
+
+def _parse_rows(path: Path, lines):
+    """(header, values) row by row, raising InvalidData that names the row."""
+    rows = list(csv.reader(lines))
     while rows and not rows[-1]:
         rows.pop()  # trailing blank lines
     if len(rows) < 2:
@@ -112,7 +147,7 @@ def _read_csv(path: Path) -> DataMatrix:
     except ValueError:
         r = next(r for r, row in enumerate(data) if not all(map(_parses_as_float, row)))
         raise InvalidData(f"{path}: non-numeric value in row {r + 2}") from None
-    return DataMatrix(values.reshape(len(data), width), column_names=header)
+    return header, values.reshape(len(data), width)
 
 
 def _load_input(input_path: str):

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri, psi
-from scipy.stats import rankdata
 
 from .errors import (
     DegenerateColumn,
@@ -156,10 +155,15 @@ def rank_columns(data) -> np.ndarray:
     """Per-column ranks in 1..T.
 
     Ties are broken by row order (stable), so every column is an exact
-    permutation of 1..T.
+    permutation of 1..T. The array is column-major: its layout decides
+    the BLAS route of estimate_covariance's product, and with it the last
+    bits of every covariance the CLI writes.
     """
     d = _as_data(data)
-    return rankdata(d.values, method="ordinal", axis=0).astype(np.int64)
+    order = np.argsort(d.values, axis=0, kind="stable")
+    ranks = np.empty(d.values.shape, dtype=np.int64, order="F")
+    np.put_along_axis(ranks, order, np.arange(1, d.n_samples + 1)[:, None], axis=0)
+    return ranks
 
 
 def copula_transform(data) -> DataMatrix:

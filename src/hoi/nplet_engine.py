@@ -380,9 +380,11 @@ class LogdetLattice:
 
     terms() is the one fallback site, with one rule: a row runs on the
     direct path when any log-determinant it needs is NaN (its own joint
-    after a failed batched Cholesky, a leave-one-out entry, or all of them
+    or a leave-one-out entry whose matrix failed Cholesky, or all of them
     when order k - 1 has no table), so it keeps compute_hoi_batch's value
-    or NotPositiveDefinite coordinates.
+    or NotPositiveDefinite coordinates. Only the (n-plet, dataset)
+    matrices whose Cholesky fails are NaN, never the rest of their batch,
+    so which rows go direct does not depend on batch_size.
     """
 
     def __init__(self, covs: CovSet, min_order: int, max_order: int, bias_correct: bool):
@@ -421,11 +423,19 @@ class LogdetLattice:
 
     def _joint(self, batch: NpletBatch, rank: np.ndarray) -> np.ndarray:
         """(B, D) raw log-determinants of a batch, stored at rank in its
-        order's table when one is open; all NaN if the batched Cholesky fails."""
+        order's table when one is open. If the batched Cholesky fails, the
+        matrices are factored one by one and only the failing ones are NaN,
+        so no entry depends on the batch it came in."""
+        mats = extract_subcov_batch(self.covs, batch).matrices
         try:
-            raw = _cholesky_logdet(extract_subcov_batch(self.covs, batch).matrices)
+            raw = _cholesky_logdet(mats)
         except np.linalg.LinAlgError:
-            raw = np.full((batch.batch_size, self.covs.n_datasets), np.nan)
+            raw = np.full(mats.shape[:2], np.nan)
+            for coord in np.ndindex(raw.shape):
+                try:
+                    raw[coord] = _cholesky_logdet(mats[coord])
+                except np.linalg.LinAlgError:
+                    pass
         if batch.order in self.tables:
             self.tables[batch.order][rank] = raw
         return raw

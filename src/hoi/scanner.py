@@ -324,8 +324,9 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
 
     A row runs on the direct path inside LogdetLattice.terms (Cholesky
     plus inverse, with its jitter retry) when any log-determinant it needs
-    is NaN in the lattice: a failed batched Cholesky leaves its rows'
-    entries NaN, and an order whose two tables would exceed
+    is NaN in the lattice: only the (n-plet, dataset) matrices whose
+    Cholesky fails are NaN, whatever batch they came in, so values do not
+    depend on batch_size; and an order whose two tables would exceed
     nplet_engine.LATTICE_TABLE_BYTES (64 MiB; C(N, k) * D floats per
     table, about 1.4 MB per table at N=20 and D=1) has no previous table.
     Such a row's entropy terms or NotPositiveDefinite coordinates are

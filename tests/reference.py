@@ -6,8 +6,8 @@ Cholesky, leave-one-out terms rebuild explicit submatrices instead of
 using the inverse-diagonal identity, the O-information is tc - dtc
 instead of the expanded entropy form, subset counts use the Pascal
 recurrence instead of math.comb, and ranks come from a double argsort
-instead of scipy.stats.rankdata. Agreement between the two routes is
-the point; keep them independent.
+instead of one argsort and an inverse-permutation scatter. Agreement
+between the two routes is the point; keep them independent.
 """
 
 import itertools

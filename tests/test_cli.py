@@ -1,10 +1,18 @@
 import csv
+import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hoi
+from hoi import cli
 from hoi.cli import main
 
 PGM = '{"blocks": [{"kind": "r", "n_sources": 2}, {"kind": "s", "n_sources": 2}]}'
@@ -237,9 +245,19 @@ def test_usage_and_validation_failures_exit_one(tmp_path, data_csv, capsys):
     for argv in cases:
         assert main(argv) == 1, argv
         capsys.readouterr()  # drain
+    lines = data_csv.read_text().splitlines(keepends=True)
+    spaces = tmp_path / "spaces.csv"  # whitespace-only interior line
+    spaces.write_text("".join(lines[:3] + ["   \n"] + lines[3:]))
+    comma = tmp_path / "comma.csv"  # trailing comma on the second data row
+    comma.write_text("".join(lines[:2] + [lines[2].rstrip("\n") + ",\n"] + lines[3:]))
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(data_csv.read_bytes() + b"\xe9,1,2,3,4,5\n")
     # CSV errors name the offending row
     for path, message in ((ragged, "row 3 has 1 fields, expected 2"),
-                          (bad, "non-numeric value in row 3")):
+                          (bad, "non-numeric value in row 3"),
+                          (spaces, "row 4 has 1 fields, expected 6"),
+                          (comma, "row 3 has 7 fields, expected 6"),
+                          (latin1, "not valid UTF-8")):
         assert main(["scan", "--input", str(path), "--orders", "3:3",
                      "--reduce", "top:1:max:o"]) == 1
         assert message in capsys.readouterr().err
@@ -318,3 +336,69 @@ def test_headerless_csv_is_rejected(tmp_path, data_csv, capsys):
     assert main(["scan", "--input", str(headerless), "--orders", "3:3",
                  "--reduce", "top:1:max:o"]) == 1
     assert "header" in capsys.readouterr().err
+
+
+def test_csv_dialect_variants_read_the_same_values(tmp_path, data_csv, monkeypatch):
+    lines = data_csv.read_text().splitlines()
+    header, rows = lines[0], [line.split(",") for line in lines[1:]]
+    want = np.array([[float(cell) for cell in row] for row in rows])
+
+    def joined(cell, sep="\n"):
+        return sep.join([header] + [",".join(map(cell, row)) for row in rows]) + sep
+
+    variants = {
+        "crlf": joined(str, "\r\n") + "\r\n",  # with a trailing blank line
+        "quoted": joined('"{}"'.format),
+        "spaced": joined(" {} ".format),
+        "plain": joined(str),
+        "quoted_name": '"a,b"' + joined(str)[len(header.split(",")[0]):],
+    }
+
+    def row_by_row(path, lines):
+        raise AssertionError(f"{path} left the one-pass parse")
+
+    # every variant is read in the one-pass parse, to the same doubles
+    monkeypatch.setattr(cli, "_parse_rows", row_by_row)
+    for name, text in variants.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode())
+        got = cli._read_csv(path)
+        names = header.split(",")
+        assert got.column_names == (["a,b", *names[1:]] if name == "quoted_name" else names)
+        assert got.values.tobytes() == want.tobytes()
+
+
+def test_csv_cells_float_accepts_keep_their_value(tmp_path):
+    # loadtxt refuses '1_000' and non-ASCII digits; the row-by-row pass
+    # reads them as float() does
+    path = tmp_path / "underscore.csv"
+    path.write_text("a,b\n1_000,1\n2,\u0663\n4,5\n")
+    assert cli._read_csv(path).values.tolist() == [[1000.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+
+
+_EDGE_DOUBLES = [0.0, -0.0, 5e-324, -2.225073858507201e-308, 1e308, -1e308,
+                 1.7976931348623157e308]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cells=st.lists(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                         st.sampled_from(_EDGE_DOUBLES)),
+                               min_size=3, max_size=3),
+                      min_size=1, max_size=30),
+       fmt=st.sampled_from([repr, "%.17g".__mod__]))
+def test_csv_doubles_read_back_bit_for_bit(cells, fmt):
+    text = "a,b,c\n" + "".join(",".join(map(fmt, row)) + "\n" for row in cells)
+    header, values = cli._parse_lines(io.StringIO(text, newline="").readlines())
+    assert header == ["a", "b", "c"]
+    want = np.array([[float(fmt(x)) for x in row] for row in cells], dtype=np.float64)
+    assert values.tobytes() == want.tobytes()
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats costs about a second of set-up per process and the
+    # package no longer needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(hoi.__file__).resolve().parents[1]))
+    code = "import sys, hoi.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

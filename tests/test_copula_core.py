@@ -63,6 +63,8 @@ def test_rank_columns_matches_double_argsort():
     got = rank_columns(DataMatrix(x))
     for j in range(3):
         np.testing.assert_array_equal(got[:, j], ref.ranks(x[:, j]))
+    # the layout fixes the BLAS route, and so the last bits, of the covariance
+    assert got.flags.f_contiguous and got.dtype == np.int64
 
 
 def test_rank_ties_break_by_first_occurrence():

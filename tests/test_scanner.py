@@ -401,6 +401,17 @@ def measure_rows(covs, lo, hi, **kw):
     return np.concatenate(parts, axis=1)
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_singular_scan_values_do_not_depend_on_batch_size_or_workers(seed):
+    # a singular submatrix whose Cholesky passes on rounding noise is served
+    # by the lattice; one that fails goes direct, whichever batch holds it
+    covs = degenerate_covset(seed, 8, ["combination"])
+    base = measure_rows(covs, 1, 8, batch_size=1)
+    for batch_size, workers in ((7, 1), (64, 1), (1, 2), (7, 2), (64, 2)):
+        got = measure_rows(covs, 1, 8, batch_size=batch_size, workers=workers)
+        np.testing.assert_array_equal(got, base)
+
+
 def test_orders_over_the_table_cap_run_on_the_direct_path(monkeypatch):
     covs = toy_covset(8, n=8, d=2)
     base = measure_rows(covs, 2, 8)
