@@ -102,9 +102,12 @@ def _read_csv(path: Path) -> DataMatrix:
     except OSError as e:
         raise InvalidData(f"cannot read input: {e}") from None
     try:
-        header, values = _parse_lines(lines)
-    except ValueError:
-        header, values = _parse_rows(path, lines)
+        try:
+            header, values = _parse_lines(lines)
+        except ValueError:
+            header, values = _parse_rows(path, lines)
+    except csv.Error as e:  # e.g. a cell beyond csv's field size limit
+        raise InvalidData(f"{path}: {e}") from None
     return DataMatrix(values, column_names=header)
 
 

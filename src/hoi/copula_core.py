@@ -249,7 +249,11 @@ def _chol_with_jitter(sigma: np.ndarray) -> np.ndarray:
 def _cholesky_logdet(mats: np.ndarray) -> np.ndarray:
     """Log-determinants of a (..., K, K) stack from Cholesky factors;
     LinAlgError if any matrix is not positive definite."""
-    chol = np.linalg.cholesky(mats)
+    return _factor_logdet(np.linalg.cholesky(mats))
+
+
+def _factor_logdet(chol: np.ndarray) -> np.ndarray:
+    """2 * sum(log diag L) of a (..., K, K) stack of Cholesky factors L."""
     return 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
 
 

@@ -7,9 +7,13 @@ sub-covariances: a mixed-order batch is split by order, each group goes
 through the fixed-order path, and the results are scattered back to the
 rows' variable positions. Exhaustive scans evaluate whole orders through
 a LogdetLattice instead, which reads every leave-one-out term from the
-previous order's log-determinants; rows it cannot serve fall back to the
-fixed-order path there and nowhere else. enumerate_order and the lattice
-number n-plets in one combinatorial number system, with int64 ranks.
+previous order's log-determinants. One kernel, _border, adds a variable
+to a set of known inverse and log-determinant through its Schur
+complement (_unborder removes one); it serves the lattice's wide orders,
+greedy growth and annealing moves. Rows those cannot serve fall back to
+the fixed-order path through _direct_logdets. enumerate_order and the
+lattice number n-plets in one combinatorial number system, with int64
+ranks.
 """
 
 import math
@@ -21,6 +25,7 @@ from .copula_core import (
     CovSet,
     _bias_table,
     _cholesky_logdet,
+    _factor_logdet,
     _factor_with_jitter,
     _not_positive_definite,
 )
@@ -53,9 +58,9 @@ class NpletBatch:
     masks : (B, N) boolean array
         Mixed-order batch; each row selects at least one variable.
 
-    Rows must be unique within a batch unless check_unique is disabled
-    (trusted constructors: streaming enumeration, annealing chains that
-    may legitimately coincide).
+    Rows must be unique within a batch unless check_unique is disabled.
+    Batches the engine builds itself come from NpletBatch._trusted, which
+    checks nothing.
     """
 
     def __init__(self, n_variables: int, indices=None, masks=None,
@@ -91,6 +96,17 @@ class NpletBatch:
             self.mode = "mixed"
             self.indices = None
             self.masks = m
+
+    @classmethod
+    def _trusted(cls, n_variables: int, indices: np.ndarray) -> "NpletBatch":
+        """A fixed-order batch of int64 rows the engine built itself, which
+        are strictly increasing and in range by construction: no checks."""
+        batch = cls.__new__(cls)
+        batch.n_variables = n_variables
+        batch.mode = "fixed"
+        batch.indices = indices
+        batch.masks = None
+        return batch
 
     @property
     def batch_size(self) -> int:
@@ -184,7 +200,7 @@ def enumerate_order(n: int, k: int, batch_size: int = 10000):
         stop = min(start + batch_size, total)
         # lexicographic ranks [start, stop) are mirror colex ranks, reversed
         mirror = _colex_unrank(np.arange(total - stop, total - start), k, binom)
-        yield NpletBatch(n, indices=n - 1 - mirror[::-1, ::-1], check_unique=False)
+        yield NpletBatch._trusted(n, n - 1 - mirror[::-1, ::-1])
 
 
 @dataclass
@@ -279,6 +295,114 @@ def _direct_logdets(covs: CovSet, batch: NpletBatch):
     return _factor_with_jitter(extract_subcov_batch(covs, batch).matrices, _logdet_loo)
 
 
+def _direct_rows(covs: CovSet, idx: np.ndarray, joint: np.ndarray, loo: np.ndarray) -> np.ndarray:
+    """The fallback rule: every row of joint (B, D) or loo (B, D, K) holding
+    a NaN is refilled in place from _direct_logdets of its sorted index row
+    idx[r]. Returns those rows; NotPositiveDefinite coordinates are rows of
+    idx."""
+    if not (np.isnan(joint).any() or np.isnan(loo).any()):  # the common case, tested fast
+        return np.empty(0, dtype=np.int64)
+    rows = np.flatnonzero(np.isnan(joint).any(axis=1) | np.isnan(loo).any(axis=(1, 2)))
+    if rows.size:
+        sub = NpletBatch._trusted(covs.n_variables, idx[rows])
+        try:
+            joint[rows], loo[rows] = _direct_logdets(covs, sub)
+        except NotPositiveDefinite as err:
+            raise _not_positive_definite([(int(rows[g]), d) for g, d in err.coords]) from None
+    return rows
+
+
+def _cholesky_or_nan(mats: np.ndarray) -> np.ndarray:
+    """Cholesky factors of a (..., K, K) stack. If the batched call fails,
+    the matrices are factored one by one and only the failing ones are NaN,
+    so no factor depends on the batch it came in."""
+    try:
+        return np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        pass
+    chol = np.full(mats.shape, np.nan)
+    for coord in np.ndindex(mats.shape[:-2]):
+        try:
+            chol[coord] = np.linalg.cholesky(mats[coord])
+        except np.linalg.LinAlgError:
+            pass
+    return chol
+
+
+def _inverse_factors(mats: np.ndarray):
+    """Log-determinants (...) and inverses (..., K, K) of a stack, both NaN
+    where Cholesky fails. The inverse is R^T R with R = L^-1 found by
+    forward substitution, so no matrix is inverted."""
+    chol = _cholesky_or_nan(mats)
+    r = np.zeros_like(chol)
+    for i in range(chol.shape[-1]):
+        r[..., i, :i] = -np.einsum("...j,...jl->...l", chol[..., i, :i],
+                                   r[..., :i, :i]) / chol[..., i, i, None]
+        r[..., i, i] = 1.0 / chol[..., i, i]
+    return _factor_logdet(chol), np.einsum("...ji,...jl->...il", r, r)
+
+
+def _border(sigma: np.ndarray, members: np.ndarray, v: np.ndarray,
+            inv: np.ndarray, logdet: np.ndarray):
+    """Add variable v[b] to the set S = members[b] of known inverse and
+    log-determinant, for every row b (bordering; Hager 1989, SIAM Review
+    31:221).
+
+    sigma (D, N, N) are the covariances, members (B, m) and v (B,) index
+    them, inv (B, D, m, m) is sigma_d[S, S]^-1 and logdet (B, D) its
+    log-determinant. With b = sigma[S, v], z = inv @ b and the Schur
+    complement s = sigma_vv - b . z,
+
+        logdet(S + v) = logdet(S) + log s,
+        diag(sigma[S + v, S + v]^-1) = diag(inv) + z**2 / s on S, 1 / s at v.
+
+    Returns logdet(S + v), that diagonal on S (B, D, m), z and s. A slot
+    of S whose rows and columns of inv are zero contributes nothing. A
+    Schur complement that is not positive is NaN, and NaN inputs stay NaN,
+    so the direct path takes such rows. _unborder runs the identity
+    backwards.
+    """
+    n = sigma.shape[-1]
+    flat = sigma.reshape(len(sigma), n * n)
+    cross = np.take(flat, members * n + v[:, None], axis=1).transpose(1, 0, 2)  # (B, D, m)
+    z = np.einsum("...ij,...j->...i", inv, cross)
+    s = flat[:, v * (n + 1)].T - np.einsum("...i,...i->...", cross, z)
+    s = np.where(s > 0.0, s, np.nan)
+    diag = np.diagonal(inv, axis1=-2, axis2=-1) + z * z / s[..., None]
+    return logdet + np.log(s), diag, z, s
+
+
+#: Greedy growth and annealing serve a bordered set only while every
+#: member's Schur complement relative to its variance, 1 / (inv_jj sigma_jj),
+#: is at least this; weaker sets take the direct path, as they did before
+#: bordering. The lattice sends only non-positive Schur complements there.
+BORDER_RTOL = 1e-3
+
+
+def _well_conditioned(diag: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """Elementwise: whether a member with inverse-diagonal entry diag and
+    variance var has relative Schur complement 1 / (diag * var) in
+    [BORDER_RTOL, 1]; False for NaN."""
+    scale = diag * var
+    return (scale > 0.0) & (scale * BORDER_RTOL <= 1.0)
+
+
+def _unborder(inv: np.ndarray, logdet: np.ndarray, j: np.ndarray):
+    """Remove member slot j[b] from sets S of known inverse inv (B, D, m, m)
+    and log-determinant logdet (B, D): logdet(S - j) = logdet(S) + log inv_jj,
+    and sigma[S - j, S - j]^-1 is inv - inv[:, j] inv[j, :] / inv_jj with
+    row and column j zeroed. Returns both and inv_jj, which is NaN where it
+    is not positive, as in _border."""
+    rows = np.arange(len(j))
+    col = inv[rows, :, :, j]  # (B, D, m)
+    pjj = col[rows, :, j]
+    pjj = np.where(pjj > 0.0, pjj, np.nan)
+    keep = np.arange(inv.shape[-1]) != j[:, None, None]
+    down = inv - col[..., :, None] * col[..., None, :] / pjj[..., None, None]
+    down *= keep[..., :, None] & keep[..., None, :]
+    return logdet + np.log(pjj), down, pjj
+
+
 def _bias_offsets(covs: CovSet, k_max: int, bias_correct: bool) -> np.ndarray:
     """(D, k_max + 1) entropy bias eta(k, T_d) per dataset; zeros without
     bias correction, so subtracting it leaves raw values bit-identical."""
@@ -299,15 +423,27 @@ def _excess_singles(covs: CovSet, bias: np.ndarray) -> np.ndarray:
     return 0.5 * np.log(diag) - bias[:, 1][:, None]
 
 
-def _excess_terms(joint, loo, idx: np.ndarray, x_singles, bias) -> EntropyTerms:
-    """EntropyTerms of a fixed-order (B, K) index batch from its raw (B, D)
-    joint and (B, D, K) leave-one-out log-determinants."""
+def _excess_terms(joint, loo, idx: np.ndarray, x_singles, bias, live=None) -> EntropyTerms:
+    """EntropyTerms of (B, K) member rows idx from their raw (B, D) joint
+    and (B, D, K) leave-one-out log-determinants, slot by slot. Every slot
+    is a member unless live (B, K) marks the members; the other slots then
+    hold zeros, as in a mixed-order batch."""
     b, k = idx.shape
+    singles = x_singles[:, idx].transpose(1, 0, 2)
+    if live is None:
+        return EntropyTerms(
+            excess_joint=0.5 * joint - bias[:, k],
+            excess_singles=singles,
+            excess_leave_one_out=0.5 * loo - bias[:, k - 1][None, :, None],
+            orders=np.full(b, k, dtype=np.int64),
+        )
+    orders = live.sum(axis=1)
+    at = live[:, None, :]
     return EntropyTerms(
-        excess_joint=0.5 * joint - bias[:, k],
-        excess_singles=x_singles[:, idx].transpose(1, 0, 2),
-        excess_leave_one_out=0.5 * loo - bias[:, k - 1][None, :, None],
-        orders=np.full(b, k, dtype=np.int64),
+        excess_joint=0.5 * joint - bias[:, orders].T,
+        excess_singles=np.where(at, singles, 0.0),
+        excess_leave_one_out=np.where(at, 0.5 * loo - bias[:, orders - 1].T[:, :, None], 0.0),
+        orders=orders,
     )
 
 
@@ -341,7 +477,7 @@ def entropy_terms(covs: CovSet, batch: NpletBatch, bias_correct: bool = False) -
         rows = np.flatnonzero(orders == k)
         idx = np.nonzero(batch.masks[rows])[1].reshape(-1, k)
         try:
-            raw = _direct_logdets(covs, NpletBatch(n, indices=idx, check_unique=False))
+            raw = _direct_logdets(covs, NpletBatch._trusted(n, idx))
         except NotPositiveDefinite as err:
             bad += [(int(rows[g]), d) for g, d in err.coords]
             continue
@@ -360,6 +496,11 @@ def entropy_terms(covs: CovSet, batch: NpletBatch, bias_correct: bool = False) -
 #: is evaluated on the direct path.
 LATTICE_TABLE_BYTES = 64 * 2**20
 
+#: An order k >= 3 is bordered when its prefixes have at least this many
+#: children on average, (N - k + 1) / k. Below it, per-prefix work costs
+#: more than the batched Cholesky it saves (N = 20, orders 3..8, measured).
+BORDER_MIN_CHILDREN = 8
+
 
 class LogdetLattice:
     """Raw log-determinants by order, for scanning whole orders in turn.
@@ -368,28 +509,40 @@ class LogdetLattice:
     sum_i C(c_i, i + 1) (the combinatorial number system), one column per
     dataset. Every leave-one-out term of a k-plet is the joint term of a
     (k - 1)-plet, at rank sum_{p<j} C(c_p, p + 1) + sum_{p>j} C(c_p, p), so
-    an order-k batch needs one batched Cholesky and table lookups, and no
+    an order-k batch needs its joint terms and table lookups, and no
     inverse. Tables hold raw values; bias corrections apply on reading.
+
+    Joint terms come from one of two routes, fixed per order. By default a
+    batched Cholesky factors every row. An order k >= 3 whose prefixes
+    c[:-1] have at least BORDER_MIN_CHILDREN children on average,
+    (N - k + 1) / k, is bordered instead (_border): a prefix's children
+    are contiguous rows of a lexicographic batch, so each distinct prefix
+    is factored once, and a child's joint term is the prefix's, already
+    read from table k - 1 as its last leave-one-out term, plus log of its
+    Schur complement. N <= 25 never borders.
 
     The caller opens orders in increasing order and evaluates every batch
     of an order before opening the next. open(k) builds a missing table
-    k - 1 first (table 0 is zero, table 1 is log sigma_ii, higher ones
-    take a Cholesky pass over unranked colex ranks) and keeps table k only
-    if order k + 1 reads it. The two live tables are capped by
-    LATTICE_TABLE_BYTES.
+    k - 1 first (table 0 is zero, table 1 is log sigma_ii, as are order-1
+    joint terms; higher ones take a Cholesky pass over unranked colex
+    ranks) and keeps table k only if order k + 1 reads it. The two live
+    tables are capped by LATTICE_TABLE_BYTES.
 
-    terms() is the one fallback site, with one rule: a row runs on the
-    direct path when any log-determinant it needs is NaN (its own joint
-    or a leave-one-out entry whose matrix failed Cholesky, or all of them
-    when order k - 1 has no table), so it keeps compute_hoi_batch's value
-    or NotPositiveDefinite coordinates. Only the (n-plet, dataset)
-    matrices whose Cholesky fails are NaN, never the rest of their batch,
-    so which rows go direct does not depend on batch_size.
+    terms() is the one fallback site, with one rule (_direct_rows): a row
+    runs on the direct path when any log-determinant it needs is NaN (its
+    own joint, whose Cholesky failed or whose Schur complement or prefix
+    is not positive definite; a leave-one-out entry whose own joint was
+    NaN; or all of them when order k - 1 has no table), so it keeps
+    compute_hoi_batch's value or NotPositiveDefinite coordinates. Only the
+    (n-plet, dataset) entries that fail are NaN, never the rest of their
+    batch, so which rows go direct does not depend on batch_size.
     """
 
     def __init__(self, covs: CovSet, min_order: int, max_order: int, bias_correct: bool):
         self.covs = covs
         n, d = covs.n_variables, covs.n_datasets
+        self.sigma = covs.stacked()
+        self.log_var = np.log(np.diagonal(self.sigma, axis1=-2, axis2=-1)).T  # (N, D)
         self.bias = _bias_offsets(covs, max_order, bias_correct)
         self.x_singles = _excess_singles(covs, self.bias)
         cap = LATTICE_TABLE_BYTES // (8 * d)
@@ -400,6 +553,10 @@ class LogdetLattice:
         self.binom = _binomial_table(n, max_order)
         self.tables = {}
 
+    def borders(self, k: int) -> bool:
+        """Whether order k takes its joint terms by bordering."""
+        return k >= 3 and self.covs.n_variables - k + 1 >= BORDER_MIN_CHILDREN * k
+
     def open(self, k: int, batch_size: int) -> None:
         """Make order k current; tables below order k - 1 are dropped."""
         self.tables = {m: t for m, t in self.tables.items() if m == k - 1}
@@ -407,38 +564,37 @@ class LogdetLattice:
             return
         n, d = self.covs.n_variables, self.covs.n_datasets
         if k - 1 not in self.tables:
-            if k == 1:
-                self.tables[0] = np.zeros((1, d))
-            elif k == 2:
-                self.tables[1] = np.log(np.diagonal(self.covs.stacked(), axis1=-2, axis2=-1)).T
-            else:
-                size = math.comb(n, k - 1)
-                self.tables[k - 1] = np.full((size, d), np.nan)
+            size = math.comb(n, k - 1)
+            table = np.zeros((size, d))
+            if k > 1:
                 for start in range(0, size, batch_size):
                     rank = np.arange(start, min(start + batch_size, size))
-                    idx = _colex_unrank(rank, k - 1, self.binom)
-                    self._joint(NpletBatch(n, indices=idx, check_unique=False), rank)
+                    table[rank] = self._joint(_colex_unrank(rank, k - 1, self.binom))
+            self.tables[k - 1] = table
         if k + 1 in self.served:
             self.tables[k] = np.full((math.comb(n, k), d), np.nan)
 
-    def _joint(self, batch: NpletBatch, rank: np.ndarray) -> np.ndarray:
-        """(B, D) raw log-determinants of a batch, stored at rank in its
-        order's table when one is open. If the batched Cholesky fails, the
-        matrices are factored one by one and only the failing ones are NaN,
-        so no entry depends on the batch it came in."""
-        mats = extract_subcov_batch(self.covs, batch).matrices
-        try:
-            raw = _cholesky_logdet(mats)
-        except np.linalg.LinAlgError:
-            raw = np.full(mats.shape[:2], np.nan)
-            for coord in np.ndindex(raw.shape):
-                try:
-                    raw[coord] = _cholesky_logdet(mats[coord])
-                except np.linalg.LinAlgError:
-                    pass
-        if batch.order in self.tables:
-            self.tables[batch.order][rank] = raw
-        return raw
+    def _joint(self, idx: np.ndarray) -> np.ndarray:
+        """(B, D) raw log-determinants of the rows of idx, one batched
+        Cholesky (log sigma_ii at order 1); NaN where it fails."""
+        if idx.shape[1] == 1:
+            return self.log_var[idx[:, 0]]
+        batch = NpletBatch._trusted(self.covs.n_variables, idx)
+        return _factor_logdet(_cholesky_or_nan(extract_subcov_batch(self.covs, batch).matrices))
+
+    def _bordered(self, idx: np.ndarray, prefix_rank: np.ndarray,
+                  prefix_logdet: np.ndarray) -> np.ndarray:
+        """(B, D) raw log-determinants of a lexicographic batch, each row
+        bordered onto its prefix idx[:, :-1], of colex rank prefix_rank and
+        log-determinant prefix_logdet. Each distinct prefix is factored once."""
+        n = self.covs.n_variables
+        new = prefix_rank[1:] != prefix_rank[:-1]
+        group = np.concatenate([[0], np.cumsum(new)])
+        prefix = idx[np.concatenate([[0], np.flatnonzero(new) + 1]), :-1]
+        mats = extract_subcov_batch(self.covs, NpletBatch._trusted(n, prefix)).matrices
+        _, inv = _inverse_factors(mats)
+        joint, *_ = _border(self.sigma, idx[:, :-1], idx[:, -1], inv[group], prefix_logdet)
+        return joint
 
     def terms(self, batch: NpletBatch):
         """(EntropyTerms, rows on the direct path) of a batch of the open order."""
@@ -449,13 +605,13 @@ class LogdetLattice:
             loo = np.full(joint.shape + (k,), np.nan)
         else:
             rank, loo_rank = _ranks(idx, self.binom)
-            joint = self._joint(batch, rank)
-            loo = prev[loo_rank].transpose(0, 2, 1)  # (B, D, k)
-        rows = np.flatnonzero(np.isnan(joint).any(axis=1) | np.isnan(loo).any(axis=(1, 2)))
-        if rows.size:
-            sub = NpletBatch(batch.n_variables, indices=idx[rows], check_unique=False)
-            try:
-                joint[rows], loo[rows] = _direct_logdets(self.covs, sub)
-            except NotPositiveDefinite as err:
-                raise _not_positive_definite([(int(rows[g]), d) for g, d in err.coords]) from None
+            loo = prev[loo_rank]  # (B, k, D); member k - 1 left out is the prefix
+            if self.borders(k):
+                joint = self._bordered(idx, loo_rank[:, -1], loo[:, -1])
+            else:
+                joint = self._joint(idx)
+            if k in self.tables:
+                self.tables[k][rank] = joint
+            loo = loo.transpose(0, 2, 1)
+        rows = _direct_rows(self.covs, idx, joint, loo)
         return _excess_terms(joint, loo, idx, self.x_singles, self.bias), rows.size

@@ -315,17 +315,21 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
     """Visit every n-plet with order in [min_order, max_order] once.
 
     Orders run one after another on a log-determinant lattice
-    (nplet_engine.LogdetLattice): order k's batched Cholesky gives every
-    joint log-determinant and fills a table indexed by colex rank, and
-    each leave-one-out term is read from order k - 1's table, so no
-    matrix is inverted. Table min_order - 1 is built first. The thread
-    pool waits at every order boundary until the previous table is
-    complete.
+    (nplet_engine.LogdetLattice): order k's joint log-determinants fill a
+    table indexed by colex rank, and each leave-one-out term is read from
+    order k - 1's table, so no matrix is inverted. The joint terms come
+    from a batched Cholesky, or, for an order k >= 3 whose prefixes have
+    at least 8 children on average ((N - k + 1) / k, so never at
+    N <= 25), by bordering each row onto its prefix: one factor per
+    distinct prefix and log of a Schur complement per row. Table
+    min_order - 1 is built first. The thread pool waits at every order
+    boundary until the previous table is complete.
 
     A row runs on the direct path inside LogdetLattice.terms (Cholesky
     plus inverse, with its jitter retry) when any log-determinant it needs
-    is NaN in the lattice: only the (n-plet, dataset) matrices whose
-    Cholesky fails are NaN, whatever batch they came in, so values do not
+    is NaN in the lattice: only the (n-plet, dataset) entries whose
+    Cholesky fails, or whose Schur complement or prefix is not positive
+    definite, are NaN, whatever batch they came in, so values do not
     depend on batch_size; and an order whose two tables would exceed
     nplet_engine.LATTICE_TABLE_BYTES (64 MiB; C(N, k) * D floats per
     table, about 1.4 MB per table at N=20 and D=1) has no previous table.

@@ -263,6 +263,19 @@ def test_usage_and_validation_failures_exit_one(tmp_path, data_csv, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_cells_beyond_the_csv_field_limit_exit_one(tmp_path, data_csv, capsys):
+    # csv refuses fields over 131072 characters; that is InvalidData, not a traceback
+    header, *rows = data_csv.read_text().splitlines(keepends=True)
+    long_header = tmp_path / "long_header.csv"
+    long_header.write_text("v" * 200_000 + header[header.index(","):] + "".join(rows))
+    long_cell = tmp_path / "long_cell.csv"
+    long_cell.write_text("".join([header, "x" * 200_000 + rows[0][rows[0].index(","):]] + rows[1:]))
+    for path in (long_header, long_cell):
+        assert main(["features", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: field larger than field limit"), err
+
+
 def test_compute_phase_failures_exit_two(tmp_path, data_csv, capsys):
     dest = tmp_path / "no_such_dir" / "out.csv"
     assert main(["scan", "--input", str(data_csv), "--orders", "3:3",

@@ -21,7 +21,15 @@ from hoi import (
     pad_subcov_batch,
 )
 from hoi.copula_core import _factor_with_jitter
-from hoi.nplet_engine import _binomial_table, _colex_unrank, _logdet_loo, _ranks
+from hoi.nplet_engine import (
+    _binomial_table,
+    _border,
+    _colex_unrank,
+    _inverse_factors,
+    _logdet_loo,
+    _ranks,
+    _unborder,
+)
 
 
 def jittered_logdets(mats):
@@ -330,3 +338,37 @@ def test_mixed_batch_failure_reports_caller_row():
     # row 2 is the second row of the order-3 group; coordinates name the
     # caller's row, not the position inside the group
     assert err.value.coords == [(2, 1)]
+
+
+def test_bordering_adds_and_removes_one_variable_exactly():
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((20, 7))
+    sigma = np.zeros((8, 8))
+    sigma[:7, :7] = a.T @ a / 20 + 0.3 * np.eye(7)
+    members = [0, 2, 3, 5]
+    sub = sigma[np.ix_(members, members)]
+    # variable 7 is the members' sum, with its variance a hair low
+    sigma[7, members] = sigma[members, 7] = sub.sum(axis=1)
+    sigma[7, 7] = sub.sum() - 1e-12
+    logdet, inv = _inverse_factors(sub[None, None])  # (B, D) = (1, 1)
+    np.testing.assert_allclose(logdet[0, 0], np.linalg.slogdet(sub)[1], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(inv[0, 0], np.linalg.inv(sub), rtol=1e-12, atol=1e-13)
+    for v in (1, 4, 6):
+        grown = np.ix_(members + [v], members + [v])
+        joint, diag, _, s = _border(sigma[None], np.array([members]), np.array([v]), inv, logdet)
+        want_inv = np.linalg.inv(sigma[grown])
+        np.testing.assert_allclose(joint[0, 0], np.linalg.slogdet(sigma[grown])[1], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(diag[0, 0], np.diagonal(want_inv)[:-1], rtol=1e-12)
+        np.testing.assert_allclose(1.0 / s[0, 0], want_inv[-1, -1], rtol=1e-12)
+    # a negative Schur complement is NaN, so the row goes to the direct path
+    joint, _, _, s = _border(sigma[None], np.array([members]), np.array([7]), inv, logdet)
+    assert np.isnan(joint).all() and np.isnan(s).all()
+    for j in range(len(members)):
+        rest = members[:j] + members[j + 1:]
+        ld, down, _ = _unborder(inv, logdet, np.array([j]))
+        np.testing.assert_allclose(ld[0, 0], np.linalg.slogdet(sigma[np.ix_(rest, rest)])[1],
+                                   rtol=0, atol=1e-13)
+        keep = [i for i in range(len(members)) if i != j]
+        np.testing.assert_allclose(down[0, 0][np.ix_(keep, keep)],
+                                   np.linalg.inv(sigma[np.ix_(rest, rest)]), rtol=1e-12, atol=1e-13)
+        assert (down[0, 0][j] == 0.0).all() and (down[0, 0][:, j] == 0.0).all()

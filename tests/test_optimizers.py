@@ -13,13 +13,19 @@ from hoi import (
     HoiBatch,
     InvalidData,
     InvalidOrderRange,
+    NotPositiveDefinite,
+    NpletBatch,
     ObjectiveSpec,
     anneal,
     block_concat,
+    compute_hoi_batch,
+    copula_transform,
+    estimate_covariance,
     evaluate_objective,
     greedy,
     r_system_cov,
     s_system_cov,
+    sample_gaussian,
 )
 
 HALF_LOG_TWO = 0.5 * math.log(2.0)
@@ -260,3 +266,98 @@ def test_anneal_schedule_validation():
         anneal(covs, ObjectiveSpec(), AnnealSchedule(min_order=6, max_order=3))
     with pytest.raises(InvalidData):
         anneal(covs, ObjectiveSpec(), AnnealSchedule(), kappa=0)
+
+
+def sampled_covset(n_blocks, d, seed, couplings=(0.9,)):
+    """d sampled copula covariances of planted R(3) and S(3) blocks plus
+    noise, dataset i with block coupling couplings[i % len(couplings)]."""
+    covs = []
+    for i in range(d):
+        c = couplings[i % len(couplings)]
+        cov = block_concat([r_system_cov(3, c), s_system_cov(3, 1.2 * c)] * n_blocks
+                           + [CovarianceMatrix(np.eye(4))])
+        covs.append(estimate_covariance(copula_transform(sample_gaussian(cov, 400, seed=seed + i))))
+    return CovSet(covs)
+
+
+def beam_search(covs, spec, start, target, kappa, bias_correct):
+    """Greedy growth scored by compute_hoi_batch on every extension."""
+    n = covs.n_variables
+    rows = np.array(list(ref.all_subsets(n, start, start)))
+    found = []
+    for order in range(start, target + 1):
+        if order > start:
+            ext = {tuple(sorted(idx + (v,))) for idx in beam for v in range(n) if v not in idx}
+            rows = np.array(sorted(ext))
+        e = evaluate_objective(compute_hoi_batch(covs, NpletBatch(n, indices=rows),
+                                                 bias_correct=bias_correct), spec)
+        order_idx = sorted(range(len(rows)), key=lambda i: (-e[i], tuple(rows[i])))[:kappa]
+        beam = [tuple(int(v) for v in rows[i]) for i in order_idx]
+        found.append((beam[0], e[order_idx[0]]))
+    return found
+
+
+@pytest.mark.parametrize("direction", ["max", "min"])
+def test_bordered_greedy_matches_a_beam_search_on_the_direct_path(direction):
+    # N = 30: the start order's seed scan is bordered as well as every step
+    covs = sampled_covset(3, 2, seed=3)
+    assert covs.n_variables == 28
+    spec = ObjectiveSpec(measure="o", direction=direction)
+    res = greedy(covs, spec, 3, 7, kappa=6, bias_correct=True)
+    want = beam_search(covs, spec, 3, 7, 6, True)
+    assert [e.indices for e in res.per_order] == [idx for idx, _ in want]
+    np.testing.assert_allclose([e.energy for e in res.per_order], [e for _, e in want],
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["within-order", "across-orders"])
+@pytest.mark.parametrize("aggregator", ["mean", "effect"])
+def test_anneal_energies_do_not_drift_from_the_direct_path(mode, aggregator):
+    covs = sampled_covset(1, 4, seed=11, couplings=(0.9, 0.5, 1.4, 0.3))
+    n = covs.n_variables
+    spec = ObjectiveSpec(measure="o", direction="max", aggregator=aggregator,
+                         cond_a=(0, 1), cond_b=(2, 3))
+    sched = AnnealSchedule(mode=mode, max_iters=500, min_order=3, max_order=9)
+    st = anneal(covs, spec, sched, kappa=12, seed=5, bias_correct=True)
+    assert st.iterations == 500
+    direct = compute_hoi_batch(covs, NpletBatch(n, masks=st.masks, check_unique=False),
+                               bias_correct=True)
+    want = evaluate_objective(direct, spec)
+    if aggregator == "mean":
+        np.testing.assert_allclose(st.energies, want, rtol=0, atol=1e-10)
+    else:
+        # d = mean / sd of the two paired differences moves by up to
+        # eps * (1 + 2 |d|) / sd when the measures move by eps, and annealing
+        # drives sd to ~1e-5: bound the measures' drift by eps = 1e-13
+        diff = direct.o[:, [0, 1]] - direct.o[:, [2, 3]]
+        bound = 1e-13 * (1.0 + 2.0 * np.abs(want)) / diff.std(axis=1, ddof=1)
+        assert (np.abs(st.energies - want) <= bound).all()
+
+
+def test_anneal_on_singular_input_takes_the_direct_path():
+    # x_11 = x_0 + x_4 exactly: every set holding 0, 4 and 11 is singular,
+    # and its proposals are scored with compute_hoi_batch's jittered values
+    covs = sampled_covset(1, 1, seed=2)
+    sigma = covs.covs[0].sigma.copy()
+    t = np.eye(12)
+    t[11] = 0.0
+    t[11, [0, 4]] = 1.0
+    covs = CovSet([CovarianceMatrix(t @ sigma @ t.T)])
+    spec = ObjectiveSpec(measure="tc", direction="max")
+    st = anneal(covs, spec, AnnealSchedule(max_iters=300, min_order=3, max_order=8),
+                kappa=8, seed=0)
+    assert np.isfinite(st.energies).all()
+    direct = compute_hoi_batch(covs, NpletBatch(12, masks=st.masks, check_unique=False))
+    np.testing.assert_allclose(st.energies, evaluate_objective(direct, spec), rtol=1e-9)
+    assert any({0, 4, 11} <= set(np.flatnonzero(m)) for m in st.masks)
+
+
+def test_anneal_on_indefinite_input_raises_chain_coordinates():
+    sigma = np.eye(6)
+    sigma[1, 2] = sigma[2, 1] = 2.0  # beyond correlation 1
+    covs = CovSet([CovarianceMatrix(sigma)])
+    sched = AnnealSchedule(max_iters=50, min_order=2, max_order=6)
+    with pytest.raises(NotPositiveDefinite) as err:
+        anneal(covs, ObjectiveSpec(), sched, kappa=4, seed=0)
+    chains = {c for c, _ in err.value.coords}
+    assert chains and all(0 <= c < 4 for c in chains)

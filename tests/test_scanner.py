@@ -34,6 +34,7 @@ from hoi import (
     scan,
 )
 from hoi import nplet_engine, scanner
+from hoi.measures import hoi_from_terms
 from hoi.copula_core import _cholesky_logdet
 from hoi.scanner import MEASURES, best_rows
 
@@ -347,10 +348,12 @@ def test_near_singular_scan_matches_the_direct_path(
                 got.excess_leave_one_out[on_direct], want.excess_leave_one_out)
         for i in sorted(set(range(len(rows))) - set(on_direct)):
             row = rows[i]
-            np.testing.assert_array_equal(got.excess_joint[i], half_logdets([row])[0])
+            # table 1 is log sigma_ii whatever min_order is, as are order-1 joints
+            joint = half_log_var[row[0]] if k == 1 else half_logdets([row])[0]
+            np.testing.assert_array_equal(got.excess_joint[i], joint)
             if k == 1:
                 loo = 0.0
-            elif k == min_order == 2:  # table 1 built from the diagonal, not by order 1
+            elif k == 2:
                 loo = half_log_var[row[::-1]].T
             else:
                 loo = half_logdets([row[:j] + row[j + 1:] for j in range(k)]).T
@@ -399,6 +402,76 @@ def measure_rows(covs, lo, hi, **kw):
     parts = scan(covs, lo, hi, Callback(
         lambda batch, hoi: np.stack([getattr(hoi, m) for m in MEASURES])), **kw)
     return np.concatenate(parts, axis=1)
+
+
+def bordered_order(n, k):
+    """The smallest N >= n at which the lattice borders order k."""
+    return max(n, (nplet_engine.BORDER_MIN_CHILDREN + 1) * k - 1)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(26, 40), k=st.integers(3, 4),
+       d=st.integers(1, 2), bias_correct=st.booleans())
+def test_bordered_orders_match_the_direct_path_and_ignore_batching(seed, n, k, d, bias_correct):
+    n, t = bordered_order(n, k), 3 * n
+    rng = np.random.default_rng(seed)
+    sigmas = []
+    for _ in range(d):
+        a = rng.standard_normal((2 * n, n))
+        sigmas.append(a.T @ a / (2 * n) + 0.3 * np.eye(n))
+    covs = CovSet([CovarianceMatrix(sig, n_samples_used=t) for sig in sigmas])
+    lattice = nplet_engine.LogdetLattice(covs, k, k, bias_correct)
+    assert lattice.borders(k)
+
+    ticks = []
+    base = measure_rows(covs, k, k, bias_correct=bias_correct, progress=ticks.append)
+    assert ticks[-1]["fallback_rows"] == 0
+    rows = np.concatenate([batch.indices for batch in enumerate_order(n, k, 10000)])
+    direct = compute_hoi_batch(covs, NpletBatch(n, indices=rows), bias_correct=bias_correct)
+    want = np.stack([getattr(direct, m) for m in MEASURES])
+    np.testing.assert_allclose(base, want, rtol=0, atol=1e-12)
+
+    for batch_size, workers in ((10000, 2), (64, 1), (64, 2)):
+        got = measure_rows(covs, k, k, bias_correct=bias_correct,
+                           batch_size=batch_size, workers=workers)
+        np.testing.assert_array_equal(got, base)
+    # batch sizes 1 and 7 on three windows: the first rows (one prefix with
+    # many children), the middle and the last rows (prefixes with few)
+    lattice.open(k, 10000)
+    total = len(rows)
+    for lo in (0, total // 2, total - 150):
+        for batch_size in (1, 7):
+            for at in range(lo, lo + 150, batch_size):
+                hoi = hoi_from_terms(lattice.terms(NpletBatch(n, indices=rows[at:at + batch_size]))[0])
+                got = np.stack([getattr(hoi, m) for m in MEASURES])
+                np.testing.assert_array_equal(got, base[:, at:at + batch_size])
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(26, 40), k=st.integers(3, 4),
+       kinds=st.lists(st.sampled_from(["combination", "eigenvalue", "correlation"]),
+                      min_size=1, max_size=2),
+       workers=st.sampled_from([1, 2]))
+def test_bordered_near_singular_orders_raise_the_direct_paths_coordinates(
+        seed, n, k, kinds, workers):
+    n = bordered_order(n, k)
+    covs = degenerate_covset(seed, n, kinds)
+    seen, raised = [], None
+    try:
+        scan(covs, k, k, Callback(lambda batch, hoi: seen.append(hoi)),
+             batch_size=64, workers=workers)
+    except NotPositiveDefinite as err:
+        raised = err.coords
+    wanted = None
+    for batch in enumerate_order(n, k, 64):
+        try:
+            compute_hoi_batch(covs, batch)
+        except NotPositiveDefinite as err:
+            wanted = err.coords
+            break
+    assert raised == wanted
+    for hoi in seen:
+        assert all(np.isfinite(getattr(hoi, m)).all() for m in MEASURES)
 
 
 @pytest.mark.parametrize("seed", range(10))
