@@ -277,6 +277,11 @@ def degenerate_covset(seed, n, kinds):
             vals, vecs = np.linalg.eigh(sigma)
             vals[0] = 1e-13
             sigma = (vecs * vals) @ vecs.T
+        elif kind == "triple":  # every pair a valid correlation, the triple indefinite
+            i, j, l = rng.choice(n, 3, replace=False)
+            sd = np.sqrt(np.diagonal(sigma))
+            for a, b, r in ((i, j, 0.9), (j, l, 0.9), (i, l, -0.9)):
+                sigma[a, b] = sigma[b, a] = r * sd[a] * sd[b]
         else:  # "correlation": one pair beyond correlation 1
             i, j = rng.choice(n, 2, replace=False)
             sigma[i, j] = sigma[j, i] = rng.uniform(1.001, 2.0) * np.sqrt(sigma[i, i] * sigma[j, j])
@@ -449,7 +454,7 @@ def test_bordered_orders_match_the_direct_path_and_ignore_batching(seed, n, k, d
 
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(26, 40), k=st.integers(3, 4),
-       kinds=st.lists(st.sampled_from(["combination", "eigenvalue", "correlation"]),
+       kinds=st.lists(st.sampled_from(["combination", "eigenvalue", "correlation", "triple"]),
                       min_size=1, max_size=2),
        workers=st.sampled_from([1, 2]))
 def test_bordered_near_singular_orders_raise_the_direct_paths_coordinates(
@@ -498,16 +503,24 @@ def test_orders_over_the_table_cap_run_on_the_direct_path(monkeypatch):
 
 
 def test_threaded_table_writes_are_never_lost():
-    # more workers than cores, tiny batches and a short switch interval: a
+    assert_table_writes_survive_threads(10, 2, 10, batch_size=3)
+
+
+def test_threaded_bordered_table_writes_are_never_lost():
+    assert_table_writes_survive_threads(35, 3, 4, batch_size=64)  # both orders bordered
+
+
+def assert_table_writes_survive_threads(n, lo, hi, batch_size):
+    # more workers than cores, small batches and a short switch interval: a
     # lost table write leaves a NaN entry that the next order reads, which
     # shows as a fallback row
-    covs = toy_covset(12, n=10, d=2)
-    base = measure_rows(covs, 2, 10, batch_size=3)
+    covs = toy_covset(12, n=n, d=2)
+    base = measure_rows(covs, lo, hi, batch_size=batch_size)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         ticks = []
-        got = measure_rows(covs, 2, 10, batch_size=3, workers=8, progress=ticks.append)
+        got = measure_rows(covs, lo, hi, batch_size=batch_size, workers=8, progress=ticks.append)
     finally:
         sys.setswitchinterval(interval)
     assert ticks[-1]["fallback_rows"] == 0
