@@ -193,42 +193,42 @@ def estimate_covariance(data) -> CovarianceMatrix:
     return CovarianceMatrix(0.5 * (s + s.T), n_samples_used=t)
 
 
-def _factor_with_jitter(mats: np.ndarray, factor) -> tuple:
-    """factor(mats) for a (..., K, K) stack, with one jitter retry per failure.
-
-    factor maps a stack of matrices to a tuple of per-matrix arrays and
-    raises LinAlgError when any of them is not positive definite. If the
-    batched call fails, every matrix is factored on its own and a failing
-    one is retried once as m + eps * I with eps = 1e-10 * trace(m) / K, so
-    every healthy result stays bit-identical to the batched call. Matrices
-    that still fail raise NotPositiveDefinite with their coordinates in
-    the leading axes.
-    """
+def _cholesky_or_nan(mats: np.ndarray) -> np.ndarray:
+    """Cholesky factors of a (..., K, K) stack. If the batched call fails,
+    the matrices are factored one by one and only the failing ones are NaN,
+    so no factor depends on the batch it came in."""
     try:
-        return factor(mats)
+        return np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
         pass
-    lead = mats.shape[:-2]
-    k = mats.shape[-1]
-    outs = None
-    bad = []
-    for coord in np.ndindex(lead):
-        m = mats[coord]
+    chol = np.full(mats.shape, np.nan)
+    for coord in np.ndindex(mats.shape[:-2]):
         try:
-            res = factor(m)
+            chol[coord] = np.linalg.cholesky(mats[coord])
         except np.linalg.LinAlgError:
-            try:
-                res = factor(m + 1e-10 * np.trace(m) / k * np.eye(k))
-            except np.linalg.LinAlgError:
-                bad.append(coord)
-                continue
-        if outs is None:
-            outs = tuple(np.empty(lead + np.shape(r)) for r in res)
-        for out, r in zip(outs, res):
-            out[coord] = r
-    if bad:
-        raise _not_positive_definite(bad)
-    return outs
+            pass
+    return chol
+
+
+def _jittered_cholesky(mats: np.ndarray) -> np.ndarray:
+    """Cholesky factors of a (..., K, K) stack, the one place that adds jitter.
+
+    A matrix that _cholesky_or_nan leaves NaN is retried once as
+    m + eps * I with eps = 1e-10 * trace(m) / K; every other factor is
+    bit-identical to the batched call. Matrices that still fail raise
+    NotPositiveDefinite with their coordinates in the leading axes.
+    """
+    chol = _cholesky_or_nan(mats)
+    failed = np.isnan(chol[..., 0, 0])
+    if failed.any():
+        m = mats[failed]
+        k = mats.shape[-1]
+        eps = 1e-10 * np.trace(m, axis1=-2, axis2=-1) / k
+        chol[failed] = _cholesky_or_nan(m + eps[:, None, None] * np.eye(k))
+        bad = np.argwhere(np.isnan(chol[..., 0, 0]))
+        if len(bad):
+            raise _not_positive_definite([tuple(int(i) for i in c) for c in bad])
+    return chol
 
 
 def _not_positive_definite(coords: list) -> NotPositiveDefinite:
@@ -241,17 +241,6 @@ def _not_positive_definite(coords: list) -> NotPositiveDefinite:
     )
 
 
-def _chol_with_jitter(sigma: np.ndarray) -> np.ndarray:
-    """Cholesky factor of one matrix under _factor_with_jitter's rule."""
-    return _factor_with_jitter(sigma, lambda m: (np.linalg.cholesky(m),))[0]
-
-
-def _cholesky_logdet(mats: np.ndarray) -> np.ndarray:
-    """Log-determinants of a (..., K, K) stack from Cholesky factors;
-    LinAlgError if any matrix is not positive definite."""
-    return _factor_logdet(np.linalg.cholesky(mats))
-
-
 def _factor_logdet(chol: np.ndarray) -> np.ndarray:
     """2 * sum(log diag L) of a (..., K, K) stack of Cholesky factors L."""
     return 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
@@ -260,11 +249,11 @@ def _factor_logdet(chol: np.ndarray) -> np.ndarray:
 def gaussian_entropy_nats(cov) -> EntropyValue:
     """Entropy of N(0, sigma): 0.5 * [n * log(2 pi e) + logdet(sigma)].
 
-    The log-determinant comes from a Cholesky factorization under
-    _factor_with_jitter's rule, never from a raw determinant.
+    The log-determinant is 2 * sum(log diag L) of the Cholesky factor L
+    from _jittered_cholesky, never a raw determinant.
     """
     c = _as_cov(cov)
-    logdet = _factor_with_jitter(c.sigma, lambda m: (_cholesky_logdet(m),))[0]
+    logdet = _factor_logdet(_jittered_cholesky(c.sigma))
     nats = 0.5 * (c.n_variables * _LOG_2PI_E + logdet)
     return EntropyValue(nats=float(nats), bias_corrected=False)
 

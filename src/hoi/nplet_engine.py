@@ -14,6 +14,11 @@ greedy growth and annealing moves. Rows those cannot serve fall back to
 the fixed-order path through _direct_logdets. enumerate_order and the
 lattice number n-plets in one combinatorial number system, with int64
 ranks.
+
+Cholesky is the only factorisation: inverses and leave-one-out terms
+come from R = L^-1 by forward substitution (_lower_inverse), and the
+direct path's factors from copula_core._jittered_cholesky, the one jitter
+retry.
 """
 
 import math
@@ -24,9 +29,9 @@ import numpy as np
 from .copula_core import (
     CovSet,
     _bias_table,
-    _cholesky_logdet,
+    _cholesky_or_nan,
     _factor_logdet,
-    _factor_with_jitter,
+    _jittered_cholesky,
     _not_positive_definite,
 )
 from .errors import (
@@ -278,21 +283,27 @@ def pad_subcov_batch(covs: CovSet, batch: NpletBatch) -> SubCovBatch:
     return SubCovBatch(matrices=np.where(keep, sig[None], np.eye(covs.n_variables)))
 
 
-def _logdet_loo(mats: np.ndarray):
-    """Joint and leave-one-out log-determinants of a (..., K, K) stack, via
-    logdet(sigma without j) = logdet(sigma) + log((sigma^-1)_jj). An inverse
-    diagonal entry <= 0 (a singular matrix whose Cholesky passed on rounding
-    noise) fails like a failed Cholesky, so the jitter rule applies to it."""
-    logdet = _cholesky_logdet(mats)
-    invdiag = np.diagonal(np.linalg.inv(mats), axis1=-2, axis2=-1)
-    if not (invdiag > 0.0).all():
-        raise np.linalg.LinAlgError("inverse diagonal entry <= 0")
-    return logdet, logdet[..., None] + np.log(invdiag)
+def _lower_inverse(chol: np.ndarray) -> np.ndarray:
+    """R = L^-1 of a (..., K, K) stack of lower Cholesky factors, by forward
+    substitution; NaN factors give NaN."""
+    r = np.zeros_like(chol)
+    for i in range(chol.shape[-1]):
+        r[..., i, :i] = -np.einsum("...j,...jl->...l", chol[..., i, :i],
+                                   r[..., :i, :i]) / chol[..., i, i, None]
+        r[..., i, i] = 1.0 / chol[..., i, i]
+    return r
 
 
 def _direct_logdets(covs: CovSet, batch: NpletBatch):
-    """Raw (B, D) joint and (B, D, K) leave-one-out log-determinants, jittered."""
-    return _factor_with_jitter(extract_subcov_batch(covs, batch).matrices, _logdet_loo)
+    """Raw (B, D) joint and (B, D, K) leave-one-out log-determinants of a
+    fixed-order batch from _jittered_cholesky's factors L:
+    logdet(sigma without j) = logdet(sigma) + log((sigma^-1)_jj), where
+    (sigma^-1)_jj = sum_i R_ij^2 with R = L^-1 is positive by construction.
+    Only that diagonal of R^T R is formed."""
+    chol = _jittered_cholesky(extract_subcov_batch(covs, batch).matrices)
+    joint = _factor_logdet(chol)
+    r = _lower_inverse(chol)
+    return joint, joint[..., None] + np.log(np.einsum("...ij,...ij->...j", r, r))
 
 
 def _direct_rows(covs: CovSet, idx: np.ndarray, joint: np.ndarray, loo: np.ndarray) -> np.ndarray:
@@ -312,33 +323,12 @@ def _direct_rows(covs: CovSet, idx: np.ndarray, joint: np.ndarray, loo: np.ndarr
     return rows
 
 
-def _cholesky_or_nan(mats: np.ndarray) -> np.ndarray:
-    """Cholesky factors of a (..., K, K) stack. If the batched call fails,
-    the matrices are factored one by one and only the failing ones are NaN,
-    so no factor depends on the batch it came in."""
-    try:
-        return np.linalg.cholesky(mats)
-    except np.linalg.LinAlgError:
-        pass
-    chol = np.full(mats.shape, np.nan)
-    for coord in np.ndindex(mats.shape[:-2]):
-        try:
-            chol[coord] = np.linalg.cholesky(mats[coord])
-        except np.linalg.LinAlgError:
-            pass
-    return chol
-
-
 def _inverse_factors(mats: np.ndarray):
     """Log-determinants (...) and inverses (..., K, K) of a stack, both NaN
-    where Cholesky fails. The inverse is R^T R with R = L^-1 found by
-    forward substitution, so no matrix is inverted."""
+    where Cholesky fails. The inverse is R^T R with R = L^-1, so no matrix
+    is inverted."""
     chol = _cholesky_or_nan(mats)
-    r = np.zeros_like(chol)
-    for i in range(chol.shape[-1]):
-        r[..., i, :i] = -np.einsum("...j,...jl->...l", chol[..., i, :i],
-                                   r[..., :i, :i]) / chol[..., i, i, None]
-        r[..., i, i] = 1.0 / chol[..., i, i]
+    r = _lower_inverse(chol)
     return _factor_logdet(chol), np.einsum("...ji,...jl->...il", r, r)
 
 
@@ -467,28 +457,22 @@ def entropy_terms(covs: CovSet, batch: NpletBatch, bias_correct: bool = False) -
         return _excess_terms(*_direct_logdets(covs, batch), batch.indices, x_singles, bias)
 
     b, n = batch.masks.shape
-    d_count = covs.n_datasets
-    x_joint = np.empty((b, d_count))
-    x_sing = np.zeros((b, d_count, n))
-    x_loo = np.zeros((b, d_count, n))
-    d_ax = np.arange(d_count)[None, :, None]
+    joint = np.empty((b, covs.n_datasets))
+    loo = np.zeros((b, covs.n_datasets, n))
+    d_ax = np.arange(covs.n_datasets)[None, :, None]
     bad = []
     for k in np.unique(orders):
         rows = np.flatnonzero(orders == k)
         idx = np.nonzero(batch.masks[rows])[1].reshape(-1, k)
         try:
-            raw = _direct_logdets(covs, NpletBatch._trusted(n, idx))
+            joint[rows], loo[rows[:, None, None], d_ax, idx[:, None, :]] = _direct_logdets(
+                covs, NpletBatch._trusted(n, idx))
         except NotPositiveDefinite as err:
             bad += [(int(rows[g]), d) for g, d in err.coords]
-            continue
-        group = _excess_terms(*raw, idx, x_singles, bias)
-        at = (rows[:, None, None], d_ax, idx[:, None, :])
-        x_joint[rows] = group.excess_joint
-        x_sing[at] = group.excess_singles
-        x_loo[at] = group.excess_leave_one_out
     if bad:
         raise _not_positive_definite(sorted(bad))
-    return EntropyTerms(x_joint, x_sing, x_loo, orders=orders)
+    slots = np.broadcast_to(np.arange(n), (b, n))
+    return _excess_terms(joint, loo, slots, x_singles, bias, live=batch.masks)
 
 
 #: Cap, in bytes, on the raw log-determinant tables a LogdetLattice keeps
@@ -612,6 +596,6 @@ class LogdetLattice:
                 joint = self._joint(idx)
             if k in self.tables:
                 self.tables[k][rank] = joint
-            loo = loo.transpose(0, 2, 1)
+            loo = np.ascontiguousarray(loo.transpose(0, 2, 1))  # summed as compute_hoi_batch's
         rows = _direct_rows(self.covs, idx, joint, loo)
         return _excess_terms(joint, loo, idx, self.x_singles, self.bias), rows.size

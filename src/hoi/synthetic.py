@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copula_core import CovarianceMatrix, CovSet, DataMatrix, _as_cov, _chol_with_jitter
+from .copula_core import CovarianceMatrix, CovSet, DataMatrix, _as_cov, _jittered_cholesky
 from .errors import InsufficientSamples, InvalidData, InvalidNplet
 from .measures import compute_hoi_batch
 from .nplet_engine import NpletBatch
@@ -83,7 +83,7 @@ def sample_gaussian(cov, t: int, seed: int) -> DataMatrix:
         raise InsufficientSamples(f"need at least 3 samples, got {t}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((t, c.n_variables))
-    return DataMatrix(z @ _chol_with_jitter(c.sigma).T)
+    return DataMatrix(z @ _jittered_cholesky(c.sigma).T)
 
 
 def ground_truth_hoi(cov, nplet) -> tuple:

@@ -20,21 +20,27 @@ from hoi import (
     extract_subcov_batch,
     pad_subcov_batch,
 )
-from hoi.copula_core import _factor_with_jitter
 from hoi.nplet_engine import (
     _binomial_table,
     _border,
     _colex_unrank,
+    _direct_logdets,
     _inverse_factors,
-    _logdet_loo,
     _ranks,
     _unborder,
 )
 
 
 def jittered_logdets(mats):
-    """Joint and leave-one-out log-determinants on the direct path's jitter rule."""
-    return _factor_with_jitter(mats, _logdet_loo)
+    """The direct path's joint and leave-one-out log-determinants of a
+    (B, D, K, K) stack: matrix (b, d) is diagonal block b of dataset d's
+    covariance, and row b of the batch selects that block."""
+    b, d, k, _ = mats.shape
+    sigma = np.zeros((d, b * k, b * k))
+    for i in range(b):
+        sigma[:, i * k:(i + 1) * k, i * k:(i + 1) * k] = mats[i]
+    covs = CovSet([CovarianceMatrix(s) for s in sigma])
+    return _direct_logdets(covs, NpletBatch(b * k, indices=np.arange(b * k).reshape(b, k)))
 
 
 def random_covset(seed, n, d=1, samples=None):
@@ -234,18 +240,24 @@ def test_indefinite_matrix_raises_with_coordinates():
 
 
 def test_collinear_matrices_never_give_non_finite_terms():
-    # x2 = w0 x0 + w1 x1 exactly: the Cholesky may pass on rounding noise and
-    # leave an inverse diagonal entry <= 0, which must take the jitter retry
-    # like a failed Cholesky instead of giving a NaN leave-one-out term
+    # x2 = w0 x0 + w1 x1 exactly: the Cholesky either fails and takes the
+    # jitter retry or passes on rounding noise with a tiny last pivot. Either
+    # way every leave-one-out term is finite and, since it comes from the
+    # factor's triangular inverse, as accurate as its nonsingular 2 x 2 minor
     base = np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.0]])
     for w0 in np.linspace(0.3, 2.0, 18):
         for w1 in np.linspace(0.3, 2.0, 18):
             t = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [w0, w1, 0.0]])
             sigma = t @ base @ t.T
-            covs = CovSet([CovarianceMatrix(0.5 * (sigma + sigma.T))])
+            sigma = 0.5 * (sigma + sigma.T)
+            covs = CovSet([CovarianceMatrix(sigma)])
             terms = entropy_terms(covs, NpletBatch(3, indices=[[0, 1, 2]]))
             assert np.isfinite(terms.excess_joint).all()
             assert np.isfinite(terms.excess_leave_one_out).all()
+            minors = [np.linalg.slogdet(sigma[np.ix_(rest, rest)])[1]
+                      for rest in ([1, 2], [0, 2], [0, 1])]
+            np.testing.assert_allclose(2.0 * terms.excess_leave_one_out[0, 0], minors,
+                                       rtol=0, atol=1e-6)
 
 
 def test_entropy_terms_match_slogdet_reference():

@@ -336,7 +336,8 @@ def test_anneal_energies_do_not_drift_from_the_direct_path(mode, aggregator):
 
 def test_anneal_on_singular_input_takes_the_direct_path():
     # x_11 = x_0 + x_4 exactly: every set holding 0, 4 and 11 is singular,
-    # and its proposals are scored with compute_hoi_batch's jittered values
+    # and its proposals are scored on compute_hoi_batch's direct path, whose
+    # Cholesky takes the jitter retry where it fails
     covs = sampled_covset(1, 1, seed=2)
     sigma = covs.covs[0].sigma.copy()
     t = np.eye(12)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import reference as ref
 from hoi import (
+    AnnealSchedule,
     Callback,
     CovarianceMatrix,
     CovSet,
@@ -21,21 +22,27 @@ from hoi import (
     NpletBatch,
     ObjectiveSpec,
     TopK,
+    anneal,
     block_concat,
     compute_hoi_batch,
+    copula_entropy,
+    copula_transform,
     count_nplets,
     entropy_terms,
     enumerate_order,
+    estimate_covariance,
     extract_features,
     extract_subcov_batch,
+    gaussian_entropy_nats,
     greedy,
     r_system_cov,
     s_system_cov,
+    sample_gaussian,
     scan,
 )
 from hoi import nplet_engine, scanner
 from hoi.measures import hoi_from_terms
-from hoi.copula_core import _cholesky_logdet
+from hoi.copula_core import _factor_logdet
 from hoi.scanner import MEASURES, best_rows
 
 
@@ -337,7 +344,7 @@ def test_near_singular_scan_matches_the_direct_path(
 
     def half_logdets(rows):
         mats = extract_subcov_batch(covs, NpletBatch(n, indices=rows)).matrices
-        return 0.5 * _cholesky_logdet(mats)
+        return 0.5 * _factor_logdet(np.linalg.cholesky(mats))
 
     half_log_var = 0.5 * np.log(np.diagonal(covs.stacked(), axis1=1, axis2=2)).T  # table 1
 
@@ -529,7 +536,7 @@ def assert_table_writes_survive_threads(n, lo, hi, batch_size):
 
 def test_exhaustive_paths_never_invert(monkeypatch):
     def no_inverse(*args, **kwargs):
-        raise AssertionError("np.linalg.inv called on an exhaustive path")
+        raise AssertionError("np.linalg.inv called")
 
     monkeypatch.setattr(np.linalg, "inv", no_inverse)
     covs = toy_covset(11, n=7, d=2)
@@ -537,6 +544,61 @@ def test_exhaustive_paths_never_invert(monkeypatch):
     assert len(extract_features(covs, batch_size=16)) == 2
     res = greedy(covs, ObjectiveSpec("o", "max"), start_order=3, target_order=3, kappa=4)
     assert res.best.order == 3
+    # every other entry point: the direct path, fixed and mixed, greedy
+    # restarts, anneal's direct moves on singular input, and the copula
+    # helpers
+    assert compute_hoi_batch(covs, NpletBatch(7, indices=[[0, 2, 5], [1, 3, 4]])).o.shape == (2, 2)
+    masks = np.zeros((3, 7), dtype=bool)
+    masks[0, :2] = masks[1, 2:5] = masks[2, :] = True
+    assert compute_hoi_batch(covs, NpletBatch(7, masks=masks)).o.shape == (3, 2)
+    res = greedy(covs, ObjectiveSpec("o", "max"), start_order=3, target_order=5, kappa=4,
+                 restarts=2)
+    assert res.best.order == 5
+    cov = block_concat([r_system_cov(3, 0.9), s_system_cov(3, 1.08), CovarianceMatrix(np.eye(4))])
+    x = sample_gaussian(cov, 400, seed=2)
+    sigma = estimate_covariance(copula_transform(x)).sigma
+    t = np.eye(12)
+    t[11] = 0.0
+    t[11, [0, 4]] = 1.0  # x_11 = x_0 + x_4, as in the singular anneal test
+    chains = anneal(CovSet([CovarianceMatrix(t @ sigma @ t.T)]), ObjectiveSpec("tc", "max"),
+                    AnnealSchedule(max_iters=300, min_order=3, max_order=8), kappa=8, seed=0)
+    assert any({0, 4, 11} <= set(np.flatnonzero(m)) for m in chains.masks)
+    assert np.isfinite(gaussian_entropy_nats(sigma).nats)
+    assert np.isfinite(copula_entropy(x).nats)
+
+
+def test_lattice_fallback_rows_equal_compute_hoi_batch_bitwise():
+    # x8 = x0 + x3 in both datasets, so n-plets holding 0, 3 and 8 can fail
+    # their Cholesky and take the direct path. Their measures must be
+    # compute_hoi_batch's bit for bit: at D = 2 and order >= 8 that needs
+    # the leave-one-out terms summed in compute_hoi_batch's memory order
+    t = np.eye(9)
+    t[8] = 0.0
+    t[8, [0, 3]] = 1.0
+    direct_rows = nplet_engine._direct_rows
+    wide = 0
+    for seed in range(30):
+        sigmas = [t @ c.sigma @ t.T for c in toy_covset(seed, n=9, d=2).covs]
+        covs = CovSet([CovarianceMatrix(0.5 * (s + s.T)) for s in sigmas])
+        direct, seen = set(), []
+
+        def recorded(c, idx, joint, loo):
+            rows = direct_rows(c, idx, joint, loo)
+            direct.update(map(tuple, idx[rows].tolist()))
+            return rows
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nplet_engine, "_direct_rows", recorded)
+            scan(covs, 1, 9, Callback(lambda batch, hoi: seen.append((batch, hoi))))
+        for batch, hoi in seen:
+            on = [i for i, row in enumerate(batch.indices.tolist()) if tuple(row) in direct]
+            if not on:
+                continue
+            wide += batch.order >= 8
+            want = compute_hoi_batch(covs, NpletBatch(9, indices=batch.indices[on]))
+            for m in MEASURES:
+                np.testing.assert_array_equal(getattr(hoi, m)[on], getattr(want, m))
+    assert wide  # some direct rows are wide enough to show the summation order
 
 
 @settings(max_examples=10, deadline=None)
