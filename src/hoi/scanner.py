@@ -211,7 +211,9 @@ class FeatureAccumulator(Reducer):
 
     Expects a scan over orders 2..N: order-2 rows feed the mutual
     information summaries, orders >= 3 feed the interaction summaries,
-    and the single order-N row supplies the whole-system values.
+    and the single order-N row supplies the whole-system values. The
+    C(N, 2) pairwise MI rows are kept, so their spread is a two-pass
+    population std, free of the cancellation in E[x^2] - E[x]^2.
     """
 
     def __init__(self, n_variables: int):
@@ -227,9 +229,7 @@ class FeatureAccumulator(Reducer):
         self._o_max_order = np.zeros(d_count, dtype=np.int64)
         self._o_min_order = np.zeros(d_count, dtype=np.int64)
         self._syn = np.zeros(d_count, dtype=np.int64)
-        self._mi_sum = np.zeros(d_count)
-        self._mi_sumsq = np.zeros(d_count)
-        self._mi_count = 0
+        self._mi = []
         self._whole = np.full((d_count, 4), np.nan)
 
     def update(self, batch, hoi):
@@ -239,10 +239,7 @@ class FeatureAccumulator(Reducer):
         orders = hoi.order
         pair_rows = orders == 2
         if pair_rows.any():
-            mi = hoi.tc[pair_rows]  # order-2 TC is the pairwise MI
-            self._mi_sum += mi.sum(axis=0)
-            self._mi_sumsq += (mi * mi).sum(axis=0)
-            self._mi_count += int(pair_rows.sum())
+            self._mi.append(hoi.tc[pair_rows])  # order-2 TC is the pairwise MI
         hoi_rows = orders >= 3
         if hoi_rows.any():
             v = vals[hoi_rows]
@@ -267,23 +264,23 @@ class FeatureAccumulator(Reducer):
                 self._whole = v[whole_rows[0]]
 
     def finalize(self):
-        if self._d is None or self._count == 0 or self._mi_count == 0:
+        if self._d is None or self._count == 0 or not self._mi:
             raise InvalidData("feature accumulation needs orders 2..N")
         if np.isnan(self._whole).any():
             raise InvalidData("feature accumulation never saw the order-N row")
+        mi = np.concatenate(self._mi)  # (C(N, 2), D)
+        mi_mean, mi_std = np.mean(mi, axis=0), np.std(mi, axis=0)
         out = []
         for d in range(self._d):
             means = self._sums[d] / self._count
-            mi_mean = self._mi_sum[d] / self._mi_count
-            mi_var = max(self._mi_sumsq[d] / self._mi_count - mi_mean * mi_mean, 0.0)
             kw = {}
             for m_i, m in enumerate(MEASURES):
                 kw[f"{m}_max"] = float(self._maxs[d, m_i])
                 kw[f"{m}_min"] = float(self._mins[d, m_i])
                 kw[f"{m}_mean"] = float(means[m_i])
                 kw[f"{m}_whole"] = float(self._whole[d, m_i])
-            kw["mi_mean"] = float(mi_mean)
-            kw["mi_std"] = float(np.sqrt(mi_var))
+            kw["mi_mean"] = float(mi_mean[d])
+            kw["mi_std"] = float(mi_std[d])
             kw["o_max_order_norm"] = float(self._o_max_order[d] / self.n)
             kw["o_min_order_norm"] = float(self._o_min_order[d] / self.n)
             kw["prop_synergistic"] = float(self._syn[d] / self._count)

@@ -5,9 +5,12 @@ production code: entropies go through numpy slogdet (LU) instead of
 Cholesky, leave-one-out terms rebuild explicit submatrices instead of
 using the inverse-diagonal identity, the O-information is tc - dtc
 instead of the expanded entropy form, subset counts use the Pascal
-recurrence instead of math.comb, and ranks come from a double argsort
-instead of one argsort and an inverse-permutation scatter. Agreement
-between the two routes is the point; keep them independent.
+recurrence instead of math.comb, ranks come from a double argsort
+instead of one argsort and an inverse-permutation scatter, and normal
+quantiles and digamma come from scipy.special (ndtri, digamma) instead of
+the standard library's AS241 (statistics.NormalDist.inv_cdf) and the
+recurrence-plus-series of copula_core._digamma. Agreement between the
+two routes is the point; keep them independent.
 """
 
 import itertools

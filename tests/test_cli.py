@@ -407,11 +407,35 @@ def test_csv_doubles_read_back_bit_for_bit(cells, fmt):
     assert values.tobytes() == want.tobytes()
 
 
+def _package_env():
+    return dict(os.environ, PYTHONPATH=str(Path(hoi.__file__).resolve().parents[1]))
+
+
 def test_cli_import_leaves_scipy_stats_out():
-    # scipy.stats costs about a second of set-up per process and the
-    # package no longer needs it
-    env = dict(os.environ, PYTHONPATH=str(Path(hoi.__file__).resolve().parents[1]))
-    code = "import sys, hoi.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    # the package needs numpy and the standard library only; scipy.special
+    # alone cost most of a process's set-up
+    code = ("import sys, hoi.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=_package_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_runs_with_scipy_blocked(tmp_path, data_csv):
+    # a None entry in sys.modules makes every scipy import raise, lazy ones too
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from hoi.cli import main; sys.exit(main(sys.argv[1:]))")
+    runs = {
+        "features": ["--bias-correct"],
+        "greedy": ["--measure", "o", "--direction", "max", "--start-order", "3",
+                   "--target-order", "5", "--kappa", "4"],
+        "anneal": ["--measure", "o", "--direction", "min", "--kappa", "4",
+                   "--iters", "40", "--seed", "9"],
+    }
+    for cmd, args in runs.items():
+        out = tmp_path / f"{cmd}.csv"
+        proc = subprocess.run([sys.executable, "-c", code, cmd, "--input", str(data_csv),
+                               *args, "--out", str(out)],
+                              env=_package_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, (cmd, proc.stderr)
+        assert len(read_rows(out)) > 1

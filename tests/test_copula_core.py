@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import digamma
 
 import reference as ref
 from hoi import (
@@ -20,6 +21,7 @@ from hoi import (
     gaussian_entropy_nats,
     rank_columns,
 )
+from hoi.copula_core import _digamma
 
 # frozen from tests/reference.py (slogdet / plain-digamma routes)
 PAIR_RHO_HALF_ENTROPY = 2.694036030183455
@@ -79,9 +81,14 @@ def test_copula_transform_quantiles():
 
 
 def test_copula_transform_matches_reference():
+    # production quantiles come from the stdlib's AS241 and the oracle's from
+    # scipy's ndtri: the rank structure agrees exactly, the values to ulps
     rng = np.random.default_rng(2)
     x = rng.standard_normal((100, 4)) ** 3
-    np.testing.assert_array_equal(copula_transform(DataMatrix(x)).values, ref.copula(x))
+    got, want = copula_transform(DataMatrix(x)).values, ref.copula(x)
+    np.testing.assert_array_equal(np.argsort(got, axis=0, kind="stable"),
+                                  np.argsort(want, axis=0, kind="stable"))
+    np.testing.assert_allclose(got, want, rtol=4e-15, atol=0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -137,6 +144,12 @@ def test_entropy_bias_matches_plain_digamma_loop():
     for n in range(1, 11):
         for t in (n + 1, 50, 937):
             assert entropy_bias(n, t) == pytest.approx(ref.entropy_bias(n, t), abs=1e-13)
+
+
+def test_digamma_matches_scipy_at_every_half_integer():
+    # the bias table evaluates psi((T - j) / 2): every m / 2 up to T = 2e6
+    x = np.arange(1, 2_000_001) / 2.0
+    np.testing.assert_allclose(_digamma(x), digamma(x), rtol=0, atol=5e-15)
 
 
 def test_entropy_bias_is_negative_and_shrinks_with_samples():

@@ -629,6 +629,17 @@ def test_feature_summaries_match_brute_force(seed):
     assert feats.prop_synergistic == pytest.approx(syn / len(all_o), abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [6, 10, 14])
+@pytest.mark.parametrize("rho", [0.3, 0.9])
+def test_feature_mi_std_is_zero_when_every_pair_is_alike(n, rho):
+    # on an equicorrelated covariance every pairwise MI is the same number,
+    # so the spread must not pick up the cancellation of E[x^2] - E[x]^2
+    sigma = (1.0 - rho) * np.eye(n) + rho * np.ones((n, n))
+    feats = extract_features(CovSet([CovarianceMatrix(sigma)]))[0]
+    assert feats.mi_mean == pytest.approx(-0.5 * np.log(1.0 - rho * rho), rel=1e-13)
+    assert feats.mi_std <= 1e-15
+
+
 def test_feature_order_norms_locate_first_extreme():
     # R(3,1) has a tie-free O-information landscape: the whole system
     # (order 4) is the unique max, the pure-source triplet the unique min
