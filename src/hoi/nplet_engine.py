@@ -3,17 +3,16 @@
 An n-plet is a subset of k variables out of N. Batches hold B of them,
 either as a (B, K) index matrix (fixed order) or as a (B, N) boolean mask
 matrix (mixed orders). Every batch is evaluated on compact k x k
-sub-covariances: a mixed-order batch is split by order, each group goes
-through the fixed-order path, and the results are scattered back to the
-rows' variable positions. Exhaustive scans evaluate whole orders through
-a LogdetLattice instead, which reads every leave-one-out term from the
-previous order's log-determinants. One kernel, _border, adds a variable
-to a set of known inverse and log-determinant through its Schur
-complement (_unborder removes one); it serves the lattice's wide orders,
-greedy growth and annealing moves. Rows those cannot serve fall back to
-the fixed-order path through _direct_logdets. enumerate_order and the
-lattice number n-plets in one combinatorial number system, with int64
-ranks.
+sub-covariances by _direct_rows, the one direct-path driver, one order
+at a time, with results scattered back to the rows' variable positions.
+Exhaustive scans evaluate whole orders through a LogdetLattice instead,
+which reads every leave-one-out term from the previous order's
+log-determinants. One kernel, _border, adds a variable to a set of known
+inverse and log-determinant through its Schur complement (_unborder
+removes one); it serves the lattice's wide orders and _BorderedSets, the
+stored sets that greedy growth and annealing move. Rows those cannot
+serve fall back to _direct_rows. enumerate_order and the lattice number
+n-plets in one combinatorial number system, with int64 ranks.
 
 Cholesky is the only factorisation: inverses and leave-one-out terms
 come from R = L^-1 by forward substitution (_lower_inverse), and the
@@ -32,7 +31,6 @@ from .copula_core import (
     _cholesky_or_nan,
     _factor_logdet,
     _jittered_cholesky,
-    _not_positive_definite,
 )
 from .errors import (
     ExhaustiveLimitExceeded,
@@ -306,20 +304,41 @@ def _direct_logdets(covs: CovSet, batch: NpletBatch):
     return joint, joint[..., None] + np.log(np.einsum("...ij,...ij->...j", r, r))
 
 
-def _direct_rows(covs: CovSet, idx: np.ndarray, joint: np.ndarray, loo: np.ndarray) -> np.ndarray:
-    """The fallback rule: every row of joint (B, D) or loo (B, D, K) holding
-    a NaN is refilled in place from _direct_logdets of its sorted index row
-    idx[r]. Returns those rows; NotPositiveDefinite coordinates are rows of
-    idx."""
-    if not (np.isnan(joint).any() or np.isnan(loo).any()):  # the common case, tested fast
-        return np.empty(0, dtype=np.int64)
-    rows = np.flatnonzero(np.isnan(joint).any(axis=1) | np.isnan(loo).any(axis=(1, 2)))
-    if rows.size:
-        sub = NpletBatch._trusted(covs.n_variables, idx[rows])
+def _direct_rows(covs: CovSet, members: np.ndarray, joint: np.ndarray, loo: np.ndarray,
+                 rows=None, live=None) -> np.ndarray:
+    """The direct path: rows of the raw (B, D) joint and (B, D, K)
+    leave-one-out log-determinants refilled in place from _direct_logdets,
+    one call per order. Row r's set is members[r] at the slots live[r]
+    marks (all when live is None), in increasing order: sorted index rows,
+    mask rows with members arange(N), or slot rows so arranged.
+
+    rows are the rows to refill, by default every row holding a NaN; they
+    are returned. NotPositiveDefinite coordinates are (row, dataset); the
+    message names the first failing row's n-plet, whatever the batching."""
+    if rows is None:
+        if not (np.isnan(joint).any() or np.isnan(loo).any()):  # the common case, tested fast
+            return np.empty(0, dtype=np.int64)
+        rows = np.flatnonzero(np.isnan(joint).any(axis=1) | np.isnan(loo).any(axis=(1, 2)))
+    if live is None:
+        live = np.ones(members.shape, dtype=bool)
+    orders = live[rows].sum(axis=1)
+    d_ax = np.arange(covs.n_datasets)[None, :, None]
+    failed = []
+    for k in np.unique(orders):
+        at = rows[orders == k]
+        slot = np.nonzero(live[at])[1].reshape(-1, k)
+        idx = np.take_along_axis(members[at], slot, axis=1)
         try:
-            joint[rows], loo[rows] = _direct_logdets(covs, sub)
+            joint[at], loo[at[:, None, None], d_ax, slot[:, None, :]] = _direct_logdets(
+                covs, NpletBatch._trusted(covs.n_variables, idx))
         except NotPositiveDefinite as err:
-            raise _not_positive_definite([(int(rows[g]), d) for g, d in err.coords]) from None
+            failed += [(int(at[g]), d) for g, d in err.coords]
+    if failed:
+        failed.sort()
+        r, d = failed[0]
+        nplet = tuple(int(v) for v in members[r, live[r]])
+        raise NotPositiveDefinite(f"n-plet {nplet} of dataset {d} not positive definite even "
+                                  "after a jitter retry", coords=failed)
     return rows
 
 
@@ -360,21 +379,6 @@ def _border(sigma: np.ndarray, members: np.ndarray, v: np.ndarray,
     s = np.where(s > 0.0, s, np.nan)
     diag = np.diagonal(inv, axis1=-2, axis2=-1) + z * z / s[..., None]
     return logdet + np.log(s), diag, z, s
-
-
-#: Greedy growth and annealing serve a bordered set only while every
-#: member's Schur complement relative to its variance, 1 / (inv_jj sigma_jj),
-#: is at least this; weaker sets take the direct path, as they did before
-#: bordering. The lattice sends only non-positive Schur complements there.
-BORDER_RTOL = 1e-3
-
-
-def _well_conditioned(diag: np.ndarray, var: np.ndarray) -> np.ndarray:
-    """Elementwise: whether a member with inverse-diagonal entry diag and
-    variance var has relative Schur complement 1 / (diag * var) in
-    [BORDER_RTOL, 1]; False for NaN."""
-    scale = diag * var
-    return (scale > 0.0) & (scale * BORDER_RTOL <= 1.0)
 
 
 def _unborder(inv: np.ndarray, logdet: np.ndarray, j: np.ndarray):
@@ -421,20 +425,14 @@ def _excess_terms(joint, loo, idx: np.ndarray, x_singles, bias, live=None) -> En
     b, k = idx.shape
     singles = x_singles[:, idx].transpose(1, 0, 2)
     if live is None:
-        return EntropyTerms(
-            excess_joint=0.5 * joint - bias[:, k],
-            excess_singles=singles,
-            excess_leave_one_out=0.5 * loo - bias[:, k - 1][None, :, None],
-            orders=np.full(b, k, dtype=np.int64),
-        )
-    orders = live.sum(axis=1)
-    at = live[:, None, :]
-    return EntropyTerms(
-        excess_joint=0.5 * joint - bias[:, orders].T,
-        excess_singles=np.where(at, singles, 0.0),
-        excess_leave_one_out=np.where(at, 0.5 * loo - bias[:, orders - 1].T[:, :, None], 0.0),
-        orders=orders,
-    )
+        orders = np.full(b, k)
+        joint, loo = 0.5 * joint - bias[:, k], 0.5 * loo - bias[:, k - 1][None, :, None]
+    else:
+        orders, at = live.sum(axis=1), live[:, None, :]
+        joint, loo = 0.5 * joint - bias[:, orders].T, 0.5 * loo - bias[:, orders - 1].T[:, :, None]
+        singles, loo = np.where(at, singles, 0.0), np.where(at, loo, 0.0)
+    return EntropyTerms(excess_joint=joint, excess_singles=singles,
+                        excess_leave_one_out=loo, orders=orders)
 
 
 def entropy_terms(covs: CovSet, batch: NpletBatch, bias_correct: bool = False) -> EntropyTerms:
@@ -445,34 +443,18 @@ def entropy_terms(covs: CovSet, batch: NpletBatch, bias_correct: bool = False) -
     corrected at its effective dimension (the n-plet order for the joint
     term, order minus one for leave-one-out, one for marginals).
 
-    A mixed-order batch is evaluated order by order on the fixed-order
-    path; a NotPositiveDefinite error reports (row, dataset) coordinates
-    in the caller's batch.
+    Every row runs on the direct path (_direct_rows), a mixed-order batch
+    one order at a time; a NotPositiveDefinite error reports (row,
+    dataset) coordinates in the caller's batch.
     """
-    orders = batch.orders()
-    bias = _bias_offsets(covs, int(orders.max()), bias_correct)
-    x_singles = _excess_singles(covs, bias)
-
-    if batch.mode == "fixed":
-        return _excess_terms(*_direct_logdets(covs, batch), batch.indices, x_singles, bias)
-
-    b, n = batch.masks.shape
+    bias = _bias_offsets(covs, int(batch.orders().max()), bias_correct)
+    b, members, live = batch.batch_size, batch.indices, batch.masks
+    if live is not None:
+        members = np.broadcast_to(np.arange(covs.n_variables), live.shape)
     joint = np.empty((b, covs.n_datasets))
-    loo = np.zeros((b, covs.n_datasets, n))
-    d_ax = np.arange(covs.n_datasets)[None, :, None]
-    bad = []
-    for k in np.unique(orders):
-        rows = np.flatnonzero(orders == k)
-        idx = np.nonzero(batch.masks[rows])[1].reshape(-1, k)
-        try:
-            joint[rows], loo[rows[:, None, None], d_ax, idx[:, None, :]] = _direct_logdets(
-                covs, NpletBatch._trusted(n, idx))
-        except NotPositiveDefinite as err:
-            bad += [(int(rows[g]), d) for g, d in err.coords]
-    if bad:
-        raise _not_positive_definite(sorted(bad))
-    slots = np.broadcast_to(np.arange(n), (b, n))
-    return _excess_terms(joint, loo, slots, x_singles, bias, live=batch.masks)
+    loo = np.zeros((b, covs.n_datasets, members.shape[1]))
+    _direct_rows(covs, members, joint, loo, rows=np.arange(b), live=live)
+    return _excess_terms(joint, loo, members, _excess_singles(covs, bias), bias, live=live)
 
 
 #: Cap, in bytes, on the raw log-determinant tables a LogdetLattice keeps
@@ -599,3 +581,164 @@ class LogdetLattice:
             loo = np.ascontiguousarray(loo.transpose(0, 2, 1))  # summed as compute_hoi_batch's
         rows = _direct_rows(self.covs, idx, joint, loo)
         return _excess_terms(joint, loo, idx, self.x_singles, self.bias), rows.size
+
+
+#: _BorderedSets scores a bordered set only while every member's Schur complement
+#: relative to its variance, 1 / (inv_jj sigma_jj), is at least this; weaker sets take
+#: the direct path. The lattice sends only non-positive Schur complements there.
+BORDER_RTOL = 1e-3
+
+#: accepted bordered moves after which a _BorderedSets row is refactored
+_REFRESH_MOVES = 50
+
+
+def _leading(members: np.ndarray, live: np.ndarray, n: int):
+    """Slot rows with their live members sorted into the leading slots, and their live mask."""
+    sets = np.sort(np.where(live, members, n), axis=1)
+    return np.where(sets < n, sets, 0), sets < n
+
+
+@dataclass
+class _Proposal:
+    """Sets one variable away from stored _BorderedSets rows, scored.
+
+    at (P,) are the rows they start from; members and live (P, W) hold
+    each set in slots, logdet (P, D) and loo (P, D, W) its raw joint and
+    leave-one-out log-determinants, and direct (P,) marks the sets scored
+    on the direct path. inv (P, D, W, W) is each inverse before its add,
+    and grow (into, slot, z, s) the adding rows, their slots and _border's
+    z and s, from which accept grows it.
+    """
+
+    at: np.ndarray
+    members: np.ndarray
+    live: np.ndarray
+    logdet: np.ndarray
+    loo: np.ndarray
+    direct: np.ndarray
+    inv: np.ndarray
+    grow: tuple
+
+
+class _BorderedSets:
+    """Variable sets stored with the inverses and log-determinants of their
+    sub-covariances, scored and moved one variable at a time.
+
+    Row r keeps its members in the slots of a W-wide row (live marks the
+    used ones), sigma_d[members, members]^-1 in the matching slots of a
+    (D, W, W) array, zero elsewhere, and its (D,) log-determinants.
+    propose scores the sets one dropped and/or added variable away from
+    any stored rows by bordering (_unborder, _border), with leave-one-out
+    terms from the bordered inverse diagonal. accept stores moved
+    proposals, grows their inverses by one rank-one term, and refactors a
+    row from scratch every _REFRESH_MOVES accepted moves.
+
+    The trust rule: a proposal goes to the direct path (_direct_rows), as
+    compute_hoi_batch would score it, when its set or the stored set it
+    starts from has a member whose relative Schur complement is below
+    BORDER_RTOL (a non-positive one, or a failed Cholesky, included).
+    Such a proposal, if accepted, is refactored.
+    """
+
+    def __init__(self, covs: CovSet, members: np.ndarray, live: np.ndarray, width=None,
+                 bias_correct: bool = False):
+        """Factor the sets of slot rows members at live into W = width
+        slots, by default members.shape[1]."""
+        self.covs = covs
+        self.bias_correct = bias_correct
+        self.sigma = covs.stacked()
+        self.var = np.diagonal(self.sigma, axis1=-2, axis2=-1).T  # (N, D)
+        self.bias = _bias_offsets(covs, 1, bias_correct)
+        self.x_singles = _excess_singles(covs, self.bias)
+        b, d = len(members), covs.n_datasets
+        width = members.shape[1] if width is None else width
+        self.members = np.zeros((b, width), dtype=np.int64)
+        self.live = np.zeros((b, width), dtype=bool)
+        self.inv = np.zeros((b, d, width, width))
+        self.logdet = np.zeros((b, d))
+        self.moves = np.zeros(b, dtype=np.int64)
+        self.refresh(np.arange(b), members, live)
+
+    def _conditioned(self, members, live, diag):
+        """Live slots (P, D, W) within BORDER_RTOL by inverse diagonal diag
+        (dead slots and NaN are not), and sets (P,) with every live slot so."""
+        scale = diag * self.var[members].transpose(0, 2, 1)
+        good = live[:, None, :] & (scale > 0.0) & (scale * BORDER_RTOL <= 1.0)
+        return good, (good == live[:, None, :]).all(axis=(1, 2))
+
+    def refresh(self, rows: np.ndarray, members: np.ndarray, live: np.ndarray) -> None:
+        """Factor the sets members[i] at live[i] from scratch into stored
+        rows rows[i], sorted into the leading slots, one batch per order."""
+        n = self.covs.n_variables
+        members, live = _leading(members, live, n)
+        orders = live.sum(axis=1)
+        self.members[rows], self.live[rows], self.inv[rows], self.moves[rows] = 0, False, 0.0, 0
+        for k in np.unique(orders):
+            at, idx = rows[orders == k], members[orders == k, :k]
+            mats = extract_subcov_batch(self.covs, NpletBatch._trusted(n, idx)).matrices
+            self.logdet[at], self.inv[at, :, :k, :k] = _inverse_factors(mats)
+            self.members[at, :k], self.live[at, :k] = idx, True
+
+    def propose(self, at: np.ndarray, drop=None, add=None) -> _Proposal:
+        """The stored sets at[p] without variable drop[p], then with
+        variable add[p] (-1, or no array: neither), scored. The stored
+        inverses are gathered once. An add to a full set takes a new last
+        slot, so the proposal is one slot wider than the state: it can be
+        scored, not accepted."""
+        none = np.full(len(at), -1)
+        drop, add = none if drop is None else drop, none if add is None else add
+        _, healthy = self._conditioned(self.members, self.live,
+                                       np.diagonal(self.inv, axis1=-2, axis2=-1))
+        members, live = self.members[at], self.live[at]
+        logdet, inv = self.logdet[at], self.inv[at]
+        w = live.shape[1]
+        out = np.flatnonzero(drop >= 0)
+        j = np.argmax(live[out] & (members[out] == drop[out, None]), axis=1)
+        logdet[out], inv[out], _ = _unborder(inv[out], logdet[out], j)
+        live[out, j] = False
+        into = np.flatnonzero(add >= 0)
+        diag = np.diagonal(inv, axis1=-2, axis2=-1).copy()
+        if live[into].all(axis=1).any():  # an add to a full set takes a new slot
+            members, live, diag = (np.concatenate([a, np.zeros_like(a[..., :1])], axis=-1)
+                                   for a in (members, live, diag))
+        slot, v, before = np.argmin(live[into], axis=1), add[into], logdet[into]
+        base = inv if into.size == len(at) else inv[into]  # no second gather when all add
+        logdet[into], diag[into, :, :w], z, s = _border(self.sigma, members[into, :w], v,
+                                                        base, before)
+        diag[into, :, slot] = 1.0 / s
+        members[into, slot], live[into, slot] = v, True
+        good, trusted = self._conditioned(members, live, diag)
+        loo = logdet[..., None] + np.log(np.where(good, diag, 1.0))
+        loo[into, :, slot] = before  # S + v without v is S itself
+        direct = ~healthy[at] | ~trusted
+        rows = np.flatnonzero(direct)
+        if rows.size:
+            members[rows], live[rows] = _leading(members[rows], live[rows], self.covs.n_variables)
+            _direct_rows(self.covs, members, logdet, loo, rows=rows, live=live)
+        return _Proposal(at, members, live, logdet, loo, direct, inv, (into, slot, z, s))
+
+    def terms(self, p: _Proposal) -> EntropyTerms:
+        """EntropyTerms of a proposal's sets, by slot."""
+        k_max = int(p.live.sum(axis=1).max())
+        if k_max >= self.bias.shape[1]:  # bias rows are prefixes of longer tables
+            self.bias = _bias_offsets(self.covs, k_max, self.bias_correct)
+        return _excess_terms(p.logdet, p.loo, p.members, self.x_singles, self.bias, live=p.live)
+
+    def accept(self, p: _Proposal, moved: np.ndarray) -> None:
+        """Store every moved proposal in the row it started from; no two
+        moved proposals may start from one row."""
+        renew = moved & (p.direct | (self.moves[p.at] + 1 >= _REFRESH_MOVES))
+        keep = moved & ~renew
+        to = p.at[keep]
+        self.members[to], self.live[to] = p.members[keep], p.live[keep]
+        self.logdet[to], self.inv[to] = p.logdet[keep], p.inv[keep]
+        self.moves[to] += 1
+        into, slot, z, s = (a[keep[p.grow[0]]] for a in p.grow)
+        to, rows, edge = p.at[into], np.arange(into.size), -z / s[..., None]
+        grown = self.inv[to] + z[..., :, None] * z[..., None, :] / s[..., None, None]
+        grown[rows, :, slot, :] = edge
+        grown[rows, :, :, slot] = edge
+        grown[rows, :, slot, slot] = 1.0 / s
+        self.inv[to] = grown
+        if renew.any():
+            self.refresh(p.at[renew], p.members[renew], p.live[renew])

@@ -6,9 +6,11 @@ aggregate a single measure across datasets: plain mean, paired effect
 size between two dataset groups, or a custom callable.
 
 Every greedy step and annealing move adds or removes one variable of a
-set whose inverse and log-determinant are known, so both score their
-candidates by bordering (nplet_engine._border) rather than by factoring
-each candidate afresh.
+set whose inverse and log-determinant are known. Both keep those sets in
+nplet_engine._BorderedSets, which scores each candidate by bordering,
+with its trust rule and direct-path fallback, rather than by factoring it
+afresh. This module keeps the search policy: beam selection, the
+candidate extensions, random draws, Metropolis acceptance and cooling.
 """
 
 import time
@@ -17,30 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copula_core import CovSet, _not_positive_definite
-from .errors import (
-    DegenerateEffectSize,
-    InvalidData,
-    InvalidOrderRange,
-    NotPositiveDefinite,
-)
+from .copula_core import CovSet
+from .errors import DegenerateEffectSize, InvalidData, InvalidOrderRange
 from .measures import HoiBatch, compute_hoi_batch, hoi_from_terms
 # bench/tracer.py wraps optimizers.enumerate_order, so the name stays importable here
-from .nplet_engine import (  # noqa: F401
-    NpletBatch,
-    _bias_offsets,
-    _border,
-    _direct_logdets,
-    _direct_rows,
-    _excess_singles,
-    _excess_terms,
-    _inverse_factors,
-    _unborder,
-    _well_conditioned,
-    count_nplets,
-    enumerate_order,
-    extract_subcov_batch,
-)
+from .nplet_engine import NpletBatch, _BorderedSets, count_nplets, enumerate_order  # noqa: F401
 from .scanner import MEASURES, Reducer, best_rows, scan
 
 
@@ -189,14 +172,12 @@ def greedy(covs: CovSet, spec: ObjectiveSpec, start_order: int,
     The beam is seeded with the kappa best n-plets from an exhaustive
     scan of start_order (scanner.scan, so the seed reads its leave-one-out
     terms from the log-determinant lattice and needs only the table of
-    order start_order - 1). Each step evaluates every one-variable extension
-    of every beam member in batch_size chunks and keeps the kappa best
-    distinct candidates (ties to the lexicographically smallest). Each
-    member is factored once, and an extension is bordered onto the smallest
-    member tuple it extends (nplet_engine._border), so its value does not
-    depend on which other members reach it; one whose set has a member
-    with relative Schur complement below nplet_engine.BORDER_RTOL is
-    evaluated on the direct path, as compute_hoi_batch would.
+    order start_order - 1). Each step factors the beam into an
+    nplet_engine._BorderedSets, scores every one-variable extension of
+    every member in batch_size chunks, as an add-proposal from the smallest
+    member tuple it extends (so its value does not depend on which other
+    members reach it), and keeps the kappa best distinct candidates (ties
+    to the lexicographically smallest).
 
     restarts > 1 adds extra beams seeded with random start_order n-plets
     (drawn from seed); the first beam is always the deterministic
@@ -230,17 +211,15 @@ def greedy(covs: CovSet, spec: ObjectiveSpec, start_order: int,
                   progress=seed_scan.update)]
     evaluated = seed_scan["nplets"]
     batches = seed_scan["batches"]
-    sigma = covs.stacked()
-    var = np.diagonal(sigma, axis1=-2, axis2=-1).T  # (N, D)
-    bias = _bias_offsets(covs, target_order, bias_correct)
-    x_singles = _excess_singles(covs, bias)
 
-    def best_of(rows: np.ndarray):
+    def best_of(rows: np.ndarray, score):
+        """The kappa best sorted rows, each chunk's measures score(batch, chunk)."""
         nonlocal evaluated, batches
         beam = _Beam(spec, kappa)
         for at in range(0, len(rows), batch_size):
-            batch = NpletBatch(n, indices=rows[at:at + batch_size], check_unique=False)
-            beam.update(batch, compute_hoi_batch(covs, batch, bias_correct=bias_correct))
+            chunk = slice(at, at + batch_size)
+            batch = NpletBatch._trusted(n, rows[chunk])
+            beam.update(batch, score(batch, chunk))
             evaluated += batch.batch_size
             batches += 1
         return beam.finalize()
@@ -252,33 +231,18 @@ def greedy(covs: CovSet, spec: ObjectiveSpec, start_order: int,
         while len(starts) < kappa and attempts < 1000 * kappa:
             starts.add(tuple(np.sort(rng.choice(n, start_order, replace=False)).tolist()))
             attempts += 1
-        beams.append(best_of(np.array(sorted(starts), dtype=np.int64)))
+        beams.append(best_of(np.array(sorted(starts), dtype=np.int64), lambda batch, _:
+                             compute_hoi_batch(covs, batch, bias_correct=bias_correct)))
 
     def grow(beam):
         """The kappa best one-variable extensions of a beam's members, each
-        bordered onto one parent factor, so its value does not depend on
-        which members share it."""
-        nonlocal evaluated, batches
+        an add-proposal from one parent, whichever other members reach it."""
         parents = np.array(sorted(idx for _, idx in beam), dtype=np.int64)
-        mats = extract_subcov_batch(covs, NpletBatch._trusted(n, parents)).matrices
-        logdet, inv = _inverse_factors(mats)
+        sets = _BorderedSets(covs, parents, np.ones(parents.shape, dtype=bool),
+                             bias_correct=bias_correct)
         rows, parent, add = _extensions(parents, n)
-        top = _Beam(spec, kappa)
-        for at in range(0, len(rows), batch_size):
-            idx, p, v = rows[at:at + batch_size], parent[at:at + batch_size], add[at:at + batch_size]
-            slots = np.column_stack([parents[p], v])  # the added variable last
-            joint, diag, _, s = _border(sigma, parents[p], v, inv[p], logdet[p])
-            good = (_well_conditioned(diag, var[parents[p]].transpose(0, 2, 1)).all(axis=-1)
-                    & _well_conditioned(1.0 / s, var[v]))
-            joint[~good] = np.nan  # the direct path takes it
-            loo = np.concatenate([joint[..., None] + np.log(diag), logdet[p][..., None]], axis=-1)
-            direct = _direct_rows(covs, idx, joint, loo)
-            slots[direct] = idx[direct]
-            terms = _excess_terms(joint, loo, slots, x_singles, bias)
-            top.update(NpletBatch._trusted(n, idx), hoi_from_terms(terms))
-            evaluated += len(idx)
-            batches += 1
-        return top.finalize()
+        return best_of(rows, lambda _, chunk: hoi_from_terms(
+            sets.terms(sets.propose(parent[chunk], add=add[chunk]))))
 
     per_order = []
     for order in range(start_order, target_order + 1):
@@ -347,135 +311,6 @@ class OptimState:
         return tuple(int(v) for v in np.flatnonzero(self.best_mask))
 
 
-#: anneal refactors a chain from scratch after this many bordered moves
-_REFRESH_MOVES = 50
-
-
-class _Chains:
-    """Annealing chains' member sets, each with its inverse and
-    log-determinant, moved one variable at a time by bordering.
-
-    Chain c keeps its members in the slots of a max_order-wide row (live
-    marks the used ones), the inverse of sigma_d[members, members] in the
-    matching slots of a (D, max_order, max_order) array, zero elsewhere,
-    and its (D,) log-determinants, so the state is sized by max_order,
-    not by N. An accepted move updates the inverse by one rank-one term.
-    A proposal is scored on the direct path when its set, or the chain's
-    current one, has a member whose relative Schur complement is below
-    nplet_engine.BORDER_RTOL, which covers a Schur complement that is not
-    positive and a failed Cholesky. Such a move, if accepted, and every
-    _REFRESH_MOVES-th bordered one refactor the chain from scratch.
-    """
-
-    def __init__(self, covs: CovSet, masks: np.ndarray, max_order: int, bias_correct: bool):
-        self.covs = covs
-        self.bias_correct = bias_correct
-        self.sigma = covs.stacked()
-        self.var = np.diagonal(self.sigma, axis1=-2, axis2=-1).T  # (N, D)
-        self.bias = _bias_offsets(covs, 1, bias_correct)
-        self.x_singles = _excess_singles(covs, self.bias)
-        kappa, d = masks.shape[0], covs.n_datasets
-        self.members = np.zeros((kappa, max_order), dtype=np.int64)
-        self.live = np.zeros((kappa, max_order), dtype=bool)
-        self.inv = np.zeros((kappa, d, max_order, max_order))
-        self.logdet = np.zeros((kappa, d))
-        self.moves = np.zeros(kappa, dtype=np.int64)
-        self.refresh(range(kappa), masks)
-
-    def _conditioned(self, members, live, inv) -> np.ndarray:
-        """(kappa, D, max_order): live slots within BORDER_RTOL, dead ones False."""
-        diag = np.diagonal(inv, axis1=-2, axis2=-1)
-        return live[:, None, :] & _well_conditioned(diag, self.var[members].transpose(0, 2, 1))
-
-    def refresh(self, chains, masks: np.ndarray) -> None:
-        """Factor the chains' member sets from scratch, members in sorted slots."""
-        for c in chains:
-            m = np.flatnonzero(masks[c])
-            k = m.size
-            logdet, inv = _inverse_factors(self.sigma[:, m[:, None], m])
-            self.members[c] = 0
-            self.members[c, :k] = m
-            self.live[c] = np.arange(self.live.shape[1]) < k
-            self.inv[c] = 0.0
-            self.inv[c, :, :k, :k] = inv
-            self.logdet[c] = logdet
-            self.moves[c] = 0
-        self.healthy = (self._conditioned(self.members, self.live, self.inv)
-                        == self.live[:, None, :]).all(axis=(1, 2))
-
-    def propose(self, drop: np.ndarray, add: np.ndarray):
-        """Every chain's set after removing drop[c] and then adding add[c]
-        (-1: neither), as (members, live, inv, logdet, loo, direct): loo
-        holds the raw leave-one-out log-determinants by slot, and direct
-        marks the chains scored on the direct path."""
-        members, live = self.members.copy(), self.live.copy()
-        inv, logdet = self.inv.copy(), self.logdet.copy()
-        out = np.flatnonzero(drop >= 0)
-        if out.size:
-            j = np.argmax(live[out] & (members[out] == drop[out, None]), axis=1)
-            logdet[out], inv[out], _ = _unborder(inv[out], logdet[out], j)
-            live[out, j] = False
-        into = np.flatnonzero(add >= 0)
-        before = logdet[into]
-        if into.size:
-            slot = np.argmin(live[into], axis=1)  # the first free slot
-            v = add[into]
-            logdet[into], _, z, s = _border(self.sigma, members[into], v, inv[into], before)
-            rows, edge = np.arange(into.size), -z / s[..., None]
-            grown = inv[into] + z[..., :, None] * z[..., None, :] / s[..., None, None]
-            grown[rows, :, slot, :] = edge
-            grown[rows, :, :, slot] = edge
-            grown[rows, :, slot, slot] = 1.0 / s
-            inv[into] = grown
-            members[into, slot] = v
-            live[into, slot] = True
-        good = self._conditioned(members, live, inv)
-        diag = np.where(good, np.diagonal(inv, axis1=-2, axis2=-1), 1.0)
-        loo = logdet[..., None] + np.log(diag)
-        if into.size:
-            loo[into, :, slot] = before  # S + v without v is S itself
-        direct = ~self.healthy | ~(good == live[:, None, :]).all(axis=(1, 2))
-        self._direct(np.flatnonzero(direct), members, live, logdet, loo)
-        return members, live, inv, logdet, loo, direct
-
-    def _direct(self, chains, members, live, logdet, loo) -> None:
-        """Score the chains' proposed sets with _direct_logdets, in sorted
-        slots; NotPositiveDefinite coordinates are (chain, dataset)."""
-        failed = []
-        for c in chains:
-            idx = np.sort(members[c, live[c]])
-            try:
-                joint, lo = _direct_logdets(self.covs, NpletBatch._trusted(len(self.var), idx[None]))
-            except NotPositiveDefinite as err:
-                failed += [(int(c), d) for _, d in err.coords]
-                continue
-            members[c, :idx.size] = idx
-            live[c] = np.arange(live.shape[1]) < idx.size
-            logdet[c], loo[c, :, :idx.size] = joint[0], lo[0]
-        if failed:
-            raise _not_positive_definite(failed)
-
-    def energies(self, spec: ObjectiveSpec, proposal) -> np.ndarray:
-        """Objective values of a proposal's sets from their raw log-determinants."""
-        members, live, _, logdet, loo, _ = proposal
-        k_max = int(live.sum(axis=1).max())
-        if k_max >= self.bias.shape[1]:  # bias rows are prefixes of longer tables
-            self.bias = _bias_offsets(self.covs, k_max, self.bias_correct)
-        terms = _excess_terms(logdet, loo, members, self.x_singles, self.bias, live=live)
-        return evaluate_objective(hoi_from_terms(terms), spec)
-
-    def accept(self, moved: np.ndarray, proposal, masks: np.ndarray) -> None:
-        """Take the proposal of every moved chain; masks are already moved."""
-        members, live, inv, logdet, _, direct = proposal
-        renew = moved & (direct | (self.moves + 1 >= _REFRESH_MOVES))
-        keep = moved & ~renew
-        self.members[keep], self.live[keep] = members[keep], live[keep]
-        self.inv[keep], self.logdet[keep] = inv[keep], logdet[keep]
-        self.moves[keep] += 1
-        if renew.any():
-            self.refresh(np.flatnonzero(renew), masks)
-
-
 def anneal(covs: CovSet, spec: ObjectiveSpec, schedule: AnnealSchedule,
            kappa: int = 20, seed: int = 0, *,
            bias_correct: bool = False, progress=None) -> OptimState:
@@ -483,14 +318,9 @@ def anneal(covs: CovSet, spec: ObjectiveSpec, schedule: AnnealSchedule,
 
     Every iteration proposes one move per chain: within-order swaps one
     member for an outside variable, across-orders adds or removes one.
-    Each chain keeps its set's inverse and log-determinant (_Chains), so a
-    proposal is scored by bordering: log s for an added variable, log
-    inv_jj for a removed one, and the leave-one-out terms from the
-    bordered inverse diagonal; all chains take a few einsums together.
-    A proposal whose set, or whose chain's current set, has a member with
-    relative Schur complement below nplet_engine.BORDER_RTOL (a
-    non-positive one included) is scored on the direct path, as
-    compute_hoi_batch would score it. Improving moves are always
+    The chains' sets live in one nplet_engine._BorderedSets, which scores
+    every chain's proposal by bordering from its current set, or on the
+    direct path under its trust rule, as compute_hoi_batch would. Improving moves are always
     accepted; a worsening move is accepted with probability
     exp(-|dE| / Temp). Each chain draws from its own generator split off
     the master seed, so runs are reproducible and chain trajectories do
@@ -514,9 +344,14 @@ def anneal(covs: CovSet, spec: ObjectiveSpec, schedule: AnnealSchedule,
         k = int(rng.integers(min_o, max_o + 1))
         masks[c, rng.choice(n, size=k, replace=False)] = True
 
-    chains = _Chains(covs, masks, max_o, bias_correct)
-    none = np.full(kappa, -1)
-    energies = chains.energies(spec, chains.propose(none, none))
+    chain = np.arange(kappa)
+    sets = _BorderedSets(covs, np.broadcast_to(np.arange(n), masks.shape), masks,
+                         width=max_o, bias_correct=bias_correct)
+
+    def score(proposal):
+        return evaluate_objective(hoi_from_terms(sets.terms(proposal)), spec)
+
+    energies = score(sets.propose(chain))
     temp = schedule.temp0 if schedule.temp0 is not None else max(float(np.std(energies)), 1e-6)
 
     best_c = int(np.argmax(energies))
@@ -538,9 +373,8 @@ def anneal(covs: CovSet, spec: ObjectiveSpec, schedule: AnnealSchedule,
     within = schedule.mode == "within-order"
     stale = 0
     iterations = 0
-    chain = np.arange(kappa)
     for _ in range(schedule.max_iters):
-        drop, add = none.copy(), none.copy()
+        drop, add = np.full(kappa, -1), np.full(kappa, -1)
         accept_draws = np.empty(kappa)
         for c, rng in enumerate(rngs):
             inside = masks[c].nonzero()[0]
@@ -561,15 +395,15 @@ def anneal(covs: CovSet, spec: ObjectiveSpec, schedule: AnnealSchedule,
             accept_draws[c] = rng.random()
 
         moving = (drop >= 0) | (add >= 0)
-        proposal = chains.propose(drop, add)
-        prop_energies = np.where(moving, chains.energies(spec, proposal), energies)
+        proposal = sets.propose(chain, drop, add)
+        prop_energies = np.where(moving, score(proposal), energies)
         delta = prop_energies - energies
         accept = (delta > 0) | (accept_draws < np.exp(-np.abs(delta) / temp))
         moved = accept & moving
         masks[chain[moved & (drop >= 0)], drop[moved & (drop >= 0)]] = False
         masks[chain[moved & (add >= 0)], add[moved & (add >= 0)]] = True
         energies[accept] = prop_energies[accept]
-        chains.accept(moved, proposal, masks)
+        sets.accept(proposal, moved)
 
         c_best = int(np.argmax(energies))
         if float(energies[c_best]) > best_energy:

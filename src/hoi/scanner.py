@@ -322,18 +322,15 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
     min_order - 1 is built first. The thread pool waits at every order
     boundary until the previous table is complete.
 
-    A row runs on the direct path inside LogdetLattice.terms (a Cholesky
-    factor, retried once with jitter if it fails, and its triangular
-    inverse) when any log-determinant it needs is NaN in the lattice:
-    only the (n-plet, dataset) entries whose Cholesky fails, or whose
-    Schur complement or prefix is not positive definite, are NaN,
-    whatever batch they came in, so values do not depend on batch_size;
-    and an order whose two tables would exceed
-    nplet_engine.LATTICE_TABLE_BYTES (64 MiB; C(N, k) * D floats per
-    table, about 1.4 MB per table at N=20 and D=1) has no previous table.
-    Such a row's entropy terms or NotPositiveDefinite coordinates are
-    exactly those of compute_hoi_batch, and the progress counter
-    fallback_rows counts it. An order with more than 2**62 n-plets (int64
+    A row runs on the direct path, with exactly compute_hoi_batch's
+    entropy terms or NotPositiveDefinite coordinates, when a log-determinant
+    it needs is missing from the lattice: its Cholesky failed, a Schur
+    complement or prefix is not positive definite, or the order's two
+    tables would exceed nplet_engine.LATTICE_TABLE_BYTES (64 MiB; about
+    1.4 MB per table at N=20 and D=1). The progress counter fallback_rows
+    counts such rows. Which rows they are, the values and the error
+    message, which names the first failing n-plet, do not depend on
+    batch_size or workers. An order with more than 2**62 n-plets (int64
     ranks) raises ExhaustiveLimitExceeded.
 
     Parameters

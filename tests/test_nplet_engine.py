@@ -21,6 +21,7 @@ from hoi import (
     pad_subcov_batch,
 )
 from hoi.nplet_engine import (
+    _BorderedSets,
     _binomial_table,
     _border,
     _colex_unrank,
@@ -384,3 +385,45 @@ def test_bordering_adds_and_removes_one_variable_exactly():
         np.testing.assert_allclose(down[0, 0][np.ix_(keep, keep)],
                                    np.linalg.inv(sigma[np.ix_(rest, rest)]), rtol=1e-12, atol=1e-13)
         assert (down[0, 0][j] == 0.0).all() and (down[0, 0][:, j] == 0.0).all()
+
+
+def test_bordered_sets_score_moves_from_any_stored_row():
+    covs = random_covset(12, 9, d=2)
+    n = covs.n_variables
+    stored = np.zeros((4, n), dtype=bool)
+    for r, row in enumerate([(0, 3, 5), (1, 2, 4, 6, 7, 8), (2, 8), (0, 1, 5, 6)]):
+        stored[r, list(row)] = True
+    sets = _BorderedSets(covs, np.broadcast_to(np.arange(n), stored.shape), stored, width=6)
+    # drop, add and swap from every row, rows repeated; adding to the full
+    # row 1 takes a seventh slot
+    at = np.array([0, 0, 0, 1, 1, 2, 2, 3, 3, 3, 1, 0])
+    drop = np.array([3, -1, 5, 4, -1, 8, -1, 1, -1, 6, -1, -1])
+    add = np.array([-1, 7, 1, -1, 0, 0, -1, -1, 2, 8, 3, -1])
+    p = sets.propose(at, drop, add)
+    assert not p.direct.any()
+    assert p.members.shape[1] == 7
+    for i in range(len(at)):
+        row = set(np.flatnonzero(stored[at[i]])) - {drop[i]} | ({add[i]} - {-1})
+        idx = np.array([sorted(row)])
+        joint, loo = _direct_logdets(covs, NpletBatch(n, indices=idx))
+        slots = [int(np.flatnonzero(p.live[i] & (p.members[i] == v))[0]) for v in idx[0]]
+        np.testing.assert_allclose(p.logdet[i], joint[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p.loo[i][:, slots], loo[0], rtol=0, atol=1e-12)
+
+
+def test_bordered_sets_accept_then_give_back_the_accepted_logdets():
+    covs = random_covset(13, 9, d=2)
+    n = covs.n_variables
+    stored = np.zeros((3, n), dtype=bool)
+    for r, row in enumerate([(0, 3, 5), (1, 2, 4, 6), (2, 7, 8)]):
+        stored[r, list(row)] = True
+    sets = _BorderedSets(covs, np.broadcast_to(np.arange(n), stored.shape), stored, width=6)
+    rows = np.arange(3)
+    # each round, every row drops, adds or swaps one variable
+    for drop, add in (([3, -1, 7], [-1, 0, 1]), ([-1, 6, -1], [4, 5, 3])):
+        p = sets.propose(rows, np.array(drop), np.array(add))
+        sets.accept(p, np.ones(3, dtype=bool))
+        again = sets.propose(rows)
+        np.testing.assert_array_equal(again.logdet, p.logdet)
+        np.testing.assert_allclose(np.where(p.live[:, None, :], again.loo, 0.0),
+                                   np.where(p.live[:, None, :], p.loo, 0.0), rtol=0, atol=1e-12)

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from hoi import (
     s_system_cov,
     sample_gaussian,
 )
+from hoi import optimizers
 
 HALF_LOG_TWO = 0.5 * math.log(2.0)
 
@@ -351,6 +354,38 @@ def test_anneal_on_singular_input_takes_the_direct_path():
     direct = compute_hoi_batch(covs, NpletBatch(12, masks=st.masks, check_unique=False))
     np.testing.assert_allclose(st.energies, evaluate_objective(direct, spec), rtol=1e-9)
     assert any({0, 4, 11} <= set(np.flatnonzero(m)) for m in st.masks)
+
+
+def test_greedy_on_singular_input_takes_the_direct_path():
+    # the anneal test's x_11 = x_0 + x_4: extensions to a set holding 0, 4
+    # and 11 fail the trust rule and are scored on the direct path
+    covs = sampled_covset(1, 1, seed=2)
+    sigma = covs.covs[0].sigma.copy()
+    t = np.eye(12)
+    t[11] = 0.0
+    t[11, [0, 4]] = 1.0
+    covs = CovSet([CovarianceMatrix(t @ sigma @ t.T)])
+    held = False
+    for measure in ("tc", "o", "dtc"):
+        for direction in ("max", "min"):
+            spec = ObjectiveSpec(measure=measure, direction=direction)
+            res = greedy(covs, spec, 3, 12, kappa=5)
+            for e in res.per_order:
+                want = evaluate_objective(
+                    compute_hoi_batch(covs, NpletBatch(12, indices=[e.indices])), spec)
+                np.testing.assert_allclose(e.energy, want[0], rtol=0, atol=1e-12)
+                held |= e.order < 12 and {0, 4, 11} <= set(e.indices)
+    assert held
+
+
+def test_optimizers_import_only_public_engine_names_and_the_set_state():
+    # search policy lives in optimizers; engine kernels stay behind the set state
+    tree = ast.parse(Path(optimizers.__file__).read_text())
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "nplet_engine"
+             for alias in node.names]
+    assert "_BorderedSets" in names
+    assert [n for n in names if n.startswith("_") and n != "_BorderedSets"] == []
 
 
 def test_anneal_on_indefinite_input_raises_chain_coordinates():

@@ -267,6 +267,30 @@ def test_indefinite_input_raises_the_direct_paths_coordinates():
         assert err.value.coords == want
 
 
+def test_indefinite_input_message_does_not_depend_on_batching():
+    # every pair of 2, 5 and 7 is a valid correlation, the triple is
+    # indefinite: the message names it, whatever batch it came in
+    sigma = np.eye(8)
+    for a, b, r in ((2, 5, 0.9), (5, 7, 0.9), (2, 7, -0.9)):
+        sigma[a, b] = sigma[b, a] = r
+    covs = CovSet([CovarianceMatrix(sigma)])
+    spec = ObjectiveSpec(measure="tc", direction="max")
+    runs = {
+        "scan": lambda b, w: scan(covs, 3, 3, TopK("o", "max", 3), batch_size=b, workers=w),
+        "features": lambda b, w: extract_features(covs, batch_size=b, workers=w),
+        # from pairs, the triple is an extension of the beam's best pairs
+        "greedy growth": lambda b, w: greedy(covs, spec, 2, 4, kappa=3, batch_size=b),
+        "greedy seed": lambda b, w: greedy(covs, spec, 3, 4, kappa=3, batch_size=b),
+    }
+    for name, run in runs.items():
+        for batch_size in (1, 7, 10000):
+            for workers in (1, 2):
+                with pytest.raises(NotPositiveDefinite) as err:
+                    run(batch_size, workers)
+                assert str(err.value) == ("n-plet (2, 5, 7) of dataset 0 not positive "
+                                          "definite even after a jitter retry"), name
+
+
 def degenerate_covset(seed, n, kinds):
     """One covariance per kind, each singular, near-singular or indefinite."""
     rng = np.random.default_rng(seed)
