@@ -7,6 +7,7 @@ Needs numpy and the standard library only: normal quantiles come from
 statistics.NormalDist (Wichura's AS241) and digamma from a short series.
 """
 
+import functools
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -172,17 +173,24 @@ def copula_transform(data) -> DataMatrix:
     """Map each column through rank / (T + 1) to standard-normal quantiles.
 
     The T-point grid Phi^-1(1/(T+1)), ..., Phi^-1(T/(T+1)) is evaluated
-    once with NormalDist.inv_cdf (Wichura's AS241, Applied Statistics
-    37:477, 1988) and indexed by rank, which keeps rank_columns' column-major
-    layout. Every output column is a permutation of the grid, so the result
-    is invariant under strictly increasing per-column transformations of
-    the input.
+    once per T (_normal_grid) with NormalDist.inv_cdf (Wichura's AS241,
+    Applied Statistics 37:477, 1988) and indexed by rank, which keeps
+    rank_columns' column-major layout. Every output column is a permutation
+    of the grid, so the result is invariant under strictly increasing
+    per-column transformations of the input.
     """
     d = _as_data(data)
-    t = d.n_samples
+    return DataMatrix(_normal_grid(d.n_samples)[rank_columns(d) - 1],
+                      column_names=d.column_names)
+
+
+@functools.lru_cache(maxsize=16)
+def _normal_grid(t: int) -> np.ndarray:
+    """The read-only grid Phi^-1(i / (t + 1)), i = 1..t, built once per t."""
     inv_cdf = NormalDist().inv_cdf
     grid = np.array([inv_cdf(i / (t + 1)) for i in range(1, t + 1)])
-    return DataMatrix(grid[rank_columns(d) - 1], column_names=d.column_names)
+    grid.flags.writeable = False
+    return grid
 
 
 def estimate_covariance(data) -> CovarianceMatrix:

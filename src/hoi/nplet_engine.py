@@ -7,17 +7,20 @@ sub-covariances by _direct_rows, the one direct-path driver, one order
 at a time, with results scattered back to the rows' variable positions.
 Exhaustive scans evaluate whole orders through a LogdetLattice instead,
 which reads every leave-one-out term from the previous order's
-log-determinants. One kernel, _border, adds a variable to a set of known
-inverse and log-determinant through its Schur complement (_unborder
-removes one); it serves the lattice's wide orders and _BorderedSets, the
-stored sets that greedy growth and annealing move. Rows those cannot
-serve fall back to _direct_rows. enumerate_order and the lattice number
-n-plets in one combinatorial number system, with int64 ranks.
+log-determinants and, where memory allows, every joint term from pivots
+carried down the subset lattice. One kernel, _border, adds a variable to
+a set of known inverse and log-determinant through its Schur complement
+(_unborder removes one); it serves the lattice's wide orders and
+_BorderedSets, the stored sets that greedy growth and annealing move.
+Rows those cannot serve fall back to _direct_rows. enumerate_order and
+the lattice number n-plets in one combinatorial number system, with
+int64 ranks.
 
 Cholesky is the only factorisation: inverses and leave-one-out terms
 come from R = L^-1 by forward substitution (_lower_inverse), and the
 direct path's factors from copula_core._jittered_cholesky, the one jitter
-retry.
+retry. The lattice's pivot route factors nothing: its pivots are the
+Cholesky pivots, each reached by one rank-one update.
 """
 
 import math
@@ -171,13 +174,21 @@ def _colex_unrank(ranks: np.ndarray, k: int, binom: np.ndarray) -> np.ndarray:
 
 def _ranks(idx: np.ndarray, binom: np.ndarray):
     """(B,) colex ranks of the rows of idx and (B, K) ranks of each row
-    without its member j."""
-    pos = np.arange(idx.shape[1])
-    stay = binom[idx, pos + 1]  # member p at position p
-    move = binom[idx, pos]  # member p at position p - 1, after j < p left
-    stay_sum = np.cumsum(stay, axis=1)
-    move_sum = np.cumsum(move, axis=1)
-    return stay_sum[:, -1], stay_sum - stay + move_sum[:, -1:] - move_sum
+    without its member j: a prefix sum of C(c_p, p + 1) over p < j plus a
+    suffix sum of C(c_p, p) over p > j (member p moves to position p - 1),
+    one B-long column at a time."""
+    k = idx.shape[1]
+    cols, by_pos = idx.T, binom.T
+    loo = np.empty((k, idx.shape[0]), dtype=np.int64)
+    acc = np.zeros(idx.shape[0], dtype=np.int64)
+    for p in range(k):
+        loo[p] = acc
+        acc += by_pos[p + 1][cols[p]]
+    rank, acc = acc, np.zeros_like(acc)
+    for p in range(k - 1, -1, -1):
+        loo[p] += acc
+        acc += by_pos[p][cols[p]]
+    return rank, loo.T
 
 
 def enumerate_order(n: int, k: int, batch_size: int = 10000):
@@ -457,15 +468,31 @@ def entropy_terms(covs: CovSet, batch: NpletBatch, bias_correct: bool = False) -
     return _excess_terms(joint, loo, members, _excess_singles(covs, bias), bias, live=live)
 
 
-#: Cap, in bytes, on the raw log-determinant tables a LogdetLattice keeps
-#: live at once (two orders at most). An order whose tables would exceed it
-#: is evaluated on the direct path.
+#: Cap, in bytes, on what a LogdetLattice keeps live at once: the raw
+#: log-determinant tables of two orders and, on the pivot route, the pivot
+#: states of two orders. An order whose tables would exceed it is evaluated
+#: on the direct path; one whose tables and states would takes a batched
+#: Cholesky.
 LATTICE_TABLE_BYTES = 64 * 2**20
 
 #: An order k >= 3 is bordered when its prefixes have at least this many
 #: children on average, (N - k + 1) / k. Below it, per-prefix work costs
 #: more than the batched Cholesky it saves (N = 20, orders 3..8, measured).
 BORDER_MIN_CHILDREN = 8
+
+#: Schur complements below BORDER_RTOL times the variance of their variable
+#: are not trusted: the lattice's pivot route leaves such an n-plet (and
+#: every n-plet built on it) NaN, and _BorderedSets scores a set only while
+#: every member's relative Schur complement, 1 / (inv_jj sigma_jj), clears
+#: it. Rows so excluded take the direct path.
+BORDER_RTOL = 1e-3
+
+
+def _state_size(n: int, j: int) -> int:
+    """Floats per dataset in the pivot states of every j-plet of n variables:
+    sum over j-plets p of (n - 1 - max p)**2, which is 2 C(n, j + 2) + C(n, j + 1)
+    (n**2 for the empty set)."""
+    return 2 * math.comb(n, j + 2) + math.comb(n, j + 1)
 
 
 class LogdetLattice:
@@ -478,37 +505,60 @@ class LogdetLattice:
     an order-k batch needs its joint terms and table lookups, and no
     inverse. Tables hold raw values; bias corrections apply on reading.
 
-    Joint terms come from one of two routes, fixed per order. By default a
-    batched Cholesky factors every row. An order k >= 3 whose prefixes
-    c[:-1] have at least BORDER_MIN_CHILDREN children on average,
-    (N - k + 1) / k, is bordered instead (_border): a prefix's children
-    are contiguous rows of a lexicographic batch, so each distinct prefix
-    is factored once, and a child's joint term is the prefix's, already
-    read from table k - 1 as its last leave-one-out term, plus log of its
-    Schur complement. N <= 25 never borders.
+    Joint terms come from one of three routes, fixed per order:
+
+    - pivot: the Cholesky pivots of a sorted k-plet c are the Schur
+      complements of its prefixes (Golub & Van Loan, Matrix Computations
+      4.2), so logdet(c) = logdet(c[:-1]) + log s, with s the variance of
+      c[-1] given c[:-1]. The lattice carries, for every (k - 1)-plet p,
+      its state: the covariance of the variables after max p conditioned
+      on p, one array per largest member. open(k) reads the whole of table
+      k from table k - 1 and those states' diagonals, and, when order
+      k + 1 takes the route too, each child p + v's state from its
+      parent's by one rank-one update. terms() then only reads tables:
+      no gather, no factorisation, no table writes. A pivot below
+      BORDER_RTOL * sigma_vv is NaN, and so is everything built on it.
+    - bordered: an order k >= 3 whose prefixes c[:-1] have at least
+      BORDER_MIN_CHILDREN children on average, (N - k + 1) / k. A prefix's
+      children are contiguous rows of a lexicographic batch, so each
+      distinct prefix is factored once, and a child's joint term is the
+      prefix's, read from table k - 1, plus log of its Schur complement
+      (_border). N <= 25 never borders.
+    - Cholesky: a batched Cholesky factors every row.
+
+    Memory decides between the pivot route and Cholesky. Order k is served
+    (has its tables) when the two live tables, C(N, k - 1) + C(N, k)
+    floats per dataset, fit LATTICE_TABLE_BYTES. A served order that does
+    not border takes the pivot route when its tables plus the states it
+    reads and carries on (those of the (k - 1)- and k-plets, _state_size)
+    fit the same cap, and every order below it does too: states pass
+    from one order to the next, from the empty set (sigma itself) up.
+    Otherwise it takes Cholesky.
 
     The caller opens orders in increasing order and evaluates every batch
     of an order before opening the next. open(k) builds a missing table
-    k - 1 first (table 0 is zero, table 1 is log sigma_ii, as are order-1
-    joint terms; higher ones take a Cholesky pass over unranked colex
-    ranks) and keeps table k only if order k + 1 reads it. The two live
-    tables are capped by LATTICE_TABLE_BYTES.
+    k - 1 first: on the pivot route by walking orders 1..k - 1 from the
+    empty set, otherwise by a Cholesky pass over unranked colex ranks
+    (table 0 is zero, table 1 is log sigma_ii, as are order-1 joint terms).
+    It keeps table k only if order k (pivot route) or k + 1 reads it.
 
     terms() is the one fallback site, with one rule (_direct_rows): a row
     runs on the direct path when any log-determinant it needs is NaN (its
-    own joint, whose Cholesky failed or whose Schur complement or prefix
-    is not positive definite; a leave-one-out entry whose own joint was
-    NaN; or all of them when order k - 1 has no table), so it keeps
-    compute_hoi_batch's value or NotPositiveDefinite coordinates. Only the
-    (n-plet, dataset) entries that fail are NaN, never the rest of their
-    batch, so which rows go direct does not depend on batch_size.
+    own joint, whose pivot fell below the floor, whose Cholesky failed or
+    whose Schur complement or prefix is not positive definite; a
+    leave-one-out entry whose own joint was NaN; or all of them when order
+    k - 1 has no table), so it keeps compute_hoi_batch's value or
+    NotPositiveDefinite coordinates. Only the (n-plet, dataset) entries
+    that fail are NaN, never the rest of their batch, so which rows go
+    direct does not depend on batch_size.
     """
 
     def __init__(self, covs: CovSet, min_order: int, max_order: int, bias_correct: bool):
         self.covs = covs
         n, d = covs.n_variables, covs.n_datasets
         self.sigma = covs.stacked()
-        self.log_var = np.log(np.diagonal(self.sigma, axis1=-2, axis2=-1)).T  # (N, D)
+        self.var = np.diagonal(self.sigma, axis1=-2, axis2=-1).T  # (N, D)
+        self.log_var = np.log(self.var)
         self.bias = _bias_offsets(covs, max_order, bias_correct)
         self.x_singles = _excess_singles(covs, self.bias)
         cap = LATTICE_TABLE_BYTES // (8 * d)
@@ -516,8 +566,16 @@ class LogdetLattice:
             k for k in range(min_order, max_order + 1)
             if math.comb(n, k - 1) + (math.comb(n, k) if k < max_order else 0) <= cap
         }
+        self.pivots = set()
+        for k in range(1, max_order + 1):
+            tables = math.comb(n, k - 1) + math.comb(n, k)
+            if self.borders(k) or tables + _state_size(n, k - 1) + _state_size(n, k) > cap:
+                break
+            if k >= min_order:
+                self.pivots.add(k)
         self.binom = _binomial_table(n, max_order)
         self.tables = {}
+        self.states = None  # pivot states of the open order's (k - 1)-plets
 
     def borders(self, k: int) -> bool:
         """Whether order k takes its joint terms by bordering."""
@@ -529,6 +587,14 @@ class LogdetLattice:
         if k not in self.served:
             return
         n, d = self.covs.n_variables, self.covs.n_datasets
+        if k in self.pivots:
+            if k - 1 not in self.tables:  # walk from the empty set
+                table, self.states = np.zeros((1, d)), {-1: self.sigma[None]}
+                for j in range(1, k):
+                    table = self._descend(table, j, carry=True)
+                self.tables[k - 1] = table
+            self.tables[k] = self._descend(self.tables[k - 1], k, carry=k + 1 in self.pivots)
+            return
         if k - 1 not in self.tables:
             size = math.comb(n, k - 1)
             table = np.zeros((size, d))
@@ -539,6 +605,40 @@ class LogdetLattice:
             self.tables[k - 1] = table
         if k + 1 in self.served:
             self.tables[k] = np.full((math.comb(n, k), d), np.nan)
+
+    def _descend(self, table: np.ndarray, j: int, carry: bool) -> np.ndarray:
+        """Table j from table j - 1 and the pivot states of the (j - 1)-plets;
+        self.states becomes those of the j-plets when carry, else None.
+
+        States are grouped by largest member m (-1 for the empty set): group
+        m is a (C(m, j - 2), D, N - 1 - m, N - 1 - m) array in colex order,
+        the covariance of variables m + 1..N - 1 given each (j - 1)-plet p.
+        The j-plets with largest member v are p + v for every p with
+        max p < v, ranks C(v, j) on, in the colex order of p: so their
+        joint terms are table[:C(v, j - 1)] plus log of v's pivots, read
+        from groups m < v in turn, and their states eliminate v from the
+        same groups."""
+        n, d = self.covs.n_variables, self.covs.n_datasets
+        out = np.empty((math.comb(n, j), d))
+        children = {}
+        for v in range(j - 1, n):
+            parents = [(v - m - 1, g) for m, g in self.states.items() if m < v]
+            piv = np.concatenate([g[:, :, a, a] for a, g in parents])
+            piv = np.where(piv >= BORDER_RTOL * self.var[v], piv, np.nan)
+            lo = math.comb(v, j)
+            out[lo:lo + len(piv)] = table[:len(piv)] + np.log(piv)
+            if carry and v < n - 1:
+                child = np.empty((len(piv), d, n - 1 - v, n - 1 - v))
+                at = 0
+                for a, g in parents:
+                    col = g[:, :, a + 1:, a]
+                    scaled = col / piv[at:at + len(g), :, None]
+                    child[at:at + len(g)] = (g[:, :, a + 1:, a + 1:]
+                                             - col[..., :, None] * scaled[..., None, :])
+                    at += len(g)
+                children[v] = child
+        self.states = children if carry else None
+        return out
 
     def _joint(self, idx: np.ndarray) -> np.ndarray:
         """(B, D) raw log-determinants of the rows of idx, one batched
@@ -572,21 +672,19 @@ class LogdetLattice:
         else:
             rank, loo_rank = _ranks(idx, self.binom)
             loo = prev[loo_rank]  # (B, k, D); member k - 1 left out is the prefix
-            if self.borders(k):
-                joint = self._bordered(idx, loo_rank[:, -1], loo[:, -1])
+            if k in self.pivots:
+                joint = self.tables[k][rank]
             else:
-                joint = self._joint(idx)
-            if k in self.tables:
-                self.tables[k][rank] = joint
+                if self.borders(k):
+                    joint = self._bordered(idx, loo_rank[:, -1], loo[:, -1])
+                else:
+                    joint = self._joint(idx)
+                if k in self.tables:
+                    self.tables[k][rank] = joint
             loo = np.ascontiguousarray(loo.transpose(0, 2, 1))  # summed as compute_hoi_batch's
         rows = _direct_rows(self.covs, idx, joint, loo)
         return _excess_terms(joint, loo, idx, self.x_singles, self.bias), rows.size
 
-
-#: _BorderedSets scores a bordered set only while every member's Schur complement
-#: relative to its variance, 1 / (inv_jj sigma_jj), is at least this; weaker sets take
-#: the direct path. The lattice sends only non-positive Schur complements there.
-BORDER_RTOL = 1e-3
 
 #: accepted bordered moves after which a _BorderedSets row is refactored
 _REFRESH_MOVES = 50

@@ -159,8 +159,13 @@ def _extensions(parents: np.ndarray, n: int):
     keep = (parents[parent] != var[:, None]).all(axis=1)
     parent, var = parent[keep], var[keep]
     rows = np.sort(np.column_stack([parents[parent], var]), axis=1)
-    rows, first = np.unique(rows, axis=0, return_index=True)
-    return rows, parent[first], var[first]
+    # np.unique(rows, axis=0, return_index=True), without its structured sort:
+    # a stable lexicographic sort keeps the first of equal rows in front
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    first = np.concatenate([[True], (rows[1:] != rows[:-1]).any(axis=1)])
+    order = order[first]
+    return rows[first], parent[order], var[order]
 
 
 def greedy(covs: CovSet, spec: ObjectiveSpec, start_order: int,

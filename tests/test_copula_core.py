@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from hoi import (
     gaussian_entropy_nats,
     rank_columns,
 )
-from hoi.copula_core import _digamma
+from hoi.copula_core import _digamma, _normal_grid
 
 # frozen from tests/reference.py (slogdet / plain-digamma routes)
 PAIR_RHO_HALF_ENTROPY = 2.694036030183455
@@ -89,6 +90,25 @@ def test_copula_transform_matches_reference():
     np.testing.assert_array_equal(np.argsort(got, axis=0, kind="stable"),
                                   np.argsort(want, axis=0, kind="stable"))
     np.testing.assert_allclose(got, want, rtol=4e-15, atol=0)
+
+
+def test_copula_transform_reuses_one_read_only_grid_per_sample_count():
+    rng = np.random.default_rng(4)
+    x, y = rng.standard_normal((37, 3)), rng.standard_normal((37, 5))
+    first = copula_transform(DataMatrix(x)).values
+    hits = _normal_grid.cache_info().hits
+    second = copula_transform(DataMatrix(y)).values
+    assert _normal_grid.cache_info().hits == hits + 1
+    grid = _normal_grid(37)
+    # bitwise the grid built afresh and indexed by rank; the output is the
+    # caller's to write
+    fresh = np.array([NormalDist().inv_cdf(i / 38) for i in range(1, 38)])
+    np.testing.assert_array_equal(first, fresh[rank_columns(DataMatrix(x)) - 1])
+    np.testing.assert_array_equal(second, fresh[rank_columns(DataMatrix(y)) - 1])
+    second[0, 0] = 0.0
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0] = 0.0
 
 
 @settings(max_examples=25, deadline=None)

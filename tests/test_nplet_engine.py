@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -110,6 +111,20 @@ def test_colex_unrank_inverts_the_rank():
         binom = _binomial_table(200, k)
         ranks = rng.integers(0, count_nplets(200, k, k), size=5000)
         np.testing.assert_array_equal(_ranks(_colex_unrank(ranks, k, binom), binom)[0], ranks)
+
+
+def test_ranks_equal_brute_force_colex_ranks():
+    def colex(row):
+        return sum(math.comb(c, p + 1) for p, c in enumerate(row))
+
+    rng = np.random.default_rng(7)
+    for n, k in ((1, 1), (6, 1), (6, 6), (9, 4), (20, 10), (20, 20), (200, 3)):
+        binom = _binomial_table(n, k)
+        rows = np.array([np.sort(rng.choice(n, k, replace=False)) for _ in range(300)])
+        rank, loo = _ranks(rows, binom)
+        assert rank.tolist() == [colex(row) for row in rows.tolist()], (n, k)
+        want = [[colex(row[:j] + row[j + 1:]) for j in range(k)] for row in rows.tolist()]
+        assert loo.tolist() == want, (n, k)
 
 
 def test_enumeration_is_lazy_below_the_rank_limit_and_refused_above():

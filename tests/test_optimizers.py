@@ -115,6 +115,26 @@ def test_evaluate_objective_callable_aggregator():
         evaluate_objective(toy_hoi(vals), bad)
 
 
+def test_extensions_are_the_unique_sorted_rows_with_their_first_parent():
+    rng = np.random.default_rng(5)
+    for n, k, b in ((6, 2, 8), (9, 3, 20), (12, 4, 30), (40, 3, 10)):
+        for _ in range(20):
+            # parents drawn from a few variables share members, so many
+            # extensions are reached more than once
+            pool = rng.choice(n, min(n, k + 2), replace=False)
+            parents = np.unique(np.sort([rng.choice(pool, k, replace=False) for _ in range(b)],
+                                        axis=1), axis=0)
+            rows, parent, add = optimizers._extensions(parents, n)
+            reached = [(tuple(sorted(p + [v])), i, v) for i, p in enumerate(parents.tolist())
+                       for v in range(n) if v not in p]
+            want, first = np.unique(np.array([r for r, _, _ in reached]), axis=0,
+                                    return_index=True)
+            assert len(want) < len(reached)
+            np.testing.assert_array_equal(rows, want)
+            assert parent.tolist() == [reached[f][1] for f in first]
+            assert add.tolist() == [reached[f][2] for f in first]
+
+
 def test_greedy_recovers_planted_blocks_at_order_four():
     covs = planted_covset()
     up = greedy(covs, ObjectiveSpec(measure="o", direction="max"), 3, 4, kappa=10)

@@ -329,10 +329,11 @@ def degenerate_covset(seed, n, kinds):
 def test_near_singular_scan_matches_the_direct_path(
         seed, n, kinds, batch_size, workers, min_order):
     # Rows the lattice cannot serve take the direct path and get
-    # entropy_terms' values bit for bit; rows it serves hold the Cholesky
-    # log-determinants of their own and their minors' submatrices. Both
-    # paths raise the same NotPositiveDefinite coordinates, and no value is
-    # left non-finite.
+    # entropy_terms' values bit for bit; rows it serves hold the
+    # log-determinants of their own and their minors' submatrices within
+    # 1e-12, and every pivot behind them clears the floor. Both paths raise
+    # the same NotPositiveDefinite coordinates, and no value is left
+    # non-finite.
     covs = degenerate_covset(seed, n, kinds)
     lattice_terms, direct_logdets = nplet_engine.LogdetLattice.terms, nplet_engine._direct_logdets
     terms_of, direct = {}, set()
@@ -366,11 +367,17 @@ def test_near_singular_scan_matches_the_direct_path(
             break
     assert raised == wanted
 
+    variances = np.diagonal(covs.stacked(), axis1=1, axis2=2).T  # (N, D)
+
     def half_logdets(rows):
         mats = extract_subcov_batch(covs, NpletBatch(n, indices=rows)).matrices
-        return 0.5 * _factor_logdet(np.linalg.cholesky(mats))
+        chol = np.linalg.cholesky(mats)
+        # the pivot route's floor: every Cholesky pivot of a served set
+        pivots = np.diagonal(chol, axis1=-2, axis2=-1) ** 2
+        assert (pivots >= nplet_engine.BORDER_RTOL * variances[rows].transpose(0, 2, 1)).all()
+        return 0.5 * _factor_logdet(chol)
 
-    half_log_var = 0.5 * np.log(np.diagonal(covs.stacked(), axis1=1, axis2=2)).T  # table 1
+    half_log_var = 0.5 * np.log(variances)  # table 1
 
     for batch, hoi in seen:
         got, k = terms_of[id(batch)], batch.order
@@ -386,14 +393,14 @@ def test_near_singular_scan_matches_the_direct_path(
             row = rows[i]
             # table 1 is log sigma_ii whatever min_order is, as are order-1 joints
             joint = half_log_var[row[0]] if k == 1 else half_logdets([row])[0]
-            np.testing.assert_array_equal(got.excess_joint[i], joint)
+            np.testing.assert_allclose(got.excess_joint[i], joint, rtol=0, atol=1e-12)
             if k == 1:
                 loo = 0.0
             elif k == 2:
                 loo = half_log_var[row[::-1]].T
             else:
                 loo = half_logdets([row[:j] + row[j + 1:] for j in range(k)]).T
-            np.testing.assert_array_equal(got.excess_leave_one_out[i], loo)
+            np.testing.assert_allclose(got.excess_leave_one_out[i], loo, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=15, deadline=None)
@@ -531,6 +538,69 @@ def test_orders_over_the_table_cap_run_on_the_direct_path(monkeypatch):
     capped = measure_rows(covs, 2, 8, batch_size=9, progress=ticks.append)
     np.testing.assert_allclose(capped, base, rtol=0, atol=1e-12)
     assert ticks[-1]["fallback_rows"] == count_nplets(8, 3, 6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 12), d=st.integers(1, 3),
+       min_order=st.integers(1, 3), bias_correct=st.booleans())
+def test_pivot_tables_match_slogdet(seed, n, d, min_order, bias_correct):
+    rng = np.random.default_rng(seed)
+    sigmas = []
+    for _ in range(d):
+        a = rng.standard_normal((2 * n, n))
+        sigmas.append(a.T @ a / (2 * n) + 0.3 * np.eye(n))
+    covs = CovSet([CovarianceMatrix(sig, n_samples_used=40) for sig in sigmas])
+    lattice = nplet_engine.LogdetLattice(covs, min_order, n, bias_correct)
+    assert lattice.pivots == set(range(min_order, n + 1))
+    stacked = np.stack(sigmas)
+    for k in range(min_order, n + 1):
+        lattice.open(k, 64)
+        for m in (k - 1, k):  # table min_order - 1 is walked from the empty set
+            if m == 0:
+                continue
+            rows = nplet_engine._colex_unrank(np.arange(count_nplets(n, m, m)), m, lattice.binom)
+            sign, want = np.linalg.slogdet(stacked[:, rows[:, :, None], rows[:, None, :]])
+            assert (sign == 1).all()
+            np.testing.assert_allclose(lattice.tables[m], want.T, rtol=0, atol=1e-12)
+
+
+def test_orders_over_the_state_cap_take_the_batched_cholesky(monkeypatch):
+    covs = toy_covset(13, n=10, d=1)
+    ticks = []
+    base = measure_rows(covs, 1, 10, progress=ticks.append)
+    assert nplet_engine.LogdetLattice(covs, 1, 10, False).pivots == set(range(1, 11))
+    # 880 floats: every order keeps its tables (C(10, 4) + C(10, 5) = 462 at
+    # most), orders 1 and 2 their states, and orders 3..10 go to Cholesky
+    monkeypatch.setattr(nplet_engine, "LATTICE_TABLE_BYTES", 8 * 880)
+    lattice = nplet_engine.LogdetLattice(covs, 1, 10, False)
+    assert lattice.served == set(range(1, 11)) and lattice.pivots == {1, 2}
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        factored.append(np.shape(a)[-1])
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    capped_ticks = []
+    capped = measure_rows(covs, 1, 10, batch_size=9, progress=capped_ticks.append)
+    assert set(factored) == set(range(3, 11))
+    np.testing.assert_allclose(capped, base, rtol=0, atol=1e-12)
+    assert capped_ticks[-1]["fallback_rows"] == ticks[-1]["fallback_rows"] == 0
+
+
+def test_pivot_served_scans_never_factor(monkeypatch):
+    def no_cholesky(*args, **kwargs):
+        raise AssertionError("np.linalg.cholesky called")
+
+    covs = toy_covset(14, n=12, d=2)
+    assert nplet_engine.LogdetLattice(covs, 1, 12, False).pivots == set(range(1, 13))
+    monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+    ticks = []
+    top = scan(covs, 1, 12, TopK("o", "max", 3), batch_size=500, workers=2,
+               progress=ticks.append)
+    assert [len(per_d) for per_d in top] == [3, 3]
+    assert ticks[-1]["nplets"] == 2 ** 12 - 1 and ticks[-1]["fallback_rows"] == 0
 
 
 def test_threaded_table_writes_are_never_lost():
