@@ -6,21 +6,23 @@ matrix (mixed orders). Every batch is evaluated on compact k x k
 sub-covariances by _direct_rows, the one direct-path driver, one order
 at a time, with results scattered back to the rows' variable positions.
 Exhaustive scans evaluate whole orders through a LogdetLattice instead,
-which reads every leave-one-out term from the previous order's
-log-determinants and, where memory allows, every joint term from pivots
-carried down the subset lattice. One kernel, _border, adds a variable to
-a set of known inverse and log-determinant through its Schur complement
-(_unborder removes one); it serves the lattice's wide orders and
-_BorderedSets, the stored sets that greedy growth and annealing move.
-Rows those cannot serve fall back to _direct_rows. enumerate_order and
-the lattice number n-plets in one combinatorial number system, with
-int64 ranks.
+on one of two routes per order. The pivot route reads every term from
+tables of log-determinants, built from pivots carried down the subset
+lattice while they fit a memory cap; every other order walks each
+batch's own prefix tree. One kernel, _border, adds a variable to a set
+of known inverse and log-determinant through its Schur complement
+(_grow then grows the inverse, _unborder removes a variable); it serves
+the walk and _BorderedSets, the stored sets that greedy growth and
+annealing move. A set is trusted only while every member's relative
+Schur complement clears BORDER_RTOL (_conditioned); rows that are not
+fall back to _direct_rows. enumerate_order and the lattice number
+n-plets in one combinatorial number system, with int64 ranks.
 
 Cholesky is the only factorisation: inverses and leave-one-out terms
 come from R = L^-1 by forward substitution (_lower_inverse), and the
 direct path's factors from copula_core._jittered_cholesky, the one jitter
-retry. The lattice's pivot route factors nothing: its pivots are the
-Cholesky pivots, each reached by one rank-one update.
+retry. The lattice factors nothing: its pivots are Cholesky pivots, each
+reached by one rank-one update or one bordering.
 """
 
 import math
@@ -145,9 +147,10 @@ _RANK_LIMIT = 2**62  # largest C(n, k) whose int64 ranks cannot wrap around
 def _binomial_table(n: int, k_max: int) -> np.ndarray:
     """(n, k_max + 1) int64 table of C(a, b) for a < n and b <= k_max.
 
-    Entries are clipped at 2**62 to fit int64; no served rank reads a
+    Entries are clipped at 2**62 to fit int64; no rank reads a
     clipped entry (every term of a k-subset's rank is below C(n, k), which
-    enumerate_order keeps <= 2**62 and LogdetLattice below its cap).
+    enumerate_order keeps <= 2**62 and the lattice's pivot route below its
+    cap).
     """
     return np.array(
         [[min(math.comb(a, b), _RANK_LIMIT) for b in range(k_max + 1)] for a in range(n)],
@@ -392,6 +395,21 @@ def _border(sigma: np.ndarray, members: np.ndarray, v: np.ndarray,
     return logdet + np.log(s), diag, z, s
 
 
+def _grow(inv: np.ndarray, z: np.ndarray, s: np.ndarray, slot) -> np.ndarray:
+    """sigma[S + v, S + v]^-1 in place of inv = sigma[S, S]^-1 (B, D, m, m),
+    with v stored at slot (per row, or one for all), whose row and column of
+    inv are zero, from _border's z and s: inv + z z^T / s, then -z / s in
+    row and column slot and 1 / s where they cross. Returns inv."""
+    rows, edge = np.arange(len(inv)), -z / s[..., None]
+    outer = np.einsum("...i,...j->...ij", z, z)
+    outer /= s[..., None, None]
+    inv += outer
+    inv[rows, :, slot, :] = edge
+    inv[rows, :, :, slot] = edge
+    inv[rows, :, slot, slot] = 1.0 / s
+    return inv
+
+
 def _unborder(inv: np.ndarray, logdet: np.ndarray, j: np.ndarray):
     """Remove member slot j[b] from sets S of known inverse inv (B, D, m, m)
     and log-determinant logdet (B, D): logdet(S - j) = logdet(S) + log inv_jj,
@@ -468,24 +486,26 @@ def entropy_terms(covs: CovSet, batch: NpletBatch, bias_correct: bool = False) -
     return _excess_terms(joint, loo, members, _excess_singles(covs, bias), bias, live=live)
 
 
-#: Cap, in bytes, on what a LogdetLattice keeps live at once: the raw
-#: log-determinant tables of two orders and, on the pivot route, the pivot
-#: states of two orders. An order whose tables would exceed it is evaluated
-#: on the direct path; one whose tables and states would takes a batched
-#: Cholesky.
+#: Cap, in bytes, on what a LogdetLattice keeps live at once: on the pivot
+#: route, the raw log-determinant tables and the pivot states of two orders.
+#: Orders past it walk, which keeps nothing between batches.
 LATTICE_TABLE_BYTES = 64 * 2**20
-
-#: An order k >= 3 is bordered when its prefixes have at least this many
-#: children on average, (N - k + 1) / k. Below it, per-prefix work costs
-#: more than the batched Cholesky it saves (N = 20, orders 3..8, measured).
-BORDER_MIN_CHILDREN = 8
 
 #: Schur complements below BORDER_RTOL times the variance of their variable
 #: are not trusted: the lattice's pivot route leaves such an n-plet (and
-#: every n-plet built on it) NaN, and _BorderedSets scores a set only while
-#: every member's relative Schur complement, 1 / (inv_jj sigma_jj), clears
-#: it. Rows so excluded take the direct path.
+#: every n-plet built on it) NaN, and a set the walk or _BorderedSets
+#: scores counts only while every member's relative Schur complement,
+#: 1 / (inv_jj sigma_jj), clears it (_conditioned). Rows so excluded take
+#: the direct path.
 BORDER_RTOL = 1e-3
+
+
+def _conditioned(members, live, diag, var):
+    """Live slots (P, D, W) of sets members whose relative Schur complement,
+    by inverse diagonal diag and variances var (N, D), clears BORDER_RTOL
+    (dead slots, NaN and non-positive values do not)."""
+    scale = diag * var[members].transpose(0, 2, 1)
+    return live[:, None, :] & (scale > 0.0) & (scale * BORDER_RTOL <= 1.0)
 
 
 def _state_size(n: int, j: int) -> int:
@@ -496,61 +516,46 @@ def _state_size(n: int, j: int) -> int:
 
 
 class LogdetLattice:
-    """Raw log-determinants by order, for scanning whole orders in turn.
+    """Raw log-determinants of whole orders, scanned in turn.
 
-    Table k holds logdet(sigma_d[c, c]) of every k-plet c at its colex rank
-    sum_i C(c_i, i + 1) (the combinatorial number system), one column per
-    dataset. Every leave-one-out term of a k-plet is the joint term of a
-    (k - 1)-plet, at rank sum_{p<j} C(c_p, p + 1) + sum_{p>j} C(c_p, p), so
-    an order-k batch needs its joint terms and table lookups, and no
-    inverse. Tables hold raw values; bias corrections apply on reading.
-
-    Joint terms come from one of three routes, fixed per order:
+    Every order takes one of two routes, fixed per order:
 
     - pivot: the Cholesky pivots of a sorted k-plet c are the Schur
       complements of its prefixes (Golub & Van Loan, Matrix Computations
       4.2), so logdet(c) = logdet(c[:-1]) + log s, with s the variance of
-      c[-1] given c[:-1]. The lattice carries, for every (k - 1)-plet p,
-      its state: the covariance of the variables after max p conditioned
-      on p, one array per largest member. open(k) reads the whole of table
-      k from table k - 1 and those states' diagonals, and, when order
-      k + 1 takes the route too, each child p + v's state from its
-      parent's by one rank-one update. terms() then only reads tables:
-      no gather, no factorisation, no table writes. A pivot below
-      BORDER_RTOL * sigma_vv is NaN, and so is everything built on it.
-    - bordered: an order k >= 3 whose prefixes c[:-1] have at least
-      BORDER_MIN_CHILDREN children on average, (N - k + 1) / k. A prefix's
-      children are contiguous rows of a lexicographic batch, so each
-      distinct prefix is factored once, and a child's joint term is the
-      prefix's, read from table k - 1, plus log of its Schur complement
-      (_border). N <= 25 never borders.
-    - Cholesky: a batched Cholesky factors every row.
+      c[-1] given c[:-1]. Table k holds logdet(sigma_d[c, c]) of every
+      k-plet c at its colex rank sum_i C(c_i, i + 1) (the combinatorial
+      number system), one column per dataset. The lattice carries, for
+      every (k - 1)-plet p, its state: the covariance of the variables
+      after max p conditioned on p, one array per largest member. open(k)
+      reads the whole of table k from table k - 1 and those states'
+      diagonals, and, when order k + 1 takes the route too, each child
+      p + v's state from its parent's by one rank-one update. terms() then
+      only reads tables: a leave-one-out term of a k-plet is the joint
+      term of a (k - 1)-plet, at rank sum_{p<j} C(c_p, p + 1) +
+      sum_{p>j} C(c_p, p). A pivot below BORDER_RTOL * sigma_vv is NaN, and
+      so is everything built on it.
+    - walk: terms() borders down each batch's own prefix tree (_walk;
+      Hager 1989, SIAM Review 31:221). No table is read or written, and
+      memory is O(batch_size K^2 D).
 
-    Memory decides between the pivot route and Cholesky. Order k is served
-    (has its tables) when the two live tables, C(N, k - 1) + C(N, k)
-    floats per dataset, fit LATTICE_TABLE_BYTES. A served order that does
-    not border takes the pivot route when its tables plus the states it
-    reads and carries on (those of the (k - 1)- and k-plets, _state_size)
-    fit the same cap, and every order below it does too: states pass
-    from one order to the next, from the empty set (sigma itself) up.
-    Otherwise it takes Cholesky.
-
+    An order takes the pivot route when its two tables, C(N, k - 1) +
+    C(N, k) floats per dataset, plus the states of the (k - 1)- and
+    k-plets (_state_size) fit LATTICE_TABLE_BYTES, and every order below
+    it does too: states pass from one order to the next, from the empty
+    set (sigma itself) up, so open(min_order) first descends from there to
+    table min_order - 1 (table 1 is log sigma_ii). Every other order walks.
     The caller opens orders in increasing order and evaluates every batch
-    of an order before opening the next. open(k) builds a missing table
-    k - 1 first: on the pivot route by walking orders 1..k - 1 from the
-    empty set, otherwise by a Cholesky pass over unranked colex ranks
-    (table 0 is zero, table 1 is log sigma_ii, as are order-1 joint terms).
-    It keeps table k only if order k (pivot route) or k + 1 reads it.
+    of an order before opening the next.
 
     terms() is the one fallback site, with one rule (_direct_rows): a row
-    runs on the direct path when any log-determinant it needs is NaN (its
-    own joint, whose pivot fell below the floor, whose Cholesky failed or
-    whose Schur complement or prefix is not positive definite; a
-    leave-one-out entry whose own joint was NaN; or all of them when order
-    k - 1 has no table), so it keeps compute_hoi_batch's value or
-    NotPositiveDefinite coordinates. Only the (n-plet, dataset) entries
-    that fail are NaN, never the rest of their batch, so which rows go
-    direct does not depend on batch_size.
+    runs on the direct path when a log-determinant it needs is NaN (a
+    pivot fell below the floor, a walk leaf has a member whose relative
+    Schur complement does not clear BORDER_RTOL, or a Schur complement is
+    not positive), so it keeps compute_hoi_batch's value or
+    NotPositiveDefinite coordinates. Only the n-plets that fail are NaN,
+    never the rest of their batch, so which rows go direct does not depend
+    on batch_size.
     """
 
     def __init__(self, covs: CovSet, min_order: int, max_order: int, bias_correct: bool):
@@ -558,18 +563,13 @@ class LogdetLattice:
         n, d = covs.n_variables, covs.n_datasets
         self.sigma = covs.stacked()
         self.var = np.diagonal(self.sigma, axis1=-2, axis2=-1).T  # (N, D)
-        self.log_var = np.log(self.var)
         self.bias = _bias_offsets(covs, max_order, bias_correct)
         self.x_singles = _excess_singles(covs, self.bias)
         cap = LATTICE_TABLE_BYTES // (8 * d)
-        self.served = {
-            k for k in range(min_order, max_order + 1)
-            if math.comb(n, k - 1) + (math.comb(n, k) if k < max_order else 0) <= cap
-        }
         self.pivots = set()
         for k in range(1, max_order + 1):
             tables = math.comb(n, k - 1) + math.comb(n, k)
-            if self.borders(k) or tables + _state_size(n, k - 1) + _state_size(n, k) > cap:
+            if tables + _state_size(n, k - 1) + _state_size(n, k) > cap:
                 break
             if k >= min_order:
                 self.pivots.add(k)
@@ -577,34 +577,18 @@ class LogdetLattice:
         self.tables = {}
         self.states = None  # pivot states of the open order's (k - 1)-plets
 
-    def borders(self, k: int) -> bool:
-        """Whether order k takes its joint terms by bordering."""
-        return k >= 3 and self.covs.n_variables - k + 1 >= BORDER_MIN_CHILDREN * k
-
-    def open(self, k: int, batch_size: int) -> None:
-        """Make order k current; tables below order k - 1 are dropped."""
-        self.tables = {m: t for m, t in self.tables.items() if m == k - 1}
-        if k not in self.served:
+    def open(self, k: int) -> None:
+        """Make order k current: a pivot order builds table k, a walk order
+        drops every table."""
+        self.tables = {m: t for m, t in self.tables.items() if m == k - 1 and k in self.pivots}
+        if k not in self.pivots:
             return
-        n, d = self.covs.n_variables, self.covs.n_datasets
-        if k in self.pivots:
-            if k - 1 not in self.tables:  # walk from the empty set
-                table, self.states = np.zeros((1, d)), {-1: self.sigma[None]}
-                for j in range(1, k):
-                    table = self._descend(table, j, carry=True)
-                self.tables[k - 1] = table
-            self.tables[k] = self._descend(self.tables[k - 1], k, carry=k + 1 in self.pivots)
-            return
-        if k - 1 not in self.tables:
-            size = math.comb(n, k - 1)
-            table = np.zeros((size, d))
-            if k > 1:
-                for start in range(0, size, batch_size):
-                    rank = np.arange(start, min(start + batch_size, size))
-                    table[rank] = self._joint(_colex_unrank(rank, k - 1, self.binom))
+        if k - 1 not in self.tables:  # descend from the empty set
+            table, self.states = np.zeros((1, self.covs.n_datasets)), {-1: self.sigma[None]}
+            for j in range(1, k):
+                table = self._descend(table, j, carry=True)
             self.tables[k - 1] = table
-        if k + 1 in self.served:
-            self.tables[k] = np.full((math.comb(n, k), d), np.nan)
+        self.tables[k] = self._descend(self.tables[k - 1], k, carry=k + 1 in self.pivots)
 
     def _descend(self, table: np.ndarray, j: int, carry: bool) -> np.ndarray:
         """Table j from table j - 1 and the pivot states of the (j - 1)-plets;
@@ -640,48 +624,49 @@ class LogdetLattice:
         self.states = children if carry else None
         return out
 
-    def _joint(self, idx: np.ndarray) -> np.ndarray:
-        """(B, D) raw log-determinants of the rows of idx, one batched
-        Cholesky (log sigma_ii at order 1); NaN where it fails."""
-        if idx.shape[1] == 1:
-            return self.log_var[idx[:, 0]]
-        batch = NpletBatch._trusted(self.covs.n_variables, idx)
-        return _factor_logdet(_cholesky_or_nan(extract_subcov_batch(self.covs, batch).matrices))
+    def _walk(self, idx: np.ndarray):
+        """Raw (B, D) joint and (B, D, K) leave-one-out log-determinants of
+        a lexicographic batch idx, bordered down its own prefix tree.
 
-    def _bordered(self, idx: np.ndarray, prefix_rank: np.ndarray,
-                  prefix_logdet: np.ndarray) -> np.ndarray:
-        """(B, D) raw log-determinants of a lexicographic batch, each row
-        bordered onto its prefix idx[:, :-1], of colex rank prefix_rank and
-        log-determinant prefix_logdet. Each distinct prefix is factored once."""
-        n = self.covs.n_variables
-        new = prefix_rank[1:] != prefix_rank[:-1]
-        group = np.concatenate([[0], np.cumsum(new)])
-        prefix = idx[np.concatenate([[0], np.flatnonzero(new) + 1]), :-1]
-        mats = extract_subcov_batch(self.covs, NpletBatch._trusted(n, prefix)).matrices
-        _, inv = _inverse_factors(mats)
-        joint, *_ = _border(self.sigma, idx[:, :-1], idx[:, -1], inv[group], prefix_logdet)
-        return joint
+        The level-l nodes are the distinct l-prefixes, contiguous rows. Each
+        node's log-determinant and inverse, kept K - 1 wide with zeros past
+        its members, are its parent's bordered by its last member (_border,
+        _grow), so they depend on the prefix alone, not on the batch. A
+        leaf c's joint term is its parent's plus log s, and leaving out
+        member j gives logdet(c) + log (sigma_c^-1)_jj, or the parent's for
+        the last member. A leaf that _conditioned does not trust is NaN."""
+        b, k = idx.shape
+        new = np.arange(b) == 0  # rows that start a node of the level
+        inv = np.zeros((1, self.covs.n_datasets, k - 1, k - 1))
+        logdet = np.zeros((1, self.covs.n_datasets))
+        node = np.zeros(b, dtype=np.int64)  # each row's node at the level above
+        for l in range(k - 1):
+            new[1:] |= idx[1:, l] != idx[:-1, l]
+            first = np.flatnonzero(new)
+            at = node[first]
+            logdet, _, z, s = _border(self.sigma, idx[first, :-1], idx[first, l],
+                                      inv[at], logdet[at])
+            inv = _grow(inv[at], z, s, l)
+            node = np.cumsum(new) - 1
+        parent = logdet[node]
+        joint, diag, _, s = _border(self.sigma, idx[:, :-1], idx[:, -1], inv[node], parent)
+        diag = np.concatenate([diag, 1.0 / s[..., None]], axis=-1)
+        # an untrusted member leaves its term NaN, so the row goes direct
+        good = _conditioned(idx, np.ones(idx.shape, dtype=bool), diag, self.var)
+        loo = joint[..., None] + np.log(np.where(good, diag, np.nan))
+        loo[..., -1] = np.where(good[..., -1], parent, np.nan)  # c without its last member
+        return joint, loo
 
     def terms(self, batch: NpletBatch):
         """(EntropyTerms, rows on the direct path) of a batch of the open order."""
         k, idx = batch.order, batch.indices
-        prev = self.tables.get(k - 1)
-        if prev is None:  # no table k - 1: every log-determinant is missing
-            joint = np.full((batch.batch_size, self.covs.n_datasets), np.nan)
-            loo = np.full(joint.shape + (k,), np.nan)
-        else:
+        if k in self.pivots:
             rank, loo_rank = _ranks(idx, self.binom)
-            loo = prev[loo_rank]  # (B, k, D); member k - 1 left out is the prefix
-            if k in self.pivots:
-                joint = self.tables[k][rank]
-            else:
-                if self.borders(k):
-                    joint = self._bordered(idx, loo_rank[:, -1], loo[:, -1])
-                else:
-                    joint = self._joint(idx)
-                if k in self.tables:
-                    self.tables[k][rank] = joint
-            loo = np.ascontiguousarray(loo.transpose(0, 2, 1))  # summed as compute_hoi_batch's
+            joint = self.tables[k][rank]
+            # (B, k, D) -> (B, D, k), contiguous: summed as compute_hoi_batch's
+            loo = np.ascontiguousarray(self.tables[k - 1][loo_rank].transpose(0, 2, 1))
+        else:
+            joint, loo = self._walk(idx)
         rows = _direct_rows(self.covs, idx, joint, loo)
         return _excess_terms(joint, loo, idx, self.x_singles, self.bias), rows.size
 
@@ -757,13 +742,6 @@ class _BorderedSets:
         self.moves = np.zeros(b, dtype=np.int64)
         self.refresh(np.arange(b), members, live)
 
-    def _conditioned(self, members, live, diag):
-        """Live slots (P, D, W) within BORDER_RTOL by inverse diagonal diag
-        (dead slots and NaN are not), and sets (P,) with every live slot so."""
-        scale = diag * self.var[members].transpose(0, 2, 1)
-        good = live[:, None, :] & (scale > 0.0) & (scale * BORDER_RTOL <= 1.0)
-        return good, (good == live[:, None, :]).all(axis=(1, 2))
-
     def refresh(self, rows: np.ndarray, members: np.ndarray, live: np.ndarray) -> None:
         """Factor the sets members[i] at live[i] from scratch into stored
         rows rows[i], sorted into the leading slots, one batch per order."""
@@ -785,8 +763,9 @@ class _BorderedSets:
         scored, not accepted."""
         none = np.full(len(at), -1)
         drop, add = none if drop is None else drop, none if add is None else add
-        _, healthy = self._conditioned(self.members, self.live,
-                                       np.diagonal(self.inv, axis1=-2, axis2=-1))
+        stored = _conditioned(self.members, self.live,
+                              np.diagonal(self.inv, axis1=-2, axis2=-1), self.var)
+        healthy = (stored == self.live[:, None, :]).all(axis=(1, 2))
         members, live = self.members[at], self.live[at]
         logdet, inv = self.logdet[at], self.inv[at]
         w = live.shape[1]
@@ -805,10 +784,10 @@ class _BorderedSets:
                                                         base, before)
         diag[into, :, slot] = 1.0 / s
         members[into, slot], live[into, slot] = v, True
-        good, trusted = self._conditioned(members, live, diag)
+        good = _conditioned(members, live, diag, self.var)
         loo = logdet[..., None] + np.log(np.where(good, diag, 1.0))
         loo[into, :, slot] = before  # S + v without v is S itself
-        direct = ~healthy[at] | ~trusted
+        direct = ~healthy[at] | ~(good == live[:, None, :]).all(axis=(1, 2))
         rows = np.flatnonzero(direct)
         if rows.size:
             members[rows], live[rows] = _leading(members[rows], live[rows], self.covs.n_variables)
@@ -832,11 +811,7 @@ class _BorderedSets:
         self.logdet[to], self.inv[to] = p.logdet[keep], p.inv[keep]
         self.moves[to] += 1
         into, slot, z, s = (a[keep[p.grow[0]]] for a in p.grow)
-        to, rows, edge = p.at[into], np.arange(into.size), -z / s[..., None]
-        grown = self.inv[to] + z[..., :, None] * z[..., None, :] / s[..., None, None]
-        grown[rows, :, slot, :] = edge
-        grown[rows, :, :, slot] = edge
-        grown[rows, :, slot, slot] = 1.0 / s
-        self.inv[to] = grown
+        to = p.at[into]
+        self.inv[to] = _grow(self.inv[to], z, s, slot)
         if renew.any():
             self.refresh(p.at[renew], p.members[renew], p.live[renew])

@@ -175,14 +175,13 @@ def greedy(covs: CovSet, spec: ObjectiveSpec, start_order: int,
     """Beam search growing n-plets one variable at a time.
 
     The beam is seeded with the kappa best n-plets from an exhaustive
-    scan of start_order (scanner.scan, so the seed reads its leave-one-out
-    terms from the log-determinant lattice and needs only the table of
-    order start_order - 1). Each step factors the beam into an
-    nplet_engine._BorderedSets, scores every one-variable extension of
-    every member in batch_size chunks, as an add-proposal from the smallest
-    member tuple it extends (so its value does not depend on which other
-    members reach it), and keeps the kappa best distinct candidates (ties
-    to the lexicographically smallest).
+    scan of start_order (scanner.scan, on the log-determinant lattice;
+    at large N the order walks, keeping no table). Each step factors the
+    beam into an nplet_engine._BorderedSets, scores every one-variable
+    extension of every member in batch_size chunks, as an add-proposal
+    from the smallest member tuple it extends (so its value does not
+    depend on which other members reach it), and keeps the kappa best
+    distinct candidates (ties to the lexicographically smallest).
 
     restarts > 1 adds extra beams seeded with random start_order n-plets
     (drawn from seed); the first beam is always the deterministic

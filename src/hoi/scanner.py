@@ -312,43 +312,40 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
     """Visit every n-plet with order in [min_order, max_order] once.
 
     Orders run one after another on a log-determinant lattice
-    (nplet_engine.LogdetLattice): order k's joint log-determinants fill a
-    table indexed by colex rank, and each leave-one-out term is read from
-    order k - 1's table, so no matrix is inverted. Each order's joint
-    terms take one of three routes:
+    (nplet_engine.LogdetLattice), and no matrix is inverted. Each order
+    takes one of two routes:
 
-    - pivot: the whole table is built when the order opens, each entry
-      the prefix's log-determinant plus log of one Cholesky pivot, read
-      from conditional covariances carried down from the order below and
-      updated by one rank-one term per child. Batches then only read
-      tables: no gather and no factorisation per n-plet.
-    - bordered: an order k >= 3 whose prefixes have at least 8 children
-      on average ((N - k + 1) / k, so never at N <= 25) borders each row
-      onto its prefix: one factor per distinct prefix and log of a Schur
-      complement per row.
-    - Cholesky: a batched Cholesky per batch.
+    - pivot: the order's table of joint log-determinants, indexed by colex
+      rank, is built when the order opens, each entry the prefix's
+      log-determinant plus log of one Cholesky pivot, read from
+      conditional covariances (states) carried down from the order below
+      and updated by one rank-one term per child. Each leave-one-out term
+      is read from order k - 1's table. Batches then only read tables: no
+      gather and no factorisation per n-plet.
+    - walk: each batch borders its own prefix tree, from one variable up
+      to each n-plet, with one Schur complement per distinct prefix; the
+      leave-one-out terms come from the bordered inverse's diagonal. No
+      table is read or written.
 
-    The memory rule: the two live tables of an order, C(N, k - 1) +
-    C(N, k) floats per dataset, must fit nplet_engine.LATTICE_TABLE_BYTES
-    (64 MiB; about 1.4 MB per table at N=20 and D=1). An order that does
-    not border takes the pivot route when its tables plus the carried
-    states of orders k - 1 and k fit the same cap (at N=20 and D=1 they
-    peak near 11 MB, at order 9), and every order below it did too;
-    otherwise it takes Cholesky. Table min_order - 1 is built first, on
-    the pivot route by walking up from the empty set. The thread pool
-    waits at every order boundary until the previous table is complete.
+    An order takes the pivot route when its two tables, C(N, k - 1) +
+    C(N, k) floats per dataset, plus the states of orders k - 1 and k fit
+    nplet_engine.LATTICE_TABLE_BYTES (64 MiB; at N=20 and D=1 they peak
+    near 11 MB, at order 9), and every order below it did too; every
+    other order walks, in O(batch_size * k**2 * D) memory. The thread
+    pool waits at every order boundary, because opening an order replaces
+    the tables the previous one reads.
 
-    A row runs on the direct path, with exactly compute_hoi_batch's
-    entropy terms or NotPositiveDefinite coordinates, when a log-determinant
-    it needs is missing from the lattice: a pivot fell below the floor
-    nplet_engine.BORDER_RTOL (1e-3) times its variable's variance, so it
-    and every set built on it are not trusted; its Cholesky failed; a
-    Schur complement or prefix is not positive definite; or the order's
-    two tables would exceed the cap. The progress counter fallback_rows
-    counts such rows. Which rows they are, the values and the error
-    message, which names the first failing n-plet, do not depend on
-    batch_size or workers. An order with more than 2**62 n-plets (int64
-    ranks) raises ExhaustiveLimitExceeded.
+    One rule sends a row to the direct path, with exactly
+    compute_hoi_batch's entropy terms or NotPositiveDefinite coordinates:
+    the lattice does not trust it, because a pivot fell below
+    nplet_engine.BORDER_RTOL (1e-3) times its variable's variance (it and
+    every set built on it), a walked n-plet has a member whose variance
+    given the others is below that share, or a Schur complement is not
+    positive. The progress counter fallback_rows counts such rows; on
+    well-conditioned input it is 0. Which rows they are, the values and
+    the error message, which names the first failing n-plet, do not
+    depend on batch_size or workers. An order with more than 2**62
+    n-plets (int64 ranks) raises ExhaustiveLimitExceeded.
 
     Parameters
     ----------
@@ -360,7 +357,8 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
         Receives every (batch, measures) pair in enumeration order.
     batch_size : int
         Rows per streamed batch, at least 1; memory stays O(batch_size)
-        plus the lattice's tables and states, at most 64 MiB.
+        plus, on pivot orders, the lattice's tables and states, at most
+        64 MiB.
     bias_correct : bool
         Apply the finite-sample entropy correction (needs estimated
         covariances).
@@ -393,9 +391,9 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
     t0 = time.perf_counter()
     seen = fallback = batches = 0
     for k in range(min_order, max_order + 1):
-        lattice.open(k, batch_size)
-        # one pool per order: every batch of order k - 1 has filled its
-        # table entries before any batch of order k reads them
+        lattice.open(k)
+        # one pool per order: open(k) replaces the tables that batches of
+        # order k - 1 read, so none of them may still be running
         for batch, hoi, direct in _ordered_map(
                 score, enumerate_order(n, k, batch_size), workers):
             reducer.update(batch, hoi)

@@ -2,8 +2,8 @@
 
 bench/tracer.py replaces module attributes (and numpy.linalg functions)
 process-wide, so the check runs in a subprocess: it installs the tracer,
-then drives a tiny scan, greedy, anneal and an in-process
-`hoi features` through every wrapped name.
+then drives a tiny scan on each lattice route (pivot and walk), greedy,
+anneal and an in-process `hoi features` through every wrapped name.
 """
 
 import os
@@ -25,13 +25,16 @@ import tracer
 
 tracer.install(tracer.Tracer())
 
-from hoi import cli, copula_core, optimizers, scanner, synthetic
+from hoi import cli, copula_core, nplet_engine, optimizers, scanner, synthetic
 
 cov = synthetic.block_concat([synthetic.r_system_cov(2, 1.0),
                               synthetic.s_system_cov(2, 1.0)])
 x = synthetic.sample_gaussian(cov, 300, seed=0).values
 covs = copula_core.CovSet([copula_core.estimate_covariance(copula_core.copula_transform(x))])
 scanner.scan(covs, 3, 6, scanner.TopK("o", "max", 3), workers=2, bias_correct=True)
+cap, nplet_engine.LATTICE_TABLE_BYTES = nplet_engine.LATTICE_TABLE_BYTES, 0  # every order walks
+scanner.scan(covs, 1, 6, scanner.TopK("o", "max", 3), workers=2, bias_correct=True)
+nplet_engine.LATTICE_TABLE_BYTES = cap
 spec = optimizers.ObjectiveSpec(measure="o", direction="max")
 optimizers.greedy(covs, spec, 3, 5, kappa=3, bias_correct=True)
 optimizers.anneal(covs, spec, optimizers.AnnealSchedule(max_iters=5, min_order=2),

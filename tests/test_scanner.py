@@ -224,8 +224,8 @@ def test_lattice_scan_rows_match_direct_path_and_reference(
 
 
 def test_collinear_triple_rows_take_the_direct_path():
-    # x2 = x0 + x1 exactly: every n-plet holding 0, 1 and 2 is singular, its
-    # batched Cholesky fails, and its rows must get the direct path's
+    # x2 = x0 + x1 exactly: every n-plet holding 0, 1 and 2 is singular, the
+    # lattice does not trust it, and its rows must get the direct path's
     # jittered values
     rng = np.random.default_rng(3)
     a = rng.standard_normal((20, 4))
@@ -325,15 +325,15 @@ def degenerate_covset(seed, n, kinds):
        kinds=st.lists(st.sampled_from(["combination", "eigenvalue", "correlation"]),
                       min_size=1, max_size=2),
        batch_size=st.sampled_from([1, 7, 64]), workers=st.sampled_from([1, 2]),
-       min_order=st.integers(1, 3))
+       min_order=st.integers(1, 3), walk=st.booleans())
 def test_near_singular_scan_matches_the_direct_path(
-        seed, n, kinds, batch_size, workers, min_order):
+        seed, n, kinds, batch_size, workers, min_order, walk):
     # Rows the lattice cannot serve take the direct path and get
-    # entropy_terms' values bit for bit; rows it serves hold the
-    # log-determinants of their own and their minors' submatrices within
-    # 1e-12, and every pivot behind them clears the floor. Both paths raise
-    # the same NotPositiveDefinite coordinates, and no value is left
-    # non-finite.
+    # entropy_terms' values bit for bit; rows it serves, on the pivot route
+    # or (with no room for tables) the walk, hold the log-determinants of
+    # their own and their minors' submatrices within 1e-12, and every pivot
+    # behind them clears the floor. Both paths raise the same
+    # NotPositiveDefinite coordinates, and no value is left non-finite.
     covs = degenerate_covset(seed, n, kinds)
     lattice_terms, direct_logdets = nplet_engine.LogdetLattice.terms, nplet_engine._direct_logdets
     terms_of, direct = {}, set()
@@ -351,6 +351,8 @@ def test_near_singular_scan_matches_the_direct_path(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nplet_engine.LogdetLattice, "terms", recorded_terms)
         mp.setattr(nplet_engine, "_direct_logdets", recorded_direct)
+        if walk:
+            mp.setattr(nplet_engine, "LATTICE_TABLE_BYTES", 0)
         try:
             scan(covs, min_order, n, Callback(lambda batch, hoi: seen.append((batch, hoi))),
                  batch_size=batch_size, workers=workers)
@@ -447,47 +449,59 @@ def measure_rows(covs, lo, hi, **kw):
     return np.concatenate(parts, axis=1)
 
 
-def bordered_order(n, k):
-    """The smallest N >= n at which the lattice borders order k."""
-    return max(n, (nplet_engine.BORDER_MIN_CHILDREN + 1) * k - 1)
-
-
-@settings(max_examples=8, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(26, 40), k=st.integers(3, 4),
-       d=st.integers(1, 2), bias_correct=st.booleans())
-def test_bordered_orders_match_the_direct_path_and_ignore_batching(seed, n, k, d, bias_correct):
-    n, t = bordered_order(n, k), 3 * n
+def walk_covset(seed, n, d, t):
     rng = np.random.default_rng(seed)
     sigmas = []
     for _ in range(d):
         a = rng.standard_normal((2 * n, n))
         sigmas.append(a.T @ a / (2 * n) + 0.3 * np.eye(n))
-    covs = CovSet([CovarianceMatrix(sig, n_samples_used=t) for sig in sigmas])
-    lattice = nplet_engine.LogdetLattice(covs, k, k, bias_correct)
-    assert lattice.borders(k)
+    return CovSet([CovarianceMatrix(sig, n_samples_used=t) for sig in sigmas])
 
-    ticks = []
-    base = measure_rows(covs, k, k, bias_correct=bias_correct, progress=ticks.append)
-    assert ticks[-1]["fallback_rows"] == 0
-    rows = np.concatenate([batch.indices for batch in enumerate_order(n, k, 10000)])
-    direct = compute_hoi_batch(covs, NpletBatch(n, indices=rows), bias_correct=bias_correct)
-    want = np.stack([getattr(direct, m) for m in MEASURES])
-    np.testing.assert_allclose(base, want, rtol=0, atol=1e-12)
 
-    for batch_size, workers in ((10000, 2), (64, 1), (64, 2)):
-        got = measure_rows(covs, k, k, bias_correct=bias_correct,
-                           batch_size=batch_size, workers=workers)
-        np.testing.assert_array_equal(got, base)
-    # batch sizes 1 and 7 on three windows: the first rows (one prefix with
-    # many children), the middle and the last rows (prefixes with few)
-    lattice.open(k, 10000)
-    total = len(rows)
-    for lo in (0, total // 2, total - 150):
-        for batch_size in (1, 7):
-            for at in range(lo, lo + 150, batch_size):
-                hoi = hoi_from_terms(lattice.terms(NpletBatch(n, indices=rows[at:at + batch_size]))[0])
-                got = np.stack([getattr(hoi, m) for m in MEASURES])
-                np.testing.assert_array_equal(got, base[:, at:at + batch_size])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 2), bias_correct=st.booleans(),
+       order=st.one_of(
+           st.tuples(st.integers(26, 40), st.integers(3, 4)),
+           st.integers(3, 10).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n)))))
+def test_walk_orders_match_the_direct_path_and_ignore_batching(seed, d, bias_correct, order):
+    # with no room for tables every order walks: orders 3..4 of N >= 26,
+    # and any order of a small N, orders 1 and 2 included
+    n, k = order
+    t = 3 * n
+    covs = walk_covset(seed, n, d, t)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nplet_engine, "LATTICE_TABLE_BYTES", 0)
+        lattice = nplet_engine.LogdetLattice(covs, k, k, bias_correct)
+        assert not lattice.pivots
+
+        ticks = []
+        base = measure_rows(covs, k, k, bias_correct=bias_correct, progress=ticks.append)
+        assert ticks[-1]["fallback_rows"] == 0
+        rows = np.concatenate([batch.indices for batch in enumerate_order(n, k, 10000)])
+        direct = compute_hoi_batch(covs, NpletBatch(n, indices=rows), bias_correct=bias_correct)
+        want = np.stack([getattr(direct, m) for m in MEASURES])
+        np.testing.assert_allclose(base, want, rtol=0, atol=1e-12)
+        total = len(rows)
+        for at in sorted({0, total // 2, total - 1}):
+            for dd in range(d):
+                oracle = ref.measures(covs.covs[dd].sigma, rows[at],
+                                      t_samples=t if bias_correct else None)
+                np.testing.assert_allclose(base[:, at, dd], oracle, rtol=0, atol=1e-12)
+
+        for batch_size, workers in ((10000, 2), (64, 1), (64, 2)):
+            got = measure_rows(covs, k, k, bias_correct=bias_correct,
+                               batch_size=batch_size, workers=workers)
+            np.testing.assert_array_equal(got, base)
+        # batch sizes 1 and 7 on three windows: the first rows (one prefix with
+        # many children), the middle and the last rows (prefixes with few)
+        lattice.open(k)
+        for lo in sorted({0, total // 2, max(total - 150, 0)}):
+            for batch_size in (1, 7):
+                for at in range(lo, min(lo + 150, total), batch_size):
+                    terms, _ = lattice.terms(NpletBatch(n, indices=rows[at:at + batch_size]))
+                    hoi = hoi_from_terms(terms)
+                    got = np.stack([getattr(hoi, m) for m in MEASURES])
+                    np.testing.assert_array_equal(got, base[:, at:at + batch_size])
 
 
 @settings(max_examples=8, deadline=None)
@@ -497,14 +511,18 @@ def test_bordered_orders_match_the_direct_path_and_ignore_batching(seed, n, k, d
        workers=st.sampled_from([1, 2]))
 def test_bordered_near_singular_orders_raise_the_direct_paths_coordinates(
         seed, n, k, kinds, workers):
-    n = bordered_order(n, k)
+    # walk orders border every n-plet down its prefixes; rows they cannot
+    # trust take the direct path, with its values or its coordinates
     covs = degenerate_covset(seed, n, kinds)
     seen, raised = [], None
-    try:
-        scan(covs, k, k, Callback(lambda batch, hoi: seen.append(hoi)),
-             batch_size=64, workers=workers)
-    except NotPositiveDefinite as err:
-        raised = err.coords
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nplet_engine, "LATTICE_TABLE_BYTES", 0)
+        assert not nplet_engine.LogdetLattice(covs, k, k, False).pivots
+        try:
+            scan(covs, k, k, Callback(lambda batch, hoi: seen.append(hoi)),
+                 batch_size=64, workers=workers)
+        except NotPositiveDefinite as err:
+            raised = err.coords
     wanted = None
     for batch in enumerate_order(n, k, 64):
         try:
@@ -528,16 +546,17 @@ def test_singular_scan_values_do_not_depend_on_batch_size_or_workers(seed):
         np.testing.assert_array_equal(got, base)
 
 
-def test_orders_over_the_table_cap_run_on_the_direct_path(monkeypatch):
+def test_orders_over_the_table_cap_walk_with_no_fallback_rows(monkeypatch):
     covs = toy_covset(8, n=8, d=2)
     base = measure_rows(covs, 2, 8)
     # 60 entries per dataset: C(8, k - 1) + C(8, k) exceeds it for k = 3..6,
-    # so orders 3..6 go direct and table 6 is rebuilt before order 7
+    # and no order fits its states too, so every order walks
     monkeypatch.setattr(nplet_engine, "LATTICE_TABLE_BYTES", 8 * 2 * 60)
+    assert not nplet_engine.LogdetLattice(covs, 2, 8, False).pivots
     ticks = []
     capped = measure_rows(covs, 2, 8, batch_size=9, progress=ticks.append)
     np.testing.assert_allclose(capped, base, rtol=0, atol=1e-12)
-    assert ticks[-1]["fallback_rows"] == count_nplets(8, 3, 6)
+    assert ticks[-1]["fallback_rows"] == 0
 
 
 @settings(max_examples=25, deadline=None)
@@ -554,8 +573,8 @@ def test_pivot_tables_match_slogdet(seed, n, d, min_order, bias_correct):
     assert lattice.pivots == set(range(min_order, n + 1))
     stacked = np.stack(sigmas)
     for k in range(min_order, n + 1):
-        lattice.open(k, 64)
-        for m in (k - 1, k):  # table min_order - 1 is walked from the empty set
+        lattice.open(k)
+        for m in (k - 1, k):  # table min_order - 1 is descended from the empty set
             if m == 0:
                 continue
             rows = nplet_engine._colex_unrank(np.arange(count_nplets(n, m, m)), m, lattice.binom)
@@ -564,16 +583,14 @@ def test_pivot_tables_match_slogdet(seed, n, d, min_order, bias_correct):
             np.testing.assert_allclose(lattice.tables[m], want.T, rtol=0, atol=1e-12)
 
 
-def test_orders_over_the_state_cap_take_the_batched_cholesky(monkeypatch):
+def test_orders_over_the_state_cap_walk_without_factoring(monkeypatch):
     covs = toy_covset(13, n=10, d=1)
     ticks = []
     base = measure_rows(covs, 1, 10, progress=ticks.append)
     assert nplet_engine.LogdetLattice(covs, 1, 10, False).pivots == set(range(1, 11))
-    # 880 floats: every order keeps its tables (C(10, 4) + C(10, 5) = 462 at
-    # most), orders 1 and 2 their states, and orders 3..10 go to Cholesky
+    # 880 floats: orders 1 and 2 fit their tables and states, orders 3..10 walk
     monkeypatch.setattr(nplet_engine, "LATTICE_TABLE_BYTES", 8 * 880)
-    lattice = nplet_engine.LogdetLattice(covs, 1, 10, False)
-    assert lattice.served == set(range(1, 11)) and lattice.pivots == {1, 2}
+    assert nplet_engine.LogdetLattice(covs, 1, 10, False).pivots == {1, 2}
     factored = []
     cholesky = np.linalg.cholesky
 
@@ -584,9 +601,24 @@ def test_orders_over_the_state_cap_take_the_batched_cholesky(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", counted)
     capped_ticks = []
     capped = measure_rows(covs, 1, 10, batch_size=9, progress=capped_ticks.append)
-    assert set(factored) == set(range(3, 11))
+    assert factored == []
     np.testing.assert_allclose(capped, base, rtol=0, atol=1e-12)
     assert capped_ticks[-1]["fallback_rows"] == ticks[-1]["fallback_rows"] == 0
+
+
+@pytest.mark.parametrize("n, d, pivot", [(26, 1, True), (60, 2, False)])
+def test_wide_scans_never_factor(monkeypatch, n, d, pivot):
+    # order 3 of N=26 fits the pivot route, of N=60 it walks; neither factors
+    def no_cholesky(*args, **kwargs):
+        raise AssertionError("np.linalg.cholesky called")
+
+    covs = walk_covset(n, n, d, 3 * n)
+    assert nplet_engine.LogdetLattice(covs, 3, 3, False).pivots == ({3} if pivot else set())
+    monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+    ticks = []
+    top = scan(covs, 3, 3, TopK("s", "max", 3), workers=2, progress=ticks.append)
+    assert [len(per_d) for per_d in top] == [3] * d
+    assert ticks[-1]["nplets"] == count_nplets(n, 3, 3) and ticks[-1]["fallback_rows"] == 0
 
 
 def test_pivot_served_scans_never_factor(monkeypatch):
@@ -604,24 +636,28 @@ def test_pivot_served_scans_never_factor(monkeypatch):
 
 
 def test_threaded_table_writes_are_never_lost():
-    assert_table_writes_survive_threads(10, 2, 10, batch_size=3)
+    assert_threads_change_nothing(toy_covset(12, n=10, d=2), 2, 10, batch_size=3)
 
 
-def test_threaded_bordered_table_writes_are_never_lost():
-    assert_table_writes_survive_threads(35, 3, 4, batch_size=64)  # both orders bordered
+def test_threaded_scans_from_pivot_to_walk_orders_are_bitwise(monkeypatch):
+    covs = toy_covset(12, n=10, d=2)
+    # 880 floats per dataset: orders 1 and 2 pivot, orders 3..10 walk
+    monkeypatch.setattr(nplet_engine, "LATTICE_TABLE_BYTES", 2 * 8 * 880)
+    assert nplet_engine.LogdetLattice(covs, 1, 10, False).pivots == {1, 2}
+    assert_threads_change_nothing(covs, 1, 10, batch_size=3)
 
 
-def assert_table_writes_survive_threads(n, lo, hi, batch_size):
+def assert_threads_change_nothing(covs, lo, hi, batch_size):
     # more workers than cores, small batches and a short switch interval: a
-    # lost table write leaves a NaN entry that the next order reads, which
-    # shows as a fallback row
-    covs = toy_covset(12, n=n, d=2)
+    # table replaced while read, or state shared between batches, shows as
+    # a fallback row or a changed bit
     base = measure_rows(covs, lo, hi, batch_size=batch_size)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         ticks = []
-        got = measure_rows(covs, lo, hi, batch_size=batch_size, workers=8, progress=ticks.append)
+        got = measure_rows(covs, lo, hi, batch_size=batch_size, workers=8,
+                           progress=ticks.append)
     finally:
         sys.setswitchinterval(interval)
     assert ticks[-1]["fallback_rows"] == 0
@@ -662,9 +698,10 @@ def test_exhaustive_paths_never_invert(monkeypatch):
 
 
 def test_lattice_fallback_rows_equal_compute_hoi_batch_bitwise():
-    # x8 = x0 + x3 in both datasets, so n-plets holding 0, 3 and 8 can fail
-    # their Cholesky and take the direct path. Their measures must be
-    # compute_hoi_batch's bit for bit: at D = 2 and order >= 8 that needs
+    # x8 = x0 + x3 in both datasets, so the n-plets holding 0, 3 and 8, and
+    # only those, take the direct path, on pivot orders (a pivot under the
+    # floor) and on walk orders (member 8 untrusted). Their measures must
+    # be compute_hoi_batch's bit for bit: at D = 2 and order >= 8 that needs
     # the leave-one-out terms summed in compute_hoi_batch's memory order
     t = np.eye(9)
     t[8] = 0.0
@@ -674,24 +711,27 @@ def test_lattice_fallback_rows_equal_compute_hoi_batch_bitwise():
     for seed in range(30):
         sigmas = [t @ c.sigma @ t.T for c in toy_covset(seed, n=9, d=2).covs]
         covs = CovSet([CovarianceMatrix(0.5 * (s + s.T)) for s in sigmas])
-        direct, seen = set(), []
+        for cap in (nplet_engine.LATTICE_TABLE_BYTES, 0):  # every order pivots, then walks
+            direct, seen = set(), []
 
-        def recorded(c, idx, joint, loo):
-            rows = direct_rows(c, idx, joint, loo)
-            direct.update(map(tuple, idx[rows].tolist()))
-            return rows
+            def recorded(c, idx, joint, loo):
+                rows = direct_rows(c, idx, joint, loo)
+                direct.update(map(tuple, idx[rows].tolist()))
+                return rows
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(nplet_engine, "_direct_rows", recorded)
-            scan(covs, 1, 9, Callback(lambda batch, hoi: seen.append((batch, hoi))))
-        for batch, hoi in seen:
-            on = [i for i, row in enumerate(batch.indices.tolist()) if tuple(row) in direct]
-            if not on:
-                continue
-            wide += batch.order >= 8
-            want = compute_hoi_batch(covs, NpletBatch(9, indices=batch.indices[on]))
-            for m in MEASURES:
-                np.testing.assert_array_equal(getattr(hoi, m)[on], getattr(want, m))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(nplet_engine, "_direct_rows", recorded)
+                mp.setattr(nplet_engine, "LATTICE_TABLE_BYTES", cap)
+                scan(covs, 1, 9, Callback(lambda batch, hoi: seen.append((batch, hoi))))
+            assert direct == {row for row in ref.all_subsets(9, 3, 9) if {0, 3, 8} <= set(row)}
+            for batch, hoi in seen:
+                on = [i for i, row in enumerate(batch.indices.tolist()) if tuple(row) in direct]
+                if not on:
+                    continue
+                wide += batch.order >= 8
+                want = compute_hoi_batch(covs, NpletBatch(9, indices=batch.indices[on]))
+                for m in MEASURES:
+                    np.testing.assert_array_equal(getattr(hoi, m)[on], getattr(want, m))
     assert wide  # some direct rows are wide enough to show the summation order
 
 
