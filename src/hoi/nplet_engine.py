@@ -13,16 +13,14 @@ batch's own prefix tree. One kernel, _border, adds a variable to a set
 of known inverse and log-determinant through its Schur complement
 (_grow then grows the inverse, _unborder removes a variable); it serves
 the walk and _BorderedSets, the stored sets that greedy growth and
-annealing move. A set is trusted only while every member's relative
-Schur complement clears BORDER_RTOL (_conditioned); rows that are not
-fall back to _direct_rows. enumerate_order and the lattice number
-n-plets in one combinatorial number system, with int64 ranks.
-
-Cholesky is the only factorisation: inverses and leave-one-out terms
-come from R = L^-1 by forward substitution (_lower_inverse), and the
-direct path's factors from copula_core._jittered_cholesky, the one jitter
-retry. The lattice factors nothing: its pivots are Cholesky pivots, each
-reached by one rank-one update or one bordering.
+annealing move. _prefix_descent borders sets up from the empty set for
+the walk's prefixes and for every set _BorderedSets stores, so only the
+direct path factors (copula_core._jittered_cholesky, the one jitter
+retry). A Schur complement that is not positive gives NaN, and a set is
+trusted only while every member's relative Schur complement clears
+BORDER_RTOL (_conditioned); rows that are not fall back to _direct_rows.
+enumerate_order and the lattice number n-plets in one combinatorial
+number system, with int64 ranks.
 """
 
 import math
@@ -33,7 +31,6 @@ import numpy as np
 from .copula_core import (
     CovSet,
     _bias_table,
-    _cholesky_or_nan,
     _factor_logdet,
     _jittered_cholesky,
 )
@@ -295,26 +292,19 @@ def pad_subcov_batch(covs: CovSet, batch: NpletBatch) -> SubCovBatch:
     return SubCovBatch(matrices=np.where(keep, sig[None], np.eye(covs.n_variables)))
 
 
-def _lower_inverse(chol: np.ndarray) -> np.ndarray:
-    """R = L^-1 of a (..., K, K) stack of lower Cholesky factors, by forward
-    substitution; NaN factors give NaN."""
+def _direct_logdets(covs: CovSet, batch: NpletBatch):
+    """Raw (B, D) joint and (B, D, K) leave-one-out log-determinants of a
+    fixed-order batch from _jittered_cholesky's factors L:
+    logdet(sigma without j) = logdet(sigma) + log((sigma^-1)_jj), where
+    (sigma^-1)_jj = sum_i R_ij^2 with R = L^-1 (forward substitution) is
+    positive by construction. Only that diagonal of R^T R is formed."""
+    chol = _jittered_cholesky(extract_subcov_batch(covs, batch).matrices)
     r = np.zeros_like(chol)
     for i in range(chol.shape[-1]):
         r[..., i, :i] = -np.einsum("...j,...jl->...l", chol[..., i, :i],
                                    r[..., :i, :i]) / chol[..., i, i, None]
         r[..., i, i] = 1.0 / chol[..., i, i]
-    return r
-
-
-def _direct_logdets(covs: CovSet, batch: NpletBatch):
-    """Raw (B, D) joint and (B, D, K) leave-one-out log-determinants of a
-    fixed-order batch from _jittered_cholesky's factors L:
-    logdet(sigma without j) = logdet(sigma) + log((sigma^-1)_jj), where
-    (sigma^-1)_jj = sum_i R_ij^2 with R = L^-1 is positive by construction.
-    Only that diagonal of R^T R is formed."""
-    chol = _jittered_cholesky(extract_subcov_batch(covs, batch).matrices)
     joint = _factor_logdet(chol)
-    r = _lower_inverse(chol)
     return joint, joint[..., None] + np.log(np.einsum("...ij,...ij->...j", r, r))
 
 
@@ -356,15 +346,6 @@ def _direct_rows(covs: CovSet, members: np.ndarray, joint: np.ndarray, loo: np.n
     return rows
 
 
-def _inverse_factors(mats: np.ndarray):
-    """Log-determinants (...) and inverses (..., K, K) of a stack, both NaN
-    where Cholesky fails. The inverse is R^T R with R = L^-1, so no matrix
-    is inverted."""
-    chol = _cholesky_or_nan(mats)
-    r = _lower_inverse(chol)
-    return _factor_logdet(chol), np.einsum("...ji,...jl->...il", r, r)
-
-
 def _border(sigma: np.ndarray, members: np.ndarray, v: np.ndarray,
             inv: np.ndarray, logdet: np.ndarray):
     """Add variable v[b] to the set S = members[b] of known inverse and
@@ -395,27 +376,56 @@ def _border(sigma: np.ndarray, members: np.ndarray, v: np.ndarray,
     return logdet + np.log(s), diag, z, s
 
 
-def _grow(inv: np.ndarray, z: np.ndarray, s: np.ndarray, slot) -> np.ndarray:
-    """sigma[S + v, S + v]^-1 in place of inv = sigma[S, S]^-1 (B, D, m, m),
-    with v stored at slot (per row, or one for all), whose row and column of
-    inv are zero, from _border's z and s: inv + z z^T / s, then -z / s in
-    row and column slot and 1 / s where they cross. Returns inv."""
-    rows, edge = np.arange(len(inv)), -z / s[..., None]
-    outer = np.einsum("...i,...j->...ij", z, z)
-    outer /= s[..., None, None]
-    inv += outer
-    inv[rows, :, slot, :] = edge
-    inv[rows, :, :, slot] = edge
-    inv[rows, :, slot, slot] = 1.0 / s
-    return inv
+def _grow(inv: np.ndarray, z: np.ndarray, s: np.ndarray, slot, out=None) -> np.ndarray:
+    """sigma[S + v, S + v]^-1 from inv = sigma[S, S]^-1 (B, D, m, m) and
+    _border's z and s: inv + z z^T / s, formed in place, then -z / s in row
+    and column slot and 1 / s where they cross. v takes slot (per row, or
+    one for all): a zero row and column of inv, which then holds the
+    result, or row and column m of out (B, D, m + 1, m + 1). Returns the
+    result."""
+    m, edge = inv.shape[-1], -z / s[..., None]
+    inv -= z[..., :, None] * edge[..., None, :]
+    if out is None:
+        out = inv
+    else:
+        out[..., :m, :m] = inv
+    rows = np.arange(len(out))
+    out[rows, :, slot, :m] = edge
+    out[rows, :, :m, slot] = edge
+    out[rows, :, slot, slot] = 1.0 / s
+    return out
+
+
+def _prefix_descent(sigma: np.ndarray, idx: np.ndarray):
+    """Log-determinants (P, D) and inverses (P, D, m, m) of the distinct
+    sets among the (B, m) index rows idx, and each row's set (B,).
+
+    The level-l nodes are the runs of adjacent rows sharing an (l + 1)-
+    prefix, as in lexicographic order. Each is its parent bordered by its
+    last member (_border, _grow; Hager 1989, SIAM Review 31:221), holds
+    exactly its own members, and depends on its prefix alone. A Schur
+    complement that is not positive makes a node and its subtree NaN."""
+    b, m = idx.shape
+    new = np.arange(b) == 0  # rows that start a node of the level
+    node = np.zeros(b, dtype=np.int64)  # each row's node at the level above
+    logdet, inv = np.zeros((1, len(sigma))), np.zeros((1, len(sigma), 0, 0))
+    for l in range(m):
+        new[1:] |= idx[1:, l] != idx[:-1, l]
+        first = np.flatnonzero(new)
+        at = node[first]
+        parent = inv[at]
+        logdet, _, z, s = _border(sigma, idx[first, :l], idx[first, l], parent, logdet[at])
+        inv = _grow(parent, z, s, l, out=np.empty((len(first), len(sigma), l + 1, l + 1)))
+        node = np.cumsum(new) - 1
+    return logdet, inv, node
 
 
 def _unborder(inv: np.ndarray, logdet: np.ndarray, j: np.ndarray):
     """Remove member slot j[b] from sets S of known inverse inv (B, D, m, m)
     and log-determinant logdet (B, D): logdet(S - j) = logdet(S) + log inv_jj,
     and sigma[S - j, S - j]^-1 is inv - inv[:, j] inv[j, :] / inv_jj with
-    row and column j zeroed. Returns both and inv_jj, which is NaN where it
-    is not positive, as in _border."""
+    row and column j zeroed. Returns both, NaN where inv_jj is not
+    positive, as in _border."""
     rows = np.arange(len(j))
     col = inv[rows, :, :, j]  # (B, D, m)
     pjj = col[rows, :, j]
@@ -423,7 +433,7 @@ def _unborder(inv: np.ndarray, logdet: np.ndarray, j: np.ndarray):
     keep = np.arange(inv.shape[-1]) != j[:, None, None]
     down = inv - col[..., :, None] * col[..., None, :] / pjj[..., None, None]
     down *= keep[..., :, None] & keep[..., None, :]
-    return logdet + np.log(pjj), down, pjj
+    return logdet + np.log(pjj), down
 
 
 def _bias_offsets(covs: CovSet, k_max: int, bias_correct: bool) -> np.ndarray:
@@ -628,26 +638,11 @@ class LogdetLattice:
         """Raw (B, D) joint and (B, D, K) leave-one-out log-determinants of
         a lexicographic batch idx, bordered down its own prefix tree.
 
-        The level-l nodes are the distinct l-prefixes, contiguous rows. Each
-        node's log-determinant and inverse, kept K - 1 wide with zeros past
-        its members, are its parent's bordered by its last member (_border,
-        _grow), so they depend on the prefix alone, not on the batch. A
+        Each row's parent is its (K - 1)-prefix's node (_prefix_descent). A
         leaf c's joint term is its parent's plus log s, and leaving out
         member j gives logdet(c) + log (sigma_c^-1)_jj, or the parent's for
         the last member. A leaf that _conditioned does not trust is NaN."""
-        b, k = idx.shape
-        new = np.arange(b) == 0  # rows that start a node of the level
-        inv = np.zeros((1, self.covs.n_datasets, k - 1, k - 1))
-        logdet = np.zeros((1, self.covs.n_datasets))
-        node = np.zeros(b, dtype=np.int64)  # each row's node at the level above
-        for l in range(k - 1):
-            new[1:] |= idx[1:, l] != idx[:-1, l]
-            first = np.flatnonzero(new)
-            at = node[first]
-            logdet, _, z, s = _border(self.sigma, idx[first, :-1], idx[first, l],
-                                      inv[at], logdet[at])
-            inv = _grow(inv[at], z, s, l)
-            node = np.cumsum(new) - 1
+        logdet, inv, node = _prefix_descent(self.sigma, idx[:, :-1])
         parent = logdet[node]
         joint, diag, _, s = _border(self.sigma, idx[:, :-1], idx[:, -1], inv[node], parent)
         diag = np.concatenate([diag, 1.0 / s[..., None]], axis=-1)
@@ -671,7 +666,7 @@ class LogdetLattice:
         return _excess_terms(joint, loo, idx, self.x_singles, self.bias), rows.size
 
 
-#: accepted bordered moves after which a _BorderedSets row is refactored
+#: accepted bordered moves after which a _BorderedSets row is rebuilt
 _REFRESH_MOVES = 50
 
 
@@ -713,20 +708,21 @@ class _BorderedSets:
     propose scores the sets one dropped and/or added variable away from
     any stored rows by bordering (_unborder, _border), with leave-one-out
     terms from the bordered inverse diagonal. accept stores moved
-    proposals, grows their inverses by one rank-one term, and refactors a
-    row from scratch every _REFRESH_MOVES accepted moves.
+    proposals, grows their inverses by one rank-one term, and rebuilds a
+    row every _REFRESH_MOVES accepted moves (refresh, by _prefix_descent:
+    nothing here is factored).
 
     The trust rule: a proposal goes to the direct path (_direct_rows), as
     compute_hoi_batch would score it, when its set or the stored set it
     starts from has a member whose relative Schur complement is below
-    BORDER_RTOL (a non-positive one, or a failed Cholesky, included).
-    Such a proposal, if accepted, is refactored.
+    BORDER_RTOL (a non-positive one, which leaves NaN, included). Such a
+    proposal, if accepted, is rebuilt.
     """
 
-    def __init__(self, covs: CovSet, members: np.ndarray, live: np.ndarray, width=None,
+    def __init__(self, covs: CovSet, members: np.ndarray, live: np.ndarray, width: int,
                  bias_correct: bool = False):
-        """Factor the sets of slot rows members at live into W = width
-        slots, by default members.shape[1]."""
+        """Store the sets of slot rows members at live in W = width slots,
+        at least one more than any set that will take an add."""
         self.covs = covs
         self.bias_correct = bias_correct
         self.sigma = covs.stacked()
@@ -734,7 +730,6 @@ class _BorderedSets:
         self.bias = _bias_offsets(covs, 1, bias_correct)
         self.x_singles = _excess_singles(covs, self.bias)
         b, d = len(members), covs.n_datasets
-        width = members.shape[1] if width is None else width
         self.members = np.zeros((b, width), dtype=np.int64)
         self.live = np.zeros((b, width), dtype=bool)
         self.inv = np.zeros((b, d, width, width))
@@ -743,24 +738,23 @@ class _BorderedSets:
         self.refresh(np.arange(b), members, live)
 
     def refresh(self, rows: np.ndarray, members: np.ndarray, live: np.ndarray) -> None:
-        """Factor the sets members[i] at live[i] from scratch into stored
-        rows rows[i], sorted into the leading slots, one batch per order."""
+        """Build the sets members[i] at live[i] from scratch into stored
+        rows rows[i], sorted into the leading slots, one prefix descent
+        per order."""
         n = self.covs.n_variables
         members, live = _leading(members, live, n)
         orders = live.sum(axis=1)
         self.members[rows], self.live[rows], self.inv[rows], self.moves[rows] = 0, False, 0.0, 0
         for k in np.unique(orders):
             at, idx = rows[orders == k], members[orders == k, :k]
-            mats = extract_subcov_batch(self.covs, NpletBatch._trusted(n, idx)).matrices
-            self.logdet[at], self.inv[at, :, :k, :k] = _inverse_factors(mats)
+            logdet, inv, node = _prefix_descent(self.sigma, idx)
+            self.logdet[at], self.inv[at, :, :k, :k] = logdet[node], inv[node]
             self.members[at, :k], self.live[at, :k] = idx, True
 
     def propose(self, at: np.ndarray, drop=None, add=None) -> _Proposal:
         """The stored sets at[p] without variable drop[p], then with
         variable add[p] (-1, or no array: neither), scored. The stored
-        inverses are gathered once. An add to a full set takes a new last
-        slot, so the proposal is one slot wider than the state: it can be
-        scored, not accepted."""
+        inverses are gathered once."""
         none = np.full(len(at), -1)
         drop, add = none if drop is None else drop, none if add is None else add
         stored = _conditioned(self.members, self.live,
@@ -768,20 +762,16 @@ class _BorderedSets:
         healthy = (stored == self.live[:, None, :]).all(axis=(1, 2))
         members, live = self.members[at], self.live[at]
         logdet, inv = self.logdet[at], self.inv[at]
-        w = live.shape[1]
         out = np.flatnonzero(drop >= 0)
         j = np.argmax(live[out] & (members[out] == drop[out, None]), axis=1)
-        logdet[out], inv[out], _ = _unborder(inv[out], logdet[out], j)
+        logdet[out], inv[out] = _unborder(inv[out], logdet[out], j)
         live[out, j] = False
         into = np.flatnonzero(add >= 0)
+        assert not live[into].all(axis=1).any(), "an add to a full set"
         diag = np.diagonal(inv, axis1=-2, axis2=-1).copy()
-        if live[into].all(axis=1).any():  # an add to a full set takes a new slot
-            members, live, diag = (np.concatenate([a, np.zeros_like(a[..., :1])], axis=-1)
-                                   for a in (members, live, diag))
         slot, v, before = np.argmin(live[into], axis=1), add[into], logdet[into]
         base = inv if into.size == len(at) else inv[into]  # no second gather when all add
-        logdet[into], diag[into, :, :w], z, s = _border(self.sigma, members[into, :w], v,
-                                                        base, before)
+        logdet[into], diag[into], z, s = _border(self.sigma, members[into], v, base, before)
         diag[into, :, slot] = 1.0 / s
         members[into, slot], live[into, slot] = v, True
         good = _conditioned(members, live, diag, self.var)

@@ -176,12 +176,13 @@ def greedy(covs: CovSet, spec: ObjectiveSpec, start_order: int,
 
     The beam is seeded with the kappa best n-plets from an exhaustive
     scan of start_order (scanner.scan, on the log-determinant lattice;
-    at large N the order walks, keeping no table). Each step factors the
-    beam into an nplet_engine._BorderedSets, scores every one-variable
-    extension of every member in batch_size chunks, as an add-proposal
-    from the smallest member tuple it extends (so its value does not
-    depend on which other members reach it), and keeps the kappa best
-    distinct candidates (ties to the lexicographically smallest).
+    at large N the order walks, keeping no table). Each step borders the
+    beam's sets into an nplet_engine._BorderedSets one slot wider than
+    their order, scores every one-variable extension of every member in
+    batch_size chunks, as an add-proposal from the smallest member tuple
+    it extends (so its value does not depend on which other members reach
+    it), and keeps the kappa best distinct candidates (ties to the
+    lexicographically smallest).
 
     restarts > 1 adds extra beams seeded with random start_order n-plets
     (drawn from seed); the first beam is always the deterministic
@@ -243,7 +244,7 @@ def greedy(covs: CovSet, spec: ObjectiveSpec, start_order: int,
         an add-proposal from one parent, whichever other members reach it."""
         parents = np.array(sorted(idx for _, idx in beam), dtype=np.int64)
         sets = _BorderedSets(covs, parents, np.ones(parents.shape, dtype=bool),
-                             bias_correct=bias_correct)
+                             width=parents.shape[1] + 1, bias_correct=bias_correct)
         rows, parent, add = _extensions(parents, n)
         return best_of(rows, lambda _, chunk: hoi_from_terms(
             sets.terms(sets.propose(parent[chunk], add=add[chunk]))))

@@ -13,6 +13,7 @@ import itertools
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -288,22 +289,20 @@ class FeatureAccumulator(Reducer):
         return out
 
 
-def _ordered_map(fn, items, workers: int):
-    """Map with a bounded thread pool, yielding results in input order."""
-    if workers <= 1:
+def _ordered_map(fn, items, pool, workers: int):
+    """Map fn over items on pool, which has that many workers (in this
+    thread when pool is None), yielding results in input order."""
+    if pool is None:
         for item in items:
             yield fn(item)
         return
     items = iter(items)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque(
-            pool.submit(fn, item) for item in itertools.islice(items, workers + 2)
-        )
-        while pending:
-            done = pending.popleft()
-            for item in itertools.islice(items, 1):
-                pending.append(pool.submit(fn, item))
-            yield done.result()
+    pending = deque(pool.submit(fn, item) for item in itertools.islice(items, workers + 2))
+    while pending:
+        done = pending.popleft()
+        for item in itertools.islice(items, 1):
+            pending.append(pool.submit(fn, item))
+        yield done.result()
 
 
 def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
@@ -331,9 +330,9 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
     C(N, k) floats per dataset, plus the states of orders k - 1 and k fit
     nplet_engine.LATTICE_TABLE_BYTES (64 MiB; at N=20 and D=1 they peak
     near 11 MB, at order 9), and every order below it did too; every
-    other order walks, in O(batch_size * k**2 * D) memory. The thread
-    pool waits at every order boundary, because opening an order replaces
-    the tables the previous one reads.
+    other order walks, in O(batch_size * k**2 * D) memory. One thread
+    pool serves the whole scan and waits at every order boundary, because
+    opening an order replaces the tables the previous one reads.
 
     One rule sends a row to the direct path, with exactly
     compute_hoi_batch's entropy terms or NotPositiveDefinite coordinates:
@@ -390,25 +389,27 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
 
     t0 = time.perf_counter()
     seen = fallback = batches = 0
-    for k in range(min_order, max_order + 1):
-        lattice.open(k)
-        # one pool per order: open(k) replaces the tables that batches of
-        # order k - 1 read, so none of them may still be running
-        for batch, hoi, direct in _ordered_map(
-                score, enumerate_order(n, k, batch_size), workers):
-            reducer.update(batch, hoi)
-            batches += 1
-            seen += batch.batch_size
-            fallback += direct
-            if progress is not None:
-                progress({
-                    "batches": batches,
-                    "nplets": seen,
-                    "total": total,
-                    "order": k,
-                    "fallback_rows": fallback,
-                    "elapsed": time.perf_counter() - t0,
-                })
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for k in range(min_order, max_order + 1):
+            lattice.open(k)
+            # each order's map is drained before the next opens: open(k)
+            # replaces the tables that batches of order k - 1 read, so none
+            # of them may still be running
+            for batch, hoi, direct in _ordered_map(
+                    score, enumerate_order(n, k, batch_size), pool, workers):
+                reducer.update(batch, hoi)
+                batches += 1
+                seen += batch.batch_size
+                fallback += direct
+                if progress is not None:
+                    progress({
+                        "batches": batches,
+                        "nplets": seen,
+                        "total": total,
+                        "order": k,
+                        "fallback_rows": fallback,
+                        "elapsed": time.perf_counter() - t0,
+                    })
     return reducer.finalize()
 
 

@@ -27,7 +27,7 @@ from hoi.nplet_engine import (
     _border,
     _colex_unrank,
     _direct_logdets,
-    _inverse_factors,
+    _prefix_descent,
     _ranks,
     _unborder,
 )
@@ -378,7 +378,7 @@ def test_bordering_adds_and_removes_one_variable_exactly():
     # variable 7 is the members' sum, with its variance a hair low
     sigma[7, members] = sigma[members, 7] = sub.sum(axis=1)
     sigma[7, 7] = sub.sum() - 1e-12
-    logdet, inv = _inverse_factors(sub[None, None])  # (B, D) = (1, 1)
+    logdet, inv, _ = _prefix_descent(sigma[None], np.array([members]))  # (B, D) = (1, 1)
     np.testing.assert_allclose(logdet[0, 0], np.linalg.slogdet(sub)[1], rtol=0, atol=1e-13)
     np.testing.assert_allclose(inv[0, 0], np.linalg.inv(sub), rtol=1e-12, atol=1e-13)
     for v in (1, 4, 6):
@@ -393,7 +393,7 @@ def test_bordering_adds_and_removes_one_variable_exactly():
     assert np.isnan(joint).all() and np.isnan(s).all()
     for j in range(len(members)):
         rest = members[:j] + members[j + 1:]
-        ld, down, _ = _unborder(inv, logdet, np.array([j]))
+        ld, down = _unborder(inv, logdet, np.array([j]))
         np.testing.assert_allclose(ld[0, 0], np.linalg.slogdet(sigma[np.ix_(rest, rest)])[1],
                                    rtol=0, atol=1e-13)
         keep = [i for i in range(len(members)) if i != j]
@@ -402,21 +402,39 @@ def test_bordering_adds_and_removes_one_variable_exactly():
         assert (down[0, 0][j] == 0.0).all() and (down[0, 0][:, j] == 0.0).all()
 
 
+def test_prefix_descent_matches_slogdet_and_inv():
+    covs = random_covset(21, 8, d=2)
+    sigma = covs.stacked()
+    for m in range(1, 9):
+        # lexicographic rows, which share their prefixes with their neighbours
+        idx = np.array(list(itertools.combinations(range(8), m)))
+        logdet, inv, node = _prefix_descent(sigma, idx)
+        assert inv.shape == (len(idx), 2, m, m)
+        np.testing.assert_array_equal(node, np.arange(len(idx)))
+        subs = sigma[:, idx[:, :, None], idx[:, None, :]].transpose(1, 0, 2, 3)
+        np.testing.assert_allclose(logdet, np.linalg.slogdet(subs)[1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(inv, np.linalg.inv(subs), rtol=0, atol=1e-12)
+        # a node depends on its prefix alone, not on the rows around it
+        window = slice(len(idx) // 3, len(idx) // 3 + 2)
+        part = _prefix_descent(sigma, idx[window])
+        np.testing.assert_array_equal(part[0], logdet[window])
+        np.testing.assert_array_equal(part[1], inv[window])
+
+
 def test_bordered_sets_score_moves_from_any_stored_row():
     covs = random_covset(12, 9, d=2)
     n = covs.n_variables
     stored = np.zeros((4, n), dtype=bool)
     for r, row in enumerate([(0, 3, 5), (1, 2, 4, 6, 7, 8), (2, 8), (0, 1, 5, 6)]):
         stored[r, list(row)] = True
-    sets = _BorderedSets(covs, np.broadcast_to(np.arange(n), stored.shape), stored, width=6)
-    # drop, add and swap from every row, rows repeated; adding to the full
-    # row 1 takes a seventh slot
+    # one slot wider than the largest set, row 1, so that it can take an add
+    sets = _BorderedSets(covs, np.broadcast_to(np.arange(n), stored.shape), stored, width=7)
+    # drop, add and swap from every row, rows repeated
     at = np.array([0, 0, 0, 1, 1, 2, 2, 3, 3, 3, 1, 0])
     drop = np.array([3, -1, 5, 4, -1, 8, -1, 1, -1, 6, -1, -1])
     add = np.array([-1, 7, 1, -1, 0, 0, -1, -1, 2, 8, 3, -1])
     p = sets.propose(at, drop, add)
     assert not p.direct.any()
-    assert p.members.shape[1] == 7
     for i in range(len(at)):
         row = set(np.flatnonzero(stored[at[i]])) - {drop[i]} | ({add[i]} - {-1})
         idx = np.array([sorted(row)])

@@ -398,6 +398,38 @@ def test_greedy_on_singular_input_takes_the_direct_path():
     assert held
 
 
+def test_searches_on_well_conditioned_input_never_factor(monkeypatch):
+    # every stored set, refreshed ones included, is bordered up from the
+    # empty set; only the direct path factors, and no row takes it here
+    covs = sampled_covset(1, 2, seed=7)
+    n = covs.n_variables
+    spec = ObjectiveSpec(measure="o", direction="max")
+    refreshed = []
+    refresh = optimizers._BorderedSets.refresh
+
+    def counted(self, rows, members, live):
+        refreshed.append(len(rows))
+        refresh(self, rows, members, live)
+
+    def no_cholesky(*args, **kwargs):
+        raise AssertionError("np.linalg.cholesky called")
+
+    monkeypatch.setattr(optimizers._BorderedSets, "refresh", counted)
+    monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+    res = greedy(covs, spec, 3, 8, kappa=4, restarts=1)
+    built = len(refreshed)
+    st = anneal(covs, spec, AnnealSchedule(max_iters=200, min_order=3, max_order=9),
+                kappa=6, seed=1)
+    monkeypatch.undo()
+    assert len(refreshed) - built > 1  # anneal's first build, then rebuilds after 50 moves
+    for e in res.per_order:
+        want = evaluate_objective(compute_hoi_batch(covs, NpletBatch(n, indices=[e.indices])),
+                                  spec)
+        np.testing.assert_allclose(e.energy, want[0], rtol=0, atol=1e-12)
+    direct = compute_hoi_batch(covs, NpletBatch(n, masks=st.masks, check_unique=False))
+    np.testing.assert_allclose(st.energies, evaluate_objective(direct, spec), rtol=0, atol=1e-10)
+
+
 def test_optimizers_import_only_public_engine_names_and_the_set_state():
     # search policy lives in optimizers; engine kernels stay behind the set state
     tree = ast.parse(Path(optimizers.__file__).read_text())

@@ -635,8 +635,10 @@ def test_pivot_served_scans_never_factor(monkeypatch):
     assert ticks[-1]["nplets"] == 2 ** 12 - 1 and ticks[-1]["fallback_rows"] == 0
 
 
-def test_threaded_table_writes_are_never_lost():
-    assert_threads_change_nothing(toy_covset(12, n=10, d=2), 2, 10, batch_size=3)
+def test_threaded_pivot_scans_equal_the_serial_scan_bitwise():
+    covs = toy_covset(12, n=10, d=2)
+    assert nplet_engine.LogdetLattice(covs, 2, 10, False).pivots == set(range(2, 11))
+    assert_threads_change_nothing(covs, 2, 10, batch_size=3)
 
 
 def test_threaded_scans_from_pivot_to_walk_orders_are_bitwise(monkeypatch):
@@ -645,6 +647,21 @@ def test_threaded_scans_from_pivot_to_walk_orders_are_bitwise(monkeypatch):
     monkeypatch.setattr(nplet_engine, "LATTICE_TABLE_BYTES", 2 * 8 * 880)
     assert nplet_engine.LogdetLattice(covs, 1, 10, False).pivots == {1, 2}
     assert_threads_change_nothing(covs, 1, 10, batch_size=3)
+
+
+def test_a_threaded_scan_opens_one_pool(monkeypatch):
+    pools = []
+
+    class Counted(scanner.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(scanner, "ThreadPoolExecutor", Counted)
+    covs = toy_covset(13, n=8, d=2)
+    got = measure_rows(covs, 1, 8, batch_size=5, workers=2)
+    assert len(pools) == 1
+    np.testing.assert_array_equal(got, measure_rows(covs, 1, 8, batch_size=5))
 
 
 def assert_threads_change_nothing(covs, lo, hi, batch_size):
