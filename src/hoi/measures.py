@@ -27,46 +27,63 @@ class HoiBatch:
     order: np.ndarray
 
 
+def hoi_from_sums(joint: np.ndarray, singles: np.ndarray, loo: np.ndarray,
+                  orders: np.ndarray) -> HoiBatch:
+    """All four measures from the (B, D) sums of EntropyTerms.sums.
+
+    With J the joint excess entropy, S the sum of the members' and L the
+    sum of the leave-one-out ones, at order k:
+
+        tc = S - J,  dtc = (1 - k) J + L,  o = (k - 2) J + (S - L),  s = tc + dtc.
+
+    Every route into the measures (compute_hoi_batch, a scan's lattice,
+    greedy and annealing) ends here.
+    """
+    k = orders.astype(np.float64)[:, None]
+    tc = singles - joint
+    dtc = (1.0 - k) * joint + loo
+    return HoiBatch(tc=tc, dtc=dtc, o=(k - 2.0) * joint + (singles - loo), s=tc + dtc,
+                    order=orders)
+
+
+def hoi_from_terms(terms: EntropyTerms) -> HoiBatch:
+    """All four measures from one set of entropy terms, summed once."""
+    return hoi_from_sums(*terms.sums(), terms.orders)
+
+
 def tc_from_terms(terms: EntropyTerms) -> np.ndarray:
     """Total correlation: sum of marginal entropies minus the joint one."""
-    return terms.excess_singles.sum(axis=-1) - terms.excess_joint
+    return hoi_from_terms(terms).tc
 
 
 def dtc_from_terms(terms: EntropyTerms) -> np.ndarray:
     """Dual total correlation: (1 - k) H(X) + sum_j H(X without j)."""
-    k = terms.orders.astype(np.float64)[:, None]
-    return (1.0 - k) * terms.excess_joint + terms.excess_leave_one_out.sum(axis=-1)
+    return hoi_from_terms(terms).dtc
 
 
 def o_information(terms: EntropyTerms) -> np.ndarray:
     """O-information from the expanded entropy form.
 
-    (k - 2) H(X) + sum_j [H(X_j) - H(X without j)]. Algebraically equal
-    to tc - dtc; the expanded form skips one extra cancellation. Every
-    2-element n-plet has O-information exactly 0.
+    (k - 2) H(X) + (sum_j H(X_j) - sum_j H(X without j)), that is
+    (k - 2) J + (S - L) in hoi_from_sums' sums. Algebraically equal to
+    tc - dtc; the expanded form skips one extra cancellation. At order 2
+    it is S - L. A scan's pivot route reads both from the same singles
+    (its table 1 holds them), so there every pair has O-information
+    exactly 0; on other routes it is 0 to rounding.
     """
-    k = terms.orders.astype(np.float64)[:, None]
-    gap = (terms.excess_singles - terms.excess_leave_one_out).sum(axis=-1)
-    return (k - 2.0) * terms.excess_joint + gap
+    return hoi_from_terms(terms).o
 
 
 def s_information(terms: EntropyTerms) -> np.ndarray:
     """S-information, tc + dtc: overall interdependence strength."""
-    return tc_from_terms(terms) + dtc_from_terms(terms)
-
-
-def hoi_from_terms(terms: EntropyTerms) -> HoiBatch:
-    """All four measures from one set of entropy terms."""
-    tc = tc_from_terms(terms)
-    dtc = dtc_from_terms(terms)
-    return HoiBatch(tc=tc, dtc=dtc, o=o_information(terms), s=tc + dtc,
-                    order=terms.orders)
+    return hoi_from_terms(terms).s
 
 
 def compute_hoi_batch(covs: CovSet, batch: NpletBatch, bias_correct: bool = False) -> HoiBatch:
     """All four measures for a whole batch in a single pass.
 
-    The entropy terms are computed once and shared by every measure.
+    The entropy terms are computed once, summed once (EntropyTerms.sums)
+    and shared by every measure.
     """
     return hoi_from_terms(entropy_terms(covs, batch, bias_correct=bias_correct))
 
@@ -86,4 +103,4 @@ def pairwise_mi(cov, i: int, j: int, bias_correct: bool = False) -> float:
     pair = np.array([sorted((int(i), int(j)))], dtype=np.int64)
     batch = NpletBatch(n, indices=pair)
     terms = entropy_terms(CovSet([c]), batch, bias_correct=bias_correct)
-    return float(tc_from_terms(terms)[0, 0])
+    return float(hoi_from_terms(terms).tc[0, 0])

@@ -5,15 +5,18 @@ either as a (B, K) index matrix (fixed order) or as a (B, N) boolean mask
 matrix (mixed orders). Every batch is evaluated on compact k x k
 sub-covariances by _direct_rows, the one direct-path driver, one order
 at a time, with results scattered back to the rows' variable positions.
-Exhaustive scans evaluate whole orders through a LogdetLattice instead,
-on one of two routes per order. The pivot route reads every term from
-tables of log-determinants, built from pivots carried down the subset
-lattice while they fit a memory cap; every other order walks each
-batch's own prefix tree. One kernel, _border, adds a variable to a set
-of known inverse and log-determinant through its Schur complement
-(_grow then grows the inverse, _unborder removes a variable); it serves
-the walk and _BorderedSets, the stored sets that greedy growth and
-annealing move. _prefix_descent borders sets up from the empty set for
+Every interaction measure is linear in three sums per (n-plet, dataset),
+EntropyTerms.sums: the joint term, the sum of the singles and the sum of
+the leave-one-out terms. Exhaustive scans get those sums for whole orders
+from a LogdetLattice instead, on one of two routes per order. The pivot
+route reads them straight from tables of excess entropies, built from
+pivots carried down the subset lattice while they fit a memory cap, with
+no per-row EntropyTerms; every other order walks each batch's own prefix
+tree. One kernel, _border, adds a variable to a set of known inverse and
+log-determinant through its Schur complement (_grow then grows the
+inverse, _unborder removes a variable); it serves the walk and
+_BorderedSets, the stored sets that greedy growth and annealing move.
+_prefix_descent borders sets up from their first members' variances for
 the walk's prefixes and for every set _BorderedSets stores, so only the
 direct path factors (copula_core._jittered_cholesky, the one jitter
 retry). A Schur complement that is not positive gives NaN, and a set is
@@ -254,6 +257,12 @@ class EntropyTerms:
     excess_leave_one_out: np.ndarray
     orders: np.ndarray
 
+    def sums(self):
+        """(B, D) joint term, sum of singles and sum of leave-one-out terms:
+        every interaction measure is linear in these three."""
+        return (self.excess_joint, self.excess_singles.sum(axis=-1),
+                self.excess_leave_one_out.sum(axis=-1))
+
 
 def extract_subcov_batch(covs: CovSet, batch: NpletBatch) -> SubCovBatch:
     """Gather principal submatrices for a fixed-order batch in one shot."""
@@ -401,15 +410,21 @@ def _prefix_descent(sigma: np.ndarray, idx: np.ndarray):
     sets among the (B, m) index rows idx, and each row's set (B,).
 
     The level-l nodes are the runs of adjacent rows sharing an (l + 1)-
-    prefix, as in lexicographic order. Each is its parent bordered by its
-    last member (_border, _grow; Hager 1989, SIAM Review 31:221), holds
-    exactly its own members, and depends on its prefix alone. A Schur
-    complement that is not positive makes a node and its subtree NaN."""
+    prefix, as in lexicographic order. Level 0 holds the first members'
+    variances s = sigma_vv (logdet log s, inverse 1 / s); every deeper node
+    is its parent bordered by its last member (_border, _grow; Hager 1989,
+    SIAM Review 31:221), holds exactly its own members, and depends on its
+    prefix alone. A Schur complement (or variance) that is not positive
+    makes a node and its subtree NaN."""
     b, m = idx.shape
-    new = np.arange(b) == 0  # rows that start a node of the level
-    node = np.zeros(b, dtype=np.int64)  # each row's node at the level above
-    logdet, inv = np.zeros((1, len(sigma))), np.zeros((1, len(sigma), 0, 0))
-    for l in range(m):
+    if m == 0:  # every row is the empty set
+        return np.zeros((1, len(sigma))), np.zeros((1, len(sigma), 0, 0)), np.zeros(b, dtype=int)
+    new = np.r_[True, idx[1:, 0] != idx[:-1, 0]]  # rows that start a node of the level
+    s = sigma[:, idx[new, 0], idx[new, 0]].T
+    s = np.where(s > 0.0, s, np.nan)
+    logdet, inv = np.log(s), (1.0 / s)[..., None, None]
+    node = np.cumsum(new) - 1  # each row's node at the level above
+    for l in range(1, m):
         new[1:] |= idx[1:, l] != idx[:-1, l]
         first = np.flatnonzero(new)
         at = node[first]
@@ -526,46 +541,54 @@ def _state_size(n: int, j: int) -> int:
 
 
 class LogdetLattice:
-    """Raw log-determinants of whole orders, scanned in turn.
+    """Entropy-term sums of whole orders, scanned in turn.
 
-    Every order takes one of two routes, fixed per order:
+    sums() gives, per (n-plet, dataset), the three sums every interaction
+    measure is linear in (EntropyTerms.sums): the excess joint entropy J,
+    the sum S of the members' excess entropies and the sum L of the
+    leave-one-out excess entropies, each excess entropy 1/2 logdet less its
+    bias eta(k, T) (zero without bias correction). Every order takes one
+    of two routes, fixed per order:
 
     - pivot: the Cholesky pivots of a sorted k-plet c are the Schur
       complements of its prefixes (Golub & Van Loan, Matrix Computations
       4.2), so logdet(c) = logdet(c[:-1]) + log s, with s the variance of
-      c[-1] given c[:-1]. Table k holds logdet(sigma_d[c, c]) of every
-      k-plet c at its colex rank sum_i C(c_i, i + 1) (the combinatorial
-      number system), one column per dataset. The lattice carries, for
-      every (k - 1)-plet p, its state: the covariance of the variables
-      after max p conditioned on p, one array per largest member. open(k)
-      reads the whole of table k from table k - 1 and those states'
-      diagonals, and, when order k + 1 takes the route too, each child
-      p + v's state from its parent's by one rank-one update. terms() then
-      only reads tables: a leave-one-out term of a k-plet is the joint
-      term of a (k - 1)-plet, at rank sum_{p<j} C(c_p, p + 1) +
-      sum_{p>j} C(c_p, p). A pivot below BORDER_RTOL * sigma_vv is NaN, and
-      so is everything built on it.
-    - walk: terms() borders down each batch's own prefix tree (_walk;
-      Hager 1989, SIAM Review 31:221). No table is read or written, and
-      memory is O(batch_size K^2 D).
+      c[-1] given c[:-1]. Table k holds the excess joint entropy of every
+      k-plet c, X_k[c] = X_{k-1}[c[:-1]] + 1/2 log s - (eta_k - eta_{k-1}),
+      at its colex rank sum_i C(c_i, i + 1) (the combinatorial number
+      system), one column per dataset. The lattice carries, for every
+      (k - 1)-plet p, its state: the covariance of the variables after
+      max p conditioned on p, one array per largest member. open(k) reads
+      the whole of table k from table k - 1 and those states' diagonals,
+      and, when order k + 1 takes the route too, each child p + v's state
+      from its parent's by one rank-one update. sums() then only reads
+      tables: J from table k, L as k gathers of table k - 1 (a leave-one-out
+      term of a k-plet is the joint term of a (k - 1)-plet, at rank
+      sum_{p<j} C(c_p, p + 1) + sum_{p>j} C(c_p, p)), S as k gathers of the
+      singles. No (B, D, K) array is formed. A pivot below
+      BORDER_RTOL * sigma_vv is NaN, and so is everything built on it.
+    - walk: each batch borders down its own prefix tree (_walk; Hager 1989,
+      SIAM Review 31:221) to raw log-determinants, summed through
+      EntropyTerms as compute_hoi_batch sums them. No table is read or
+      written, and memory is O(batch_size K^2 D).
 
     An order takes the pivot route when its two tables, C(N, k - 1) +
     C(N, k) floats per dataset, plus the states of the (k - 1)- and
     k-plets (_state_size) fit LATTICE_TABLE_BYTES, and every order below
     it does too: states pass from one order to the next, from the empty
     set (sigma itself) up, so open(min_order) first descends from there to
-    table min_order - 1 (table 1 is log sigma_ii). Every other order walks.
-    The caller opens orders in increasing order and evaluates every batch
-    of an order before opening the next.
+    table min_order - 1 (table 1 holds the singles, 1/2 log sigma_ii -
+    eta_1). Every other order walks. The caller opens orders in increasing
+    order and evaluates every batch of an order before opening the next.
 
-    terms() is the one fallback site, with one rule (_direct_rows): a row
-    runs on the direct path when a log-determinant it needs is NaN (a
+    sums() is the one fallback site, with one rule: a row runs on the
+    direct path (_direct_rows) when a log-determinant it needs is NaN (a
     pivot fell below the floor, a walk leaf has a member whose relative
     Schur complement does not clear BORDER_RTOL, or a Schur complement is
-    not positive), so it keeps compute_hoi_batch's value or
-    NotPositiveDefinite coordinates. Only the n-plets that fail are NaN,
-    never the rest of their batch, so which rows go direct does not depend
-    on batch_size.
+    not positive). Its sums are then compute_hoi_batch's, bit for bit, or
+    it raises compute_hoi_batch's NotPositiveDefinite coordinates. Only
+    the n-plets that fail go direct, never the rest of their batch, so
+    which rows do does not depend on batch_size.
     """
 
     def __init__(self, covs: CovSet, min_order: int, max_order: int, bias_correct: bool):
@@ -575,6 +598,7 @@ class LogdetLattice:
         self.var = np.diagonal(self.sigma, axis1=-2, axis2=-1).T  # (N, D)
         self.bias = _bias_offsets(covs, max_order, bias_correct)
         self.x_singles = _excess_singles(covs, self.bias)
+        self.singles = np.ascontiguousarray(self.x_singles.T)  # (N, D), gathered by row
         cap = LATTICE_TABLE_BYTES // (8 * d)
         self.pivots = set()
         for k in range(1, max_order + 1):
@@ -609,10 +633,11 @@ class LogdetLattice:
         the covariance of variables m + 1..N - 1 given each (j - 1)-plet p.
         The j-plets with largest member v are p + v for every p with
         max p < v, ranks C(v, j) on, in the colex order of p: so their
-        joint terms are table[:C(v, j - 1)] plus log of v's pivots, read
-        from groups m < v in turn, and their states eliminate v from the
-        same groups."""
+        entries are table[:C(v, j - 1)] plus 1/2 log of v's pivots less the
+        bias step, pivots read from groups m < v in turn, and their states
+        eliminate v from the same groups."""
         n, d = self.covs.n_variables, self.covs.n_datasets
+        step = self.bias[:, j] - self.bias[:, j - 1]
         out = np.empty((math.comb(n, j), d))
         children = {}
         for v in range(j - 1, n):
@@ -620,7 +645,7 @@ class LogdetLattice:
             piv = np.concatenate([g[:, :, a, a] for a, g in parents])
             piv = np.where(piv >= BORDER_RTOL * self.var[v], piv, np.nan)
             lo = math.comb(v, j)
-            out[lo:lo + len(piv)] = table[:len(piv)] + np.log(piv)
+            out[lo:lo + len(piv)] = table[:len(piv)] + (0.5 * np.log(piv) - step)
             if carry and v < n - 1:
                 child = np.empty((len(piv), d, n - 1 - v, n - 1 - v))
                 at = 0
@@ -652,18 +677,39 @@ class LogdetLattice:
         loo[..., -1] = np.where(good[..., -1], parent, np.nan)  # c without its last member
         return joint, loo
 
-    def terms(self, batch: NpletBatch):
-        """(EntropyTerms, rows on the direct path) of a batch of the open order."""
+    def sums(self, batch: NpletBatch):
+        """((B, D) J, S, L of EntropyTerms.sums, rows on the direct path) of
+        a batch of the open order."""
         k, idx = batch.order, batch.indices
-        if k in self.pivots:
-            rank, loo_rank = _ranks(idx, self.binom)
-            joint = self.tables[k][rank]
-            # (B, k, D) -> (B, D, k), contiguous: summed as compute_hoi_batch's
-            loo = np.ascontiguousarray(self.tables[k - 1][loo_rank].transpose(0, 2, 1))
-        else:
+        if k not in self.pivots:
             joint, loo = self._walk(idx)
-        rows = _direct_rows(self.covs, idx, joint, loo)
-        return _excess_terms(joint, loo, idx, self.x_singles, self.bias), rows.size
+            rows = _direct_rows(self.covs, idx, joint, loo)
+            return _excess_terms(joint, loo, idx, self.x_singles, self.bias).sums(), rows.size
+        rank, loo_rank = _ranks(idx, self.binom)
+        below, cols, loo_rank = self.tables[k - 1], idx.T, loo_rank.T  # (K, B) columns
+        joint = np.take(self.tables[k], rank, axis=0)
+        singles, loo = np.take(self.singles, cols[0], axis=0), np.take(below, loo_rank[0], axis=0)
+        for j in range(1, k):
+            singles += np.take(self.singles, cols[j], axis=0)
+            loo += np.take(below, loo_rank[j], axis=0)
+        if np.isnan(joint).any() or np.isnan(loo).any():  # the rare case, tested fast
+            rows = np.flatnonzero(np.isnan(joint).any(axis=1) | np.isnan(loo).any(axis=1))
+            joint[rows], singles[rows], loo[rows] = self._direct_sums(idx, rows)
+            return (joint, singles, loo), rows.size
+        return (joint, singles, loo), 0
+
+    def _direct_sums(self, idx: np.ndarray, rows: np.ndarray):
+        """J, S and L of rows rows of idx on the direct path, summed as
+        compute_hoi_batch sums them; NotPositiveDefinite coordinates are
+        rows of idx."""
+        joint = np.full((len(rows), self.covs.n_datasets), np.nan)  # _direct_rows refills NaN rows
+        loo = np.zeros(joint.shape + (idx.shape[1],))
+        try:
+            _direct_rows(self.covs, idx[rows], joint, loo)
+        except NotPositiveDefinite as err:
+            raise NotPositiveDefinite(
+                str(err), coords=[(int(rows[r]), d) for r, d in err.coords]) from None
+        return _excess_terms(joint, loo, idx[rows], self.x_singles, self.bias).sums()
 
 
 #: accepted bordered moves after which a _BorderedSets row is rebuilt

@@ -21,7 +21,7 @@ import numpy as np
 from .copula_core import CovSet
 from .errors import ExhaustiveLimitExceeded, InvalidData, InvalidOrderRange
 # bench/tracer.py wraps scanner.compute_hoi_batch, so the name stays importable here
-from .measures import HoiBatch, compute_hoi_batch, hoi_from_terms  # noqa: F401
+from .measures import HoiBatch, compute_hoi_batch, hoi_from_sums  # noqa: F401
 from .nplet_engine import LogdetLattice, NpletBatch, count_nplets, enumerate_order
 
 MEASURES = ("tc", "dtc", "o", "s")
@@ -207,6 +207,10 @@ class FeatureVector:
 FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
 
 
+#: rows per block of FeatureAccumulator's interaction sums
+_SUM_BLOCK = 1024
+
+
 class FeatureAccumulator(Reducer):
     """Streaming accumulator for the 21-feature fingerprint.
 
@@ -214,7 +218,10 @@ class FeatureAccumulator(Reducer):
     information summaries, orders >= 3 feed the interaction summaries,
     and the single order-N row supplies the whole-system values. The
     C(N, 2) pairwise MI rows are kept, so their spread is a two-pass
-    population std, free of the cancellation in E[x^2] - E[x]^2.
+    population std, free of the cancellation in E[x^2] - E[x]^2. The
+    interaction sums add up fixed blocks of _SUM_BLOCK rows counted from
+    the scan's start, one block at a time, so every feature is the same
+    whatever the batch boundaries, in O(_SUM_BLOCK + batch) memory.
     """
 
     def __init__(self, n_variables: int):
@@ -224,6 +231,7 @@ class FeatureAccumulator(Reducer):
     def _init_state(self, d_count: int) -> None:
         self._d = d_count
         self._sums = np.zeros((d_count, 4))
+        self._open = np.empty((0, d_count, 4))  # rows of the unfinished block
         self._maxs = np.full((d_count, 4), -np.inf)
         self._mins = np.full((d_count, 4), np.inf)
         self._count = 0
@@ -257,23 +265,34 @@ class FeatureAccumulator(Reducer):
                     self._o_min_order[d] = row_orders[i_min]
             np.maximum(self._maxs, v.max(axis=0), out=self._maxs)
             np.minimum(self._mins, v.min(axis=0), out=self._mins)
-            self._sums += v.sum(axis=0)
+            self._add_blocks(v)
             self._count += v.shape[0]
             self._syn += (o_col < 0.0).sum(axis=0)
             whole_rows = np.flatnonzero(row_orders == self.n)
             if whole_rows.size:
                 self._whole = v[whole_rows[0]]
 
+    def _add_blocks(self, v: np.ndarray) -> None:
+        """Add every block that rows v (B, D, 4) complete to the running
+        sums, each as the same contiguous (_SUM_BLOCK, D, 4) sum, and keep
+        the rest open."""
+        rows = np.concatenate([self._open, v])
+        done = len(rows) - len(rows) % _SUM_BLOCK
+        for block in rows[:done].reshape(-1, _SUM_BLOCK, *rows.shape[1:]):
+            self._sums += block.sum(axis=0)
+        self._open = rows[done:]
+
     def finalize(self):
         if self._d is None or self._count == 0 or not self._mi:
             raise InvalidData("feature accumulation needs orders 2..N")
         if np.isnan(self._whole).any():
             raise InvalidData("feature accumulation never saw the order-N row")
+        sums = self._sums + self._open.sum(axis=0)  # the last block, short
         mi = np.concatenate(self._mi)  # (C(N, 2), D)
         mi_mean, mi_std = np.mean(mi, axis=0), np.std(mi, axis=0)
         out = []
         for d in range(self._d):
-            means = self._sums[d] / self._count
+            means = sums[d] / self._count
             kw = {}
             for m_i, m in enumerate(MEASURES):
                 kw[f"{m}_max"] = float(self._maxs[d, m_i])
@@ -311,16 +330,20 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
     """Visit every n-plet with order in [min_order, max_order] once.
 
     Orders run one after another on a log-determinant lattice
-    (nplet_engine.LogdetLattice), and no matrix is inverted. Each order
-    takes one of two routes:
+    (nplet_engine.LogdetLattice), and no matrix is inverted. The lattice
+    gives each batch the three (B, D) sums every measure is linear in:
+    the joint excess entropy J, the members' sum S and the leave-one-out
+    sum L; measures.hoi_from_sums turns them into tc, dtc, o and s. Each
+    order takes one of two routes:
 
-    - pivot: the order's table of joint log-determinants, indexed by colex
-      rank, is built when the order opens, each entry the prefix's
-      log-determinant plus log of one Cholesky pivot, read from
-      conditional covariances (states) carried down from the order below
-      and updated by one rank-one term per child. Each leave-one-out term
-      is read from order k - 1's table. Batches then only read tables: no
-      gather and no factorisation per n-plet.
+    - pivot: the order's table of joint excess entropies, indexed by
+      colex rank, is built when the order opens, each entry the prefix's
+      plus half the log of one Cholesky pivot less the bias step, read
+      from conditional covariances (states) carried down from the order
+      below and updated by one rank-one term per child. J is read from
+      that table, L as k gathers of order k - 1's table and S as k
+      gathers of the singles. Batches then only read tables: no gather of
+      sub-covariances, no factorisation and no per-row entropy terms.
     - walk: each batch borders its own prefix tree, from one variable up
       to each n-plet, with one Schur complement per distinct prefix; the
       leave-one-out terms come from the bordered inverse's diagonal. No
@@ -335,7 +358,7 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
     opening an order replaces the tables the previous one reads.
 
     One rule sends a row to the direct path, with exactly
-    compute_hoi_batch's entropy terms or NotPositiveDefinite coordinates:
+    compute_hoi_batch's measures or NotPositiveDefinite coordinates:
     the lattice does not trust it, because a pivot fell below
     nplet_engine.BORDER_RTOL (1e-3) times its variable's variance (it and
     every set built on it), a walked n-plet has a member whose variance
@@ -384,8 +407,8 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
     lattice = LogdetLattice(covs, min_order, max_order, bias_correct)
 
     def score(batch):
-        terms, direct = lattice.terms(batch)
-        return batch, hoi_from_terms(terms), direct
+        sums, direct = lattice.sums(batch)
+        return batch, hoi_from_sums(*sums, batch.orders()), direct
 
     t0 = time.perf_counter()
     seen = fallback = batches = 0

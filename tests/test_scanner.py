@@ -41,7 +41,7 @@ from hoi import (
     scan,
 )
 from hoi import nplet_engine, scanner
-from hoi.measures import hoi_from_terms
+from hoi.measures import hoi_from_sums
 from hoi.copula_core import _factor_logdet
 from hoi.scanner import MEASURES, best_rows
 
@@ -328,20 +328,20 @@ def degenerate_covset(seed, n, kinds):
        min_order=st.integers(1, 3), walk=st.booleans())
 def test_near_singular_scan_matches_the_direct_path(
         seed, n, kinds, batch_size, workers, min_order, walk):
-    # Rows the lattice cannot serve take the direct path and get
-    # entropy_terms' values bit for bit; rows it serves, on the pivot route
-    # or (with no room for tables) the walk, hold the log-determinants of
-    # their own and their minors' submatrices within 1e-12, and every pivot
-    # behind them clears the floor. Both paths raise the same
+    # Rows the lattice cannot serve take the direct path and get the sums
+    # of entropy_terms' values bit for bit; rows it serves, on the pivot
+    # route or (with no room for tables) the walk, hold the log-determinants
+    # of their own and their minors' submatrices within 1e-12, and every
+    # pivot behind them clears the floor. Both paths raise the same
     # NotPositiveDefinite coordinates, and no value is left non-finite.
     covs = degenerate_covset(seed, n, kinds)
-    lattice_terms, direct_logdets = nplet_engine.LogdetLattice.terms, nplet_engine._direct_logdets
-    terms_of, direct = {}, set()
+    lattice_sums, direct_logdets = nplet_engine.LogdetLattice.sums, nplet_engine._direct_logdets
+    sums_of, direct = {}, set()
 
-    def recorded_terms(self, batch):
-        terms, count = lattice_terms(self, batch)
-        terms_of[id(batch)] = terms
-        return terms, count
+    def recorded_sums(self, batch):
+        sums, count = lattice_sums(self, batch)
+        sums_of[id(batch)] = sums
+        return sums, count
 
     def recorded_direct(c, batch):
         direct.update(map(tuple, batch.indices.tolist()))
@@ -349,7 +349,7 @@ def test_near_singular_scan_matches_the_direct_path(
 
     seen, raised = [], None
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nplet_engine.LogdetLattice, "terms", recorded_terms)
+        mp.setattr(nplet_engine.LogdetLattice, "sums", recorded_sums)
         mp.setattr(nplet_engine, "_direct_logdets", recorded_direct)
         if walk:
             mp.setattr(nplet_engine, "LATTICE_TABLE_BYTES", 0)
@@ -382,27 +382,28 @@ def test_near_singular_scan_matches_the_direct_path(
     half_log_var = 0.5 * np.log(variances)  # table 1
 
     for batch, hoi in seen:
-        got, k = terms_of[id(batch)], batch.order
+        (joint_sum, singles_sum, loo_sum), k = sums_of[id(batch)], batch.order
         assert all(np.isfinite(getattr(hoi, m)).all() for m in MEASURES)
         rows = batch.indices.tolist()
         on_direct = [i for i, row in enumerate(rows) if tuple(row) in direct]
         if on_direct:
             want = entropy_terms(covs, NpletBatch(n, indices=[rows[i] for i in on_direct]))
-            np.testing.assert_array_equal(got.excess_joint[on_direct], want.excess_joint)
-            np.testing.assert_array_equal(
-                got.excess_leave_one_out[on_direct], want.excess_leave_one_out)
+            for got, wanted in zip((joint_sum, singles_sum, loo_sum), want.sums()):
+                np.testing.assert_array_equal(got[on_direct], wanted)
         for i in sorted(set(range(len(rows))) - set(on_direct)):
             row = rows[i]
-            # table 1 is log sigma_ii whatever min_order is, as are order-1 joints
+            # table 1 is 1/2 log sigma_ii whatever min_order is, as are order-1 joints
             joint = half_log_var[row[0]] if k == 1 else half_logdets([row])[0]
-            np.testing.assert_allclose(got.excess_joint[i], joint, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(joint_sum[i], joint, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(singles_sum[i], half_log_var[row].sum(axis=0),
+                                       rtol=0, atol=1e-12)
             if k == 1:
                 loo = 0.0
             elif k == 2:
-                loo = half_log_var[row[::-1]].T
+                loo = half_log_var[row].sum(axis=0)
             else:
-                loo = half_logdets([row[:j] + row[j + 1:] for j in range(k)]).T
-            np.testing.assert_allclose(got.excess_leave_one_out[i], loo, rtol=0, atol=1e-12)
+                loo = half_logdets([row[:j] + row[j + 1:] for j in range(k)]).sum(axis=0)
+            np.testing.assert_allclose(loo_sum[i], loo, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=15, deadline=None)
@@ -498,8 +499,9 @@ def test_walk_orders_match_the_direct_path_and_ignore_batching(seed, d, bias_cor
         for lo in sorted({0, total // 2, max(total - 150, 0)}):
             for batch_size in (1, 7):
                 for at in range(lo, min(lo + 150, total), batch_size):
-                    terms, _ = lattice.terms(NpletBatch(n, indices=rows[at:at + batch_size]))
-                    hoi = hoi_from_terms(terms)
+                    batch = NpletBatch(n, indices=rows[at:at + batch_size])
+                    sums, _ = lattice.sums(batch)
+                    hoi = hoi_from_sums(*sums, batch.orders())
                     got = np.stack([getattr(hoi, m) for m in MEASURES])
                     np.testing.assert_array_equal(got, base[:, at:at + batch_size])
 
@@ -572,6 +574,8 @@ def test_pivot_tables_match_slogdet(seed, n, d, min_order, bias_correct):
     lattice = nplet_engine.LogdetLattice(covs, min_order, n, bias_correct)
     assert lattice.pivots == set(range(min_order, n + 1))
     stacked = np.stack(sigmas)
+    # tables hold excess entropies: 1/2 logdet less the bias at the order
+    bias = [ref.entropy_bias(m, 40) if bias_correct else 0.0 for m in range(n + 1)]
     for k in range(min_order, n + 1):
         lattice.open(k)
         for m in (k - 1, k):  # table min_order - 1 is descended from the empty set
@@ -580,7 +584,8 @@ def test_pivot_tables_match_slogdet(seed, n, d, min_order, bias_correct):
             rows = nplet_engine._colex_unrank(np.arange(count_nplets(n, m, m)), m, lattice.binom)
             sign, want = np.linalg.slogdet(stacked[:, rows[:, :, None], rows[:, None, :]])
             assert (sign == 1).all()
-            np.testing.assert_allclose(lattice.tables[m], want.T, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(lattice.tables[m], 0.5 * want.T - bias[m],
+                                       rtol=0, atol=1e-12)
 
 
 def test_orders_over_the_state_cap_walk_without_factoring(monkeypatch):
@@ -633,6 +638,59 @@ def test_pivot_served_scans_never_factor(monkeypatch):
                progress=ticks.append)
     assert [len(per_d) for per_d in top] == [3, 3]
     assert ticks[-1]["nplets"] == 2 ** 12 - 1 and ticks[-1]["fallback_rows"] == 0
+
+
+def direct_measure_rows(covs, lo, hi, bias_correct):
+    """(4, rows, D) compute_hoi_batch measures in scan order, one call per order."""
+    n = covs.n_variables
+    parts = []
+    for k in range(lo, hi + 1):
+        rows = np.concatenate([batch.indices for batch in enumerate_order(n, k)])
+        hoi = compute_hoi_batch(covs, NpletBatch(n, indices=rows), bias_correct=bias_correct)
+        parts.append(np.stack([getattr(hoi, m) for m in MEASURES]))
+    return np.concatenate(parts, axis=1)
+
+
+def test_pivot_scans_skip_per_row_terms(monkeypatch):
+    # pivot orders read J, S and L straight from the tables: no per-row
+    # EntropyTerms is built, so a scan completes with _excess_terms broken
+    covs = walk_covset(5, 10, 2, 40)
+    assert nplet_engine.LogdetLattice(covs, 1, 10, True).pivots == set(range(1, 11))
+    want = direct_measure_rows(covs, 1, 10, bias_correct=True)
+
+    def no_terms(*args, **kwargs):
+        raise AssertionError("_excess_terms called")
+
+    monkeypatch.setattr(nplet_engine, "_excess_terms", no_terms)
+    ticks = []
+    got = measure_rows(covs, 1, 10, bias_correct=True, progress=ticks.append)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert ticks[-1]["fallback_rows"] == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 9), d=st.integers(1, 3),
+       bias_correct=st.booleans(), batch_size=st.integers(1, 50),
+       workers=st.sampled_from([1, 2]))
+def test_pivot_sums_match_the_direct_path_and_ignore_batching(
+        seed, n, d, bias_correct, batch_size, workers):
+    t = 3 * n
+    covs = walk_covset(seed, n, d, t)
+    assert nplet_engine.LogdetLattice(covs, 1, n, bias_correct).pivots == set(range(1, n + 1))
+    base = measure_rows(covs, 1, n, bias_correct=bias_correct)
+    got = measure_rows(covs, 1, n, bias_correct=bias_correct, batch_size=batch_size,
+                       workers=workers)
+    np.testing.assert_array_equal(got, base)
+    np.testing.assert_allclose(base, direct_measure_rows(covs, 1, n, bias_correct),
+                               rtol=0, atol=1e-12)
+    # order 2's S and L read the same singles: o is exactly 0
+    assert (base[MEASURES.index("o"), n:n + n * (n - 1) // 2] == 0.0).all()
+    rows = [tuple(row) for k in range(1, n + 1) for row in itertools.combinations(range(n), k)]
+    for at in np.random.default_rng(seed).choice(len(rows), 5, replace=False):
+        for dd in range(d):
+            want = ref.measures(covs.covs[dd].sigma, rows[at],
+                                t_samples=t if bias_correct else None)
+            np.testing.assert_allclose(base[:, at, dd], want, rtol=0, atol=1e-12)
 
 
 def test_threaded_pivot_scans_equal_the_serial_scan_bitwise():
@@ -825,21 +883,21 @@ def test_identity_features_are_exact_zeros():
 
 
 def test_features_invariant_to_workers_and_stable_across_batch_size():
-    covs = toy_covset(7, n=6, d=3)
-    base = extract_features(covs)
-    # workers never change batch composition, so equality is exact
-    for workers in (2, 4):
-        assert extract_features(covs, workers=workers) == base
-    # batch size regroups the running sums; extremes and counts are
-    # exact, means only to accumulation order
-    for batch_size in (3, 50):
-        other = extract_features(covs, batch_size=batch_size)
-        for got, want in zip(other, base):
-            for name in FEATURE_NAMES:
-                if name.endswith(("_mean", "_std")):
-                    assert getattr(got, name) == pytest.approx(getattr(want, name), abs=1e-12)
-                else:
-                    assert getattr(got, name) == getattr(want, name), name
+    # workers never change batch composition, and the interaction sums add
+    # fixed blocks of rows counted from the scan's start whatever the
+    # batches, so every feature is exact; N=12 has 4017 rows of orders >= 3,
+    # which span several blocks
+    for n, batch_sizes in ((6, (1, 3, 7, 50)), (12, (1, 7, 100, 333))):
+        covs = toy_covset(7, n=n, d=3)
+        base = extract_features(covs)
+        for workers in (2, 4):
+            assert extract_features(covs, workers=workers) == base
+        for batch_size in batch_sizes:
+            for workers in (1, 2):
+                other = extract_features(covs, batch_size=batch_size, workers=workers)
+                for got, want in zip(other, base):
+                    for name in FEATURE_NAMES:
+                        assert getattr(got, name) == getattr(want, name), (n, batch_size, name)
 
 
 def test_feature_size_limits():
