@@ -561,9 +561,9 @@ class LogdetLattice:
       max p conditioned on p, one array per largest member. open(k) reads
       the whole of table k from table k - 1 and those states' diagonals,
       and, when order k + 1 takes the route too, each child p + v's state
-      from its parent's by one rank-one update. sums() then only reads
-      tables: J from table k, L as k gathers of table k - 1 (a leave-one-out
-      term of a k-plet is the joint term of a (k - 1)-plet, at rank
+      from its parent's by one rank-one update. A batch then only reads
+      tables (_gather): J from table k, L as k gathers of table k - 1 (a
+      leave-one-out term of a k-plet is the joint term of a (k - 1)-plet, at rank
       sum_{p<j} C(c_p, p + 1) + sum_{p>j} C(c_p, p)), S as k gathers of the
       singles. No (B, D, K) array is formed. A pivot below
       BORDER_RTOL * sigma_vv is NaN, and so is everything built on it.
@@ -581,8 +581,8 @@ class LogdetLattice:
     eta_1). Every other order walks. The caller opens orders in increasing
     order and evaluates every batch of an order before opening the next.
 
-    sums() is the one fallback site, with one rule: a row runs on the
-    direct path (_direct_rows) when a log-determinant it needs is NaN (a
+    sums() is the one fallback site, with one rule, after either route: a
+    row runs on the direct path (_direct_sums) when its J or L is NaN (a
     pivot fell below the floor, a walk leaf has a member whose relative
     Schur complement does not clear BORDER_RTOL, or a Schur complement is
     not positive). Its sums are then compute_hoi_batch's, bit for bit, or
@@ -681,10 +681,21 @@ class LogdetLattice:
         """((B, D) J, S, L of EntropyTerms.sums, rows on the direct path) of
         a batch of the open order."""
         k, idx = batch.order, batch.indices
-        if k not in self.pivots:
-            joint, loo = self._walk(idx)
-            rows = _direct_rows(self.covs, idx, joint, loo)
-            return _excess_terms(joint, loo, idx, self.x_singles, self.bias).sums(), rows.size
+        if k in self.pivots:
+            joint, singles, loo = self._gather(idx)
+        else:
+            raw_joint, raw_loo = self._walk(idx)
+            joint, singles, loo = _excess_terms(raw_joint, raw_loo, idx, self.x_singles,
+                                                self.bias).sums()
+        if np.isnan(joint).any() or np.isnan(loo).any():  # the rare case, tested fast
+            rows = np.flatnonzero(np.isnan(joint).any(axis=1) | np.isnan(loo).any(axis=1))
+            joint[rows], singles[rows], loo[rows] = self._direct_sums(idx, rows)
+            return (joint, singles, loo), rows.size
+        return (joint, singles, loo), 0
+
+    def _gather(self, idx: np.ndarray):
+        """(B, D) J, S and L of a batch idx of a pivot order, read from the tables."""
+        k = idx.shape[1]
         rank, loo_rank = _ranks(idx, self.binom)
         below, cols, loo_rank = self.tables[k - 1], idx.T, loo_rank.T  # (K, B) columns
         joint = np.take(self.tables[k], rank, axis=0)
@@ -692,11 +703,7 @@ class LogdetLattice:
         for j in range(1, k):
             singles += np.take(self.singles, cols[j], axis=0)
             loo += np.take(below, loo_rank[j], axis=0)
-        if np.isnan(joint).any() or np.isnan(loo).any():  # the rare case, tested fast
-            rows = np.flatnonzero(np.isnan(joint).any(axis=1) | np.isnan(loo).any(axis=1))
-            joint[rows], singles[rows], loo[rows] = self._direct_sums(idx, rows)
-            return (joint, singles, loo), rows.size
-        return (joint, singles, loo), 0
+        return joint, singles, loo
 
     def _direct_sums(self, idx: np.ndarray, rows: np.ndarray):
         """J, S and L of rows rows of idx on the direct path, summed as

@@ -207,10 +207,6 @@ class FeatureVector:
 FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
 
 
-#: rows per block of FeatureAccumulator's interaction sums
-_SUM_BLOCK = 1024
-
-
 class FeatureAccumulator(Reducer):
     """Streaming accumulator for the 21-feature fingerprint.
 
@@ -219,9 +215,9 @@ class FeatureAccumulator(Reducer):
     and the single order-N row supplies the whole-system values. The
     C(N, 2) pairwise MI rows are kept, so their spread is a two-pass
     population std, free of the cancellation in E[x^2] - E[x]^2. The
-    interaction sums add up fixed blocks of _SUM_BLOCK rows counted from
-    the scan's start, one block at a time, so every feature is the same
-    whatever the batch boundaries, in O(_SUM_BLOCK + batch) memory.
+    interaction sums fold in one row at a time from the scan's start (an
+    axis-0 sum of a C-contiguous array adds its rows in order), so every
+    feature is the same whatever the batch boundaries.
     """
 
     def __init__(self, n_variables: int):
@@ -231,7 +227,6 @@ class FeatureAccumulator(Reducer):
     def _init_state(self, d_count: int) -> None:
         self._d = d_count
         self._sums = np.zeros((d_count, 4))
-        self._open = np.empty((0, d_count, 4))  # rows of the unfinished block
         self._maxs = np.full((d_count, 4), -np.inf)
         self._mins = np.full((d_count, 4), np.inf)
         self._count = 0
@@ -265,34 +260,24 @@ class FeatureAccumulator(Reducer):
                     self._o_min_order[d] = row_orders[i_min]
             np.maximum(self._maxs, v.max(axis=0), out=self._maxs)
             np.minimum(self._mins, v.min(axis=0), out=self._mins)
-            self._add_blocks(v)
+            # the running sums lead the fold, so the order of additions is the scan's
+            self._sums = np.concatenate([self._sums[None], v]).sum(axis=0)
             self._count += v.shape[0]
             self._syn += (o_col < 0.0).sum(axis=0)
             whole_rows = np.flatnonzero(row_orders == self.n)
             if whole_rows.size:
                 self._whole = v[whole_rows[0]]
 
-    def _add_blocks(self, v: np.ndarray) -> None:
-        """Add every block that rows v (B, D, 4) complete to the running
-        sums, each as the same contiguous (_SUM_BLOCK, D, 4) sum, and keep
-        the rest open."""
-        rows = np.concatenate([self._open, v])
-        done = len(rows) - len(rows) % _SUM_BLOCK
-        for block in rows[:done].reshape(-1, _SUM_BLOCK, *rows.shape[1:]):
-            self._sums += block.sum(axis=0)
-        self._open = rows[done:]
-
     def finalize(self):
         if self._d is None or self._count == 0 or not self._mi:
             raise InvalidData("feature accumulation needs orders 2..N")
         if np.isnan(self._whole).any():
             raise InvalidData("feature accumulation never saw the order-N row")
-        sums = self._sums + self._open.sum(axis=0)  # the last block, short
         mi = np.concatenate(self._mi)  # (C(N, 2), D)
         mi_mean, mi_std = np.mean(mi, axis=0), np.std(mi, axis=0)
         out = []
         for d in range(self._d):
-            means = sums[d] / self._count
+            means = self._sums[d] / self._count
             kw = {}
             for m_i, m in enumerate(MEASURES):
                 kw[f"{m}_max"] = float(self._maxs[d, m_i])

@@ -883,10 +883,9 @@ def test_identity_features_are_exact_zeros():
 
 
 def test_features_invariant_to_workers_and_stable_across_batch_size():
-    # workers never change batch composition, and the interaction sums add
-    # fixed blocks of rows counted from the scan's start whatever the
-    # batches, so every feature is exact; N=12 has 4017 rows of orders >= 3,
-    # which span several blocks
+    # workers never change batch composition, and the interaction sums fold
+    # in one row at a time from the scan's start whatever the batches, so
+    # every feature is exact; N=12 has 4017 rows of orders >= 3
     for n, batch_sizes in ((6, (1, 3, 7, 50)), (12, (1, 7, 100, 333))):
         covs = toy_covset(7, n=n, d=3)
         base = extract_features(covs)
