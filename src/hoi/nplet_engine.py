@@ -11,17 +11,17 @@ the leave-one-out terms. Exhaustive scans get those sums for whole orders
 from a LogdetLattice instead, on one of two routes per order. The pivot
 route reads them straight from tables of excess entropies, built from
 pivots carried down the subset lattice while they fit a memory cap, with
-no per-row EntropyTerms; every other order walks each batch's own prefix
-tree. One kernel, _border, adds a variable to a set of known inverse and
-log-determinant through its Schur complement (_grow then grows the
-inverse, _unborder removes a variable); it serves the walk and
-_BorderedSets, the stored sets that greedy growth and annealing move.
-_prefix_descent borders sets up from their first members' variances for
-the walk's prefixes and for every set _BorderedSets stores, so only the
-direct path factors (copula_core._jittered_cholesky, the one jitter
-retry). A Schur complement that is not positive gives NaN, and a set is
-trusted only while every member's relative Schur complement clears
-BORDER_RTOL (_conditioned); rows that are not fall back to _direct_rows.
+no per-row EntropyTerms; every other batch walks its own prefix tree,
+and the walk's leaf step (extend) also scores greedy growth. One kernel,
+_border, adds a variable to a set of known inverse and log-determinant
+through its Schur complement (_grow then grows the inverse, _unborder
+removes a variable); it serves the lattice and _BorderedSets, the stored
+sets that annealing moves. _prefix_descent borders sets up from their
+first members' variances, so only the direct path factors
+(copula_core._jittered_cholesky, the one jitter retry). A Schur
+complement that is not positive gives NaN, and a set is trusted only
+while every member's relative Schur complement clears BORDER_RTOL
+(_conditioned); rows that are not fall back to _direct_rows.
 enumerate_order and the lattice number n-plets in one combinatorial
 number system, with int64 ranks.
 """
@@ -325,13 +325,11 @@ def _direct_rows(covs: CovSet, members: np.ndarray, joint: np.ndarray, loo: np.n
     marks (all when live is None), in increasing order: sorted index rows,
     mask rows with members arange(N), or slot rows so arranged.
 
-    rows are the rows to refill, by default every row holding a NaN; they
-    are returned. NotPositiveDefinite coordinates are (row, dataset); the
-    message names the first failing row's n-plet, whatever the batching."""
+    rows are the rows to refill, by default all; they are returned.
+    NotPositiveDefinite coordinates are (row, dataset); the message names
+    the first failing row's n-plet, whatever the batching."""
     if rows is None:
-        if not (np.isnan(joint).any() or np.isnan(loo).any()):  # the common case, tested fast
-            return np.empty(0, dtype=np.int64)
-        rows = np.flatnonzero(np.isnan(joint).any(axis=1) | np.isnan(loo).any(axis=(1, 2)))
+        rows = np.arange(len(members))
     if live is None:
         live = np.ones(members.shape, dtype=bool)
     orders = live[rows].sum(axis=1)
@@ -507,7 +505,7 @@ def entropy_terms(covs: CovSet, batch: NpletBatch, bias_correct: bool = False) -
         members = np.broadcast_to(np.arange(covs.n_variables), live.shape)
     joint = np.empty((b, covs.n_datasets))
     loo = np.zeros((b, covs.n_datasets, members.shape[1]))
-    _direct_rows(covs, members, joint, loo, rows=np.arange(b), live=live)
+    _direct_rows(covs, members, joint, loo, live=live)
     return _excess_terms(joint, loo, members, _excess_singles(covs, bias), bias, live=live)
 
 
@@ -567,8 +565,8 @@ class LogdetLattice:
       sum_{p<j} C(c_p, p + 1) + sum_{p>j} C(c_p, p)), S as k gathers of the
       singles. No (B, D, K) array is formed. A pivot below
       BORDER_RTOL * sigma_vv is NaN, and so is everything built on it.
-    - walk: each batch borders down its own prefix tree (_walk; Hager 1989,
-      SIAM Review 31:221) to raw log-determinants, summed through
+    - walk: each batch borders down its own prefix tree (extend; Hager
+      1989, SIAM Review 31:221) to raw log-determinants, summed through
       EntropyTerms as compute_hoi_batch sums them. No table is read or
       written, and memory is O(batch_size K^2 D).
 
@@ -578,14 +576,15 @@ class LogdetLattice:
     it does too: states pass from one order to the next, from the empty
     set (sigma itself) up, so open(min_order) first descends from there to
     table min_order - 1 (table 1 holds the singles, 1/2 log sigma_ii -
-    eta_1). Every other order walks. The caller opens orders in increasing
-    order and evaluates every batch of an order before opening the next.
+    eta_1). A batch of any other order walks, so a lattice that opens no
+    order scores any batch. A scan opens orders in increasing order and
+    evaluates every batch of an order before opening the next.
 
-    sums() is the one fallback site, with one rule, after either route: a
-    row runs on the direct path (_direct_sums) when its J or L is NaN (a
-    pivot fell below the floor, a walk leaf has a member whose relative
-    Schur complement does not clear BORDER_RTOL, or a Schur complement is
-    not positive). Its sums are then compute_hoi_batch's, bit for bit, or
+    _checked is the one fallback site, with one rule, after either route:
+    a row runs on the direct path when its J or L is NaN (a pivot fell
+    below the floor, a bordered row has a member whose relative Schur
+    complement does not clear BORDER_RTOL, or a Schur complement is not
+    positive). Its sums are then compute_hoi_batch's, bit for bit, or
     it raises compute_hoi_batch's NotPositiveDefinite coordinates. Only
     the n-plets that fail go direct, never the rest of their batch, so
     which rows do does not depend on batch_size.
@@ -659,39 +658,37 @@ class LogdetLattice:
         self.states = children if carry else None
         return out
 
-    def _walk(self, idx: np.ndarray):
-        """Raw (B, D) joint and (B, D, K) leave-one-out log-determinants of
-        a lexicographic batch idx, bordered down its own prefix tree.
-
-        Each row's parent is its (K - 1)-prefix's node (_prefix_descent). A
-        leaf c's joint term is its parent's plus log s, and leaving out
-        member j gives logdet(c) + log (sigma_c^-1)_jj, or the parent's for
-        the last member. A leaf that _conditioned does not trust is NaN."""
-        logdet, inv, node = _prefix_descent(self.sigma, idx[:, :-1])
-        parent = logdet[node]
-        joint, diag, _, s = _border(self.sigma, idx[:, :-1], idx[:, -1], inv[node], parent)
-        diag = np.concatenate([diag, 1.0 / s[..., None]], axis=-1)
-        # an untrusted member leaves its term NaN, so the row goes direct
-        good = _conditioned(idx, np.ones(idx.shape, dtype=bool), diag, self.var)
-        loo = joint[..., None] + np.log(np.where(good, diag, np.nan))
-        loo[..., -1] = np.where(good[..., -1], parent, np.nan)  # c without its last member
-        return joint, loo
-
     def sums(self, batch: NpletBatch):
         """((B, D) J, S, L of EntropyTerms.sums, rows on the direct path) of
-        a batch of the open order."""
+        a fixed-order batch: read from the tables when its order is the
+        pivot order open() made current, else walked."""
         k, idx = batch.order, batch.indices
-        if k in self.pivots:
-            joint, singles, loo = self._gather(idx)
-        else:
-            raw_joint, raw_loo = self._walk(idx)
-            joint, singles, loo = _excess_terms(raw_joint, raw_loo, idx, self.x_singles,
-                                                self.bias).sums()
-        if np.isnan(joint).any() or np.isnan(loo).any():  # the rare case, tested fast
-            rows = np.flatnonzero(np.isnan(joint).any(axis=1) | np.isnan(loo).any(axis=1))
-            joint[rows], singles[rows], loo[rows] = self._direct_sums(idx, rows)
-            return (joint, singles, loo), rows.size
-        return (joint, singles, loo), 0
+        if k in self.tables and k - 1 in self.tables:
+            return self._checked(idx, *self._gather(idx))
+        return self.extend(idx[:, :-1], np.arange(len(idx)), idx[:, -1], idx)
+
+    def extend(self, parents: np.ndarray, parent: np.ndarray, add: np.ndarray,
+               rows: np.ndarray):
+        """((B, D) J, S, L of EntropyTerms.sums, rows on the direct path) of
+        the sorted (B, K) rows, row b parents[parent[b]] plus variable add[b].
+
+        The (P, K - 1) parents come from one _prefix_descent. Row c's joint
+        term is its parent's plus log s, and leaving out member j gives
+        logdet(c) + log (sigma_c^-1)_jj, or the parent's for add; S and L
+        add the parent's members in turn, then add. A row with a member
+        that _conditioned does not trust is NaN, so it goes direct."""
+        logdet, inv, node = _prefix_descent(self.sigma, parents)
+        at = node[parent]  # np.take gathers rows several times faster than indexing
+        members = np.concatenate([np.take(parents, parent, axis=0), add[:, None]], axis=1)
+        before, inv = np.take(logdet, at, axis=0), np.take(inv, at, axis=0)
+        joint, diag, _, s = _border(self.sigma, members[:, :-1], add, inv, before)
+        diag = np.concatenate([diag, 1.0 / s[..., None]], axis=-1)
+        # an untrusted member leaves its term NaN, so the row goes direct
+        good = _conditioned(members, np.ones(members.shape, dtype=bool), diag, self.var)
+        loo = joint[..., None] + np.log(np.where(good, diag, np.nan))
+        loo[..., -1] = np.where(good[..., -1], before, np.nan)  # c without add
+        return self._checked(rows, *_excess_terms(joint, loo, members, self.x_singles,
+                                                  self.bias).sums())
 
     def _gather(self, idx: np.ndarray):
         """(B, D) J, S and L of a batch idx of a pivot order, read from the tables."""
@@ -705,18 +702,24 @@ class LogdetLattice:
             loo += np.take(below, loo_rank[j], axis=0)
         return joint, singles, loo
 
-    def _direct_sums(self, idx: np.ndarray, rows: np.ndarray):
-        """J, S and L of rows rows of idx on the direct path, summed as
-        compute_hoi_batch sums them; NotPositiveDefinite coordinates are
-        rows of idx."""
-        joint = np.full((len(rows), self.covs.n_datasets), np.nan)  # _direct_rows refills NaN rows
-        loo = np.zeros(joint.shape + (idx.shape[1],))
+    def _checked(self, idx: np.ndarray, joint, singles, loo):
+        """((B, D) J, S, L, rows on the direct path) of the rows idx after the
+        one fallback check: a row whose J or L is NaN takes the direct path,
+        summed as compute_hoi_batch sums it; NotPositiveDefinite coordinates
+        are rows of idx."""
+        if not (np.isnan(joint).any() or np.isnan(loo).any()):  # the common case, tested fast
+            return (joint, singles, loo), 0
+        rows = np.flatnonzero(np.isnan(joint).any(axis=1) | np.isnan(loo).any(axis=1))
+        raw = np.empty((len(rows), self.covs.n_datasets))
+        raw_loo = np.zeros(raw.shape + (idx.shape[1],))
         try:
-            _direct_rows(self.covs, idx[rows], joint, loo)
+            _direct_rows(self.covs, idx[rows], raw, raw_loo)
         except NotPositiveDefinite as err:
             raise NotPositiveDefinite(
                 str(err), coords=[(int(rows[r]), d) for r, d in err.coords]) from None
-        return _excess_terms(joint, loo, idx[rows], self.x_singles, self.bias).sums()
+        joint[rows], singles[rows], loo[rows] = _excess_terms(
+            raw, raw_loo, idx[rows], self.x_singles, self.bias).sums()
+        return (joint, singles, loo), rows.size
 
 
 #: accepted bordered moves after which a _BorderedSets row is rebuilt
@@ -731,17 +734,16 @@ def _leading(members: np.ndarray, live: np.ndarray, n: int):
 
 @dataclass
 class _Proposal:
-    """Sets one variable away from stored _BorderedSets rows, scored.
+    """Sets one variable away from the stored _BorderedSets rows, one per
+    row, scored.
 
-    at (P,) are the rows they start from; members and live (P, W) hold
-    each set in slots, logdet (P, D) and loo (P, D, W) its raw joint and
-    leave-one-out log-determinants, and direct (P,) marks the sets scored
-    on the direct path. inv (P, D, W, W) is each inverse before its add,
-    and grow (into, slot, z, s) the adding rows, their slots and _border's
-    z and s, from which accept grows it.
+    members and live (P, W) hold each set in slots, logdet (P, D) and loo
+    (P, D, W) its raw joint and leave-one-out log-determinants, and direct
+    (P,) marks the sets scored on the direct path. inv (P, D, W, W) is each
+    inverse before its add, and grow (into, slot, z, s) the adding rows,
+    their slots and _border's z and s, from which accept grows it.
     """
 
-    at: np.ndarray
     members: np.ndarray
     live: np.ndarray
     logdet: np.ndarray
@@ -752,14 +754,14 @@ class _Proposal:
 
 
 class _BorderedSets:
-    """Variable sets stored with the inverses and log-determinants of their
-    sub-covariances, scored and moved one variable at a time.
+    """Annealing's chains: variable sets stored with the inverses and
+    log-determinants of their sub-covariances, moved one variable at a time.
 
     Row r keeps its members in the slots of a W-wide row (live marks the
     used ones), sigma_d[members, members]^-1 in the matching slots of a
     (D, W, W) array, zero elsewhere, and its (D,) log-determinants.
-    propose scores the sets one dropped and/or added variable away from
-    any stored rows by bordering (_unborder, _border), with leave-one-out
+    propose scores the set one dropped and/or added variable away from
+    every stored row by bordering (_unborder, _border), with leave-one-out
     terms from the bordered inverse diagonal. accept stores moved
     proposals, grows their inverses by one rank-one term, and rebuilds a
     row every _REFRESH_MOVES accepted moves (refresh, by _prefix_descent:
@@ -775,7 +777,7 @@ class _BorderedSets:
     def __init__(self, covs: CovSet, members: np.ndarray, live: np.ndarray, width: int,
                  bias_correct: bool = False):
         """Store the sets of slot rows members at live in W = width slots,
-        at least one more than any set that will take an add."""
+        as many as the largest set a move makes."""
         self.covs = covs
         self.bias_correct = bias_correct
         self.sigma = covs.stacked()
@@ -804,17 +806,14 @@ class _BorderedSets:
             self.logdet[at], self.inv[at, :, :k, :k] = logdet[node], inv[node]
             self.members[at, :k], self.live[at, :k] = idx, True
 
-    def propose(self, at: np.ndarray, drop=None, add=None) -> _Proposal:
-        """The stored sets at[p] without variable drop[p], then with
-        variable add[p] (-1, or no array: neither), scored. The stored
-        inverses are gathered once."""
-        none = np.full(len(at), -1)
-        drop, add = none if drop is None else drop, none if add is None else add
+    def propose(self, drop: np.ndarray, add: np.ndarray) -> _Proposal:
+        """Every stored set r without variable drop[r], then with variable
+        add[r] (-1: neither), scored."""
         stored = _conditioned(self.members, self.live,
                               np.diagonal(self.inv, axis1=-2, axis2=-1), self.var)
         healthy = (stored == self.live[:, None, :]).all(axis=(1, 2))
-        members, live = self.members[at], self.live[at]
-        logdet, inv = self.logdet[at], self.inv[at]
+        members, live = self.members.copy(), self.live.copy()
+        logdet, inv = self.logdet.copy(), self.inv.copy()
         out = np.flatnonzero(drop >= 0)
         j = np.argmax(live[out] & (members[out] == drop[out, None]), axis=1)
         logdet[out], inv[out] = _unborder(inv[out], logdet[out], j)
@@ -823,19 +822,18 @@ class _BorderedSets:
         assert not live[into].all(axis=1).any(), "an add to a full set"
         diag = np.diagonal(inv, axis1=-2, axis2=-1).copy()
         slot, v, before = np.argmin(live[into], axis=1), add[into], logdet[into]
-        base = inv if into.size == len(at) else inv[into]  # no second gather when all add
-        logdet[into], diag[into], z, s = _border(self.sigma, members[into], v, base, before)
+        logdet[into], diag[into], z, s = _border(self.sigma, members[into], v, inv[into], before)
         diag[into, :, slot] = 1.0 / s
         members[into, slot], live[into, slot] = v, True
         good = _conditioned(members, live, diag, self.var)
         loo = logdet[..., None] + np.log(np.where(good, diag, 1.0))
         loo[into, :, slot] = before  # S + v without v is S itself
-        direct = ~healthy[at] | ~(good == live[:, None, :]).all(axis=(1, 2))
+        direct = ~healthy | ~(good == live[:, None, :]).all(axis=(1, 2))
         rows = np.flatnonzero(direct)
         if rows.size:
             members[rows], live[rows] = _leading(members[rows], live[rows], self.covs.n_variables)
             _direct_rows(self.covs, members, logdet, loo, rows=rows, live=live)
-        return _Proposal(at, members, live, logdet, loo, direct, inv, (into, slot, z, s))
+        return _Proposal(members, live, logdet, loo, direct, inv, (into, slot, z, s))
 
     def terms(self, p: _Proposal) -> EntropyTerms:
         """EntropyTerms of a proposal's sets, by slot."""
@@ -845,16 +843,13 @@ class _BorderedSets:
         return _excess_terms(p.logdet, p.loo, p.members, self.x_singles, self.bias, live=p.live)
 
     def accept(self, p: _Proposal, moved: np.ndarray) -> None:
-        """Store every moved proposal in the row it started from; no two
-        moved proposals may start from one row."""
-        renew = moved & (p.direct | (self.moves[p.at] + 1 >= _REFRESH_MOVES))
+        """Store every moved proposal in its row."""
+        renew = moved & (p.direct | (self.moves + 1 >= _REFRESH_MOVES))
         keep = moved & ~renew
-        to = p.at[keep]
-        self.members[to], self.live[to] = p.members[keep], p.live[keep]
-        self.logdet[to], self.inv[to] = p.logdet[keep], p.inv[keep]
-        self.moves[to] += 1
+        self.members[keep], self.live[keep] = p.members[keep], p.live[keep]
+        self.logdet[keep], self.inv[keep] = p.logdet[keep], p.inv[keep]
+        self.moves[keep] += 1
         into, slot, z, s = (a[keep[p.grow[0]]] for a in p.grow)
-        to = p.at[into]
-        self.inv[to] = _grow(self.inv[to], z, s, slot)
+        self.inv[into] = _grow(self.inv[into], z, s, slot)
         if renew.any():
-            self.refresh(p.at[renew], p.members[renew], p.live[renew])
+            self.refresh(np.flatnonzero(renew), p.members[renew], p.live[renew])

@@ -6,11 +6,11 @@ aggregate a single measure across datasets: plain mean, paired effect
 size between two dataset groups, or a custom callable.
 
 Every greedy step and annealing move adds or removes one variable of a
-set whose inverse and log-determinant are known. Both keep those sets in
-nplet_engine._BorderedSets, which scores each candidate by bordering,
-with its trust rule and direct-path fallback, rather than by factoring it
-afresh. This module keeps the search policy: beam selection, the
-candidate extensions, random draws, Metropolis acceptance and cooling.
+set whose inverse and log-determinant are known, and is scored by
+bordering, not factored afresh: greedy's by nplet_engine.LogdetLattice
+(extend), annealing's on the chains in nplet_engine._BorderedSets. This
+module keeps the search policy: beam selection, the candidate
+extensions, random draws, Metropolis acceptance and cooling.
 """
 
 import time
@@ -21,9 +21,10 @@ import numpy as np
 
 from .copula_core import CovSet
 from .errors import DegenerateEffectSize, InvalidData, InvalidOrderRange
-from .measures import HoiBatch, compute_hoi_batch, hoi_from_terms
-# bench/tracer.py wraps optimizers.enumerate_order, so the name stays importable here
-from .nplet_engine import NpletBatch, _BorderedSets, count_nplets, enumerate_order  # noqa: F401
+# bench/tracer.py wraps optimizers.compute_hoi_batch and .enumerate_order: both stay importable
+from .measures import HoiBatch, compute_hoi_batch, hoi_from_sums, hoi_from_terms  # noqa: F401
+from .nplet_engine import (LogdetLattice, NpletBatch, _BorderedSets,  # noqa: F401
+                           count_nplets, enumerate_order)
 from .scanner import MEASURES, Reducer, best_rows, scan
 
 
@@ -176,17 +177,17 @@ def greedy(covs: CovSet, spec: ObjectiveSpec, start_order: int,
 
     The beam is seeded with the kappa best n-plets from an exhaustive
     scan of start_order (scanner.scan, on the log-determinant lattice;
-    at large N the order walks, keeping no table). Each step borders the
-    beam's sets into an nplet_engine._BorderedSets one slot wider than
-    their order, scores every one-variable extension of every member in
-    batch_size chunks, as an add-proposal from the smallest member tuple
-    it extends (so its value does not depend on which other members reach
-    it), and keeps the kappa best distinct candidates (ties to the
-    lexicographically smallest).
+    at large N the order walks, keeping no table). Each step scores every
+    one-variable extension of every member in batch_size chunks, bordered
+    from the smallest member tuple it extends (LogdetLattice.extend, the
+    walk's leaf step, so its value does not depend on which other members
+    reach it), and keeps the kappa best distinct candidates (ties to the
+    lexicographically smallest). With bias_correct, target_order must be
+    below the sample count (InsufficientSamples before the seed scan).
 
     restarts > 1 adds extra beams seeded with random start_order n-plets
-    (drawn from seed); the first beam is always the deterministic
-    top-kappa one, so the default restarts=1 needs no randomness at all.
+    (drawn from seed, walked on the same lattice); the first beam is always
+    the deterministic top-kappa one, so restarts=1 needs no randomness.
     All beams grow in lockstep: at each order every beam takes one step,
     and the order's result is the best member across beams. progress, if
     given, is called once per order, after every beam has reached it,
@@ -210,6 +211,7 @@ def greedy(covs: CovSet, spec: ObjectiveSpec, start_order: int,
         kappa = pool_size
 
     t0 = time.perf_counter()
+    lattice = LogdetLattice(covs, start_order, target_order, bias_correct)  # opens no order
     seed_scan = {}
     beams = [scan(covs, start_order, start_order, _Beam(spec, kappa),
                   batch_size=batch_size, bias_correct=bias_correct,
@@ -218,13 +220,13 @@ def greedy(covs: CovSet, spec: ObjectiveSpec, start_order: int,
     batches = seed_scan["batches"]
 
     def best_of(rows: np.ndarray, score):
-        """The kappa best sorted rows, each chunk's measures score(batch, chunk)."""
+        """The kappa best sorted rows, each chunk's lattice sums score(batch, chunk)."""
         nonlocal evaluated, batches
         beam = _Beam(spec, kappa)
         for at in range(0, len(rows), batch_size):
             chunk = slice(at, at + batch_size)
             batch = NpletBatch._trusted(n, rows[chunk])
-            beam.update(batch, score(batch, chunk))
+            beam.update(batch, hoi_from_sums(*score(batch, chunk)[0], batch.orders()))
             evaluated += batch.batch_size
             batches += 1
         return beam.finalize()
@@ -236,18 +238,16 @@ def greedy(covs: CovSet, spec: ObjectiveSpec, start_order: int,
         while len(starts) < kappa and attempts < 1000 * kappa:
             starts.add(tuple(np.sort(rng.choice(n, start_order, replace=False)).tolist()))
             attempts += 1
-        beams.append(best_of(np.array(sorted(starts), dtype=np.int64), lambda batch, _:
-                             compute_hoi_batch(covs, batch, bias_correct=bias_correct)))
+        beams.append(best_of(np.array(sorted(starts), dtype=np.int64),
+                             lambda batch, _: lattice.sums(batch)))
 
     def grow(beam):
         """The kappa best one-variable extensions of a beam's members, each
-        an add-proposal from one parent, whichever other members reach it."""
+        bordered from one parent, whichever other members reach it."""
         parents = np.array(sorted(idx for _, idx in beam), dtype=np.int64)
-        sets = _BorderedSets(covs, parents, np.ones(parents.shape, dtype=bool),
-                             width=parents.shape[1] + 1, bias_correct=bias_correct)
         rows, parent, add = _extensions(parents, n)
-        return best_of(rows, lambda _, chunk: hoi_from_terms(
-            sets.terms(sets.propose(parent[chunk], add=add[chunk]))))
+        return best_of(rows, lambda batch, chunk: lattice.extend(
+            parents, parent[chunk], add[chunk], batch.indices))
 
     per_order = []
     for order in range(start_order, target_order + 1):
@@ -349,14 +349,14 @@ def anneal(covs: CovSet, spec: ObjectiveSpec, schedule: AnnealSchedule,
         k = int(rng.integers(min_o, max_o + 1))
         masks[c, rng.choice(n, size=k, replace=False)] = True
 
-    chain = np.arange(kappa)
     sets = _BorderedSets(covs, np.broadcast_to(np.arange(n), masks.shape), masks,
                          width=max_o, bias_correct=bias_correct)
 
     def score(proposal):
         return evaluate_objective(hoi_from_terms(sets.terms(proposal)), spec)
 
-    energies = score(sets.propose(chain))
+    none = np.full(kappa, -1)
+    energies = score(sets.propose(none, none))
     temp = schedule.temp0 if schedule.temp0 is not None else max(float(np.std(energies)), 1e-6)
 
     best_c = int(np.argmax(energies))
@@ -400,13 +400,13 @@ def anneal(covs: CovSet, spec: ObjectiveSpec, schedule: AnnealSchedule,
             accept_draws[c] = rng.random()
 
         moving = (drop >= 0) | (add >= 0)
-        proposal = sets.propose(chain, drop, add)
+        proposal = sets.propose(drop, add)
         prop_energies = np.where(moving, score(proposal), energies)
         delta = prop_energies - energies
         accept = (delta > 0) | (accept_draws < np.exp(-np.abs(delta) / temp))
         moved = accept & moving
-        masks[chain[moved & (drop >= 0)], drop[moved & (drop >= 0)]] = False
-        masks[chain[moved & (add >= 0)], add[moved & (add >= 0)]] = True
+        masks[moved & (drop >= 0), drop[moved & (drop >= 0)]] = False
+        masks[moved & (add >= 0), add[moved & (add >= 0)]] = True
         energies[accept] = prop_energies[accept]
         sets.accept(proposal, moved)
 

@@ -249,17 +249,15 @@ class FeatureAccumulator(Reducer):
             v = vals[hoi_rows]
             o_col = hoi.o[hoi_rows]
             row_orders = orders[hoi_rows]
+            v_max, v_min = v.max(axis=0), v.min(axis=0)
             # order of the extreme O-information: first strict attainment
             # in enumeration order (argmax/argmin pick the earliest row)
-            for d in range(self._d):
-                i_max = int(np.argmax(o_col[:, d]))
-                if o_col[i_max, d] > self._maxs[d, 2]:
-                    self._o_max_order[d] = row_orders[i_max]
-                i_min = int(np.argmin(o_col[:, d]))
-                if o_col[i_min, d] < self._mins[d, 2]:
-                    self._o_min_order[d] = row_orders[i_min]
-            np.maximum(self._maxs, v.max(axis=0), out=self._maxs)
-            np.minimum(self._mins, v.min(axis=0), out=self._mins)
+            self._o_max_order = np.where(v_max[:, 2] > self._maxs[:, 2],
+                                         row_orders[np.argmax(o_col, axis=0)], self._o_max_order)
+            self._o_min_order = np.where(v_min[:, 2] < self._mins[:, 2],
+                                         row_orders[np.argmin(o_col, axis=0)], self._o_min_order)
+            np.maximum(self._maxs, v_max, out=self._maxs)
+            np.minimum(self._mins, v_min, out=self._mins)
             # the running sums lead the fold, so the order of additions is the scan's
             self._sums = np.concatenate([self._sums[None], v]).sum(axis=0)
             self._count += v.shape[0]
@@ -338,9 +336,10 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
     C(N, k) floats per dataset, plus the states of orders k - 1 and k fit
     nplet_engine.LATTICE_TABLE_BYTES (64 MiB; at N=20 and D=1 they peak
     near 11 MB, at order 9), and every order below it did too; every
-    other order walks, in O(batch_size * k**2 * D) memory. One thread
-    pool serves the whole scan and waits at every order boundary, because
-    opening an order replaces the tables the previous one reads.
+    other order walks, in O(batch_size * k**2 * D) memory. Walk batches
+    run on one thread pool per scan, which waits at every order boundary
+    (opening an order replaces the tables the previous one reads); pivot
+    batches, bound by the interpreter lock, run on the calling thread.
 
     One rule sends a row to the direct path, with exactly
     compute_hoi_batch's measures or NotPositiveDefinite coordinates:
@@ -370,8 +369,8 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
         Apply the finite-sample entropy correction (needs estimated
         covariances).
     workers : int
-        Thread count for batch computation. Reduction stays in the
-        calling thread in enumeration order, so results do not depend
+        Thread count for the batches of walk orders. Reduction stays in
+        the calling thread in enumeration order, so results do not depend
         on this value.
     progress : callable, optional
         Called after each batch with a dict of counters
@@ -402,9 +401,11 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
             lattice.open(k)
             # each order's map is drained before the next opens: open(k)
             # replaces the tables that batches of order k - 1 read, so none
-            # of them may still be running
+            # of them may still be running. Pivot batches hold the
+            # interpreter lock throughout, so threads gain them nothing
+            on = None if k in lattice.pivots else pool
             for batch, hoi, direct in _ordered_map(
-                    score, enumerate_order(n, k, batch_size), pool, workers):
+                    score, enumerate_order(n, k, batch_size), on, workers):
                 reducer.update(batch, hoi)
                 batches += 1
                 seen += batch.batch_size

@@ -429,19 +429,19 @@ def test_bordered_sets_score_moves_from_any_stored_row():
         stored[r, list(row)] = True
     # one slot wider than the largest set, row 1, so that it can take an add
     sets = _BorderedSets(covs, np.broadcast_to(np.arange(n), stored.shape), stored, width=7)
-    # drop, add and swap from every row, rows repeated
-    at = np.array([0, 0, 0, 1, 1, 2, 2, 3, 3, 3, 1, 0])
-    drop = np.array([3, -1, 5, 4, -1, 8, -1, 1, -1, 6, -1, -1])
-    add = np.array([-1, 7, 1, -1, 0, 0, -1, -1, 2, 8, 3, -1])
-    p = sets.propose(at, drop, add)
-    assert not p.direct.any()
-    for i in range(len(at)):
-        row = set(np.flatnonzero(stored[at[i]])) - {drop[i]} | ({add[i]} - {-1})
-        idx = np.array([sorted(row)])
-        joint, loo = _direct_logdets(covs, NpletBatch(n, indices=idx))
-        slots = [int(np.flatnonzero(p.live[i] & (p.members[i] == v))[0]) for v in idx[0]]
-        np.testing.assert_allclose(p.logdet[i], joint[0], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(p.loo[i][:, slots], loo[0], rtol=0, atol=1e-12)
+    # one proposal per row each round: drops, adds, swaps and no move, from every row
+    rounds = (([3, 4, 8, 1], [-1, -1, 0, -1]), ([-1, -1, -1, -1], [7, 0, -1, 2]),
+              ([5, -1, -1, 6], [1, 3, -1, 8]), ([-1, -1, -1, -1], [-1, -1, -1, -1]))
+    for drop, add in rounds:
+        p = sets.propose(np.array(drop), np.array(add))
+        assert not p.direct.any()
+        for i in range(len(stored)):
+            row = set(np.flatnonzero(stored[i])) - {drop[i]} | ({add[i]} - {-1})
+            idx = np.array([sorted(row)])
+            joint, loo = _direct_logdets(covs, NpletBatch(n, indices=idx))
+            slots = [int(np.flatnonzero(p.live[i] & (p.members[i] == v))[0]) for v in idx[0]]
+            np.testing.assert_allclose(p.logdet[i], joint[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(p.loo[i][:, slots], loo[0], rtol=0, atol=1e-12)
 
 
 def test_bordered_sets_accept_then_give_back_the_accepted_logdets():
@@ -451,12 +451,11 @@ def test_bordered_sets_accept_then_give_back_the_accepted_logdets():
     for r, row in enumerate([(0, 3, 5), (1, 2, 4, 6), (2, 7, 8)]):
         stored[r, list(row)] = True
     sets = _BorderedSets(covs, np.broadcast_to(np.arange(n), stored.shape), stored, width=6)
-    rows = np.arange(3)
     # each round, every row drops, adds or swaps one variable
     for drop, add in (([3, -1, 7], [-1, 0, 1]), ([-1, 6, -1], [4, 5, 3])):
-        p = sets.propose(rows, np.array(drop), np.array(add))
+        p = sets.propose(np.array(drop), np.array(add))
         sets.accept(p, np.ones(3, dtype=bool))
-        again = sets.propose(rows)
+        again = sets.propose(np.full(3, -1), np.full(3, -1))
         np.testing.assert_array_equal(again.logdet, p.logdet)
         np.testing.assert_allclose(np.where(p.live[:, None, :], again.loo, 0.0),
                                    np.where(p.live[:, None, :], p.loo, 0.0), rtol=0, atol=1e-12)

@@ -399,8 +399,9 @@ def test_greedy_on_singular_input_takes_the_direct_path():
 
 
 def test_searches_on_well_conditioned_input_never_factor(monkeypatch):
-    # every stored set, refreshed ones included, is bordered up from the
-    # empty set; only the direct path factors, and no row takes it here
+    # greedy scores seeds, restart seeds and growth on the lattice, and
+    # every set anneal stores, refreshed ones included, is bordered up from
+    # the empty set; only the direct path factors, and no row takes it here
     covs = sampled_covset(1, 2, seed=7)
     n = covs.n_variables
     spec = ObjectiveSpec(measure="o", direction="max")
@@ -417,12 +418,13 @@ def test_searches_on_well_conditioned_input_never_factor(monkeypatch):
     monkeypatch.setattr(optimizers._BorderedSets, "refresh", counted)
     monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
     res = greedy(covs, spec, 3, 8, kappa=4, restarts=1)
-    built = len(refreshed)
+    restarted = greedy(covs, spec, 3, 8, kappa=4, seed=3, restarts=3)
+    assert not refreshed  # greedy stores no set state
     st = anneal(covs, spec, AnnealSchedule(max_iters=200, min_order=3, max_order=9),
                 kappa=6, seed=1)
     monkeypatch.undo()
-    assert len(refreshed) - built > 1  # anneal's first build, then rebuilds after 50 moves
-    for e in res.per_order:
+    assert len(refreshed) > 1  # anneal's first build, then rebuilds after 50 moves
+    for e in res.per_order + restarted.per_order:
         want = evaluate_objective(compute_hoi_batch(covs, NpletBatch(n, indices=[e.indices])),
                                   spec)
         np.testing.assert_allclose(e.energy, want[0], rtol=0, atol=1e-12)

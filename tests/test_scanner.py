@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 
 import numpy as np
@@ -43,6 +44,7 @@ from hoi import (
 from hoi import nplet_engine, scanner
 from hoi.measures import hoi_from_sums
 from hoi.copula_core import _factor_logdet
+from hoi.optimizers import _extensions
 from hoi.scanner import MEASURES, best_rows
 
 
@@ -782,18 +784,18 @@ def test_lattice_fallback_rows_equal_compute_hoi_batch_bitwise():
     t[8] = 0.0
     t[8, [0, 3]] = 1.0
     direct_rows = nplet_engine._direct_rows
+
+    def recorded(c, idx, joint, loo):
+        rows = direct_rows(c, idx, joint, loo)
+        direct.update(map(tuple, idx[rows].tolist()))
+        return rows
+
     wide = 0
     for seed in range(30):
         sigmas = [t @ c.sigma @ t.T for c in toy_covset(seed, n=9, d=2).covs]
         covs = CovSet([CovarianceMatrix(0.5 * (s + s.T)) for s in sigmas])
         for cap in (nplet_engine.LATTICE_TABLE_BYTES, 0):  # every order pivots, then walks
             direct, seen = set(), []
-
-            def recorded(c, idx, joint, loo):
-                rows = direct_rows(c, idx, joint, loo)
-                direct.update(map(tuple, idx[rows].tolist()))
-                return rows
-
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(nplet_engine, "_direct_rows", recorded)
                 mp.setattr(nplet_engine, "LATTICE_TABLE_BYTES", cap)
@@ -807,7 +809,79 @@ def test_lattice_fallback_rows_equal_compute_hoi_batch_bitwise():
                 want = compute_hoi_batch(covs, NpletBatch(9, indices=batch.indices[on]))
                 for m in MEASURES:
                     np.testing.assert_array_equal(getattr(hoi, m)[on], getattr(want, m))
+        # rows greedy grows from random parents (extend) take the same rule
+        parents, parent, add, rows = random_extensions(seed, 9, 4, 20)
+        direct = set()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nplet_engine, "_direct_rows", recorded)
+            sums, count = nplet_engine.LogdetLattice(covs, 5, 5, False).extend(
+                parents, parent, add, rows)
+        on = [i for i, row in enumerate(rows.tolist()) if {0, 3, 8} <= set(row)]
+        assert on and count == len(on) and direct == {tuple(rows[i].tolist()) for i in on}
+        got = hoi_from_sums(*sums, np.full(len(rows), 5))
+        want = compute_hoi_batch(covs, NpletBatch(9, indices=rows[on]))
+        for m in MEASURES:
+            np.testing.assert_array_equal(getattr(got, m)[on], getattr(want, m))
     assert wide  # some direct rows are wide enough to show the summation order
+
+
+def random_extensions(seed, n, m, p):
+    """(parents, parent, add, rows): greedy's one-variable extensions of p
+    random m-plets of n variables, parents in increasing tuple order."""
+    rng = np.random.default_rng(seed)
+    subsets = list(itertools.combinations(range(n), m))
+    parents = np.array(sorted(subsets[i] for i in rng.choice(len(subsets), p, replace=False)))
+    rows, parent, add = _extensions(parents, n)
+    return parents, parent, add, rows
+
+
+def test_a_lattice_walks_every_order_but_its_open_pivot_order():
+    # sums reads tables only for the order open() made current, so a
+    # lattice that opened nothing scores any order, pivot orders included
+    for bias_correct in (False, True):
+        covs = walk_covset(5, 8, 2, 40)
+        lattice = nplet_engine.LogdetLattice(covs, 1, 8, bias_correct)
+        assert lattice.pivots == set(range(1, 9))
+        walked = {}
+        for k in range(1, 9):
+            batch = NpletBatch(8, indices=list(itertools.combinations(range(8), k)))
+            sums, direct = lattice.sums(batch)
+            assert direct == 0
+            got = hoi_from_sums(*sums, batch.orders())
+            want = compute_hoi_batch(covs, batch, bias_correct=bias_correct)
+            for m in MEASURES:
+                np.testing.assert_allclose(getattr(got, m), getattr(want, m), rtol=0, atol=1e-12)
+            walked[k] = batch, sums
+        lattice.open(4)  # tables 3 and 4: only order 4 reads them
+        for k, (batch, before) in walked.items():
+            if k != 4:
+                for got, want in zip(lattice.sums(batch)[0], before):
+                    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lattice_extend_borders_rows_from_any_parents(seed):
+    # greedy grows through extend: rows bordered from random parents match
+    # the direct path, and from their own prefixes equal the walk's bits
+    n = 10
+    for bias_correct in (False, True):
+        covs = walk_covset(seed, n, 2, 40)
+        lattice = nplet_engine.LogdetLattice(covs, 1, n, bias_correct)
+        for m in range(1, n):
+            parents, parent, add, rows = random_extensions(seed, n, m, min(6, math.comb(n, m)))
+            sums, direct = lattice.extend(parents, parent, add, rows)
+            assert direct == 0
+            got = hoi_from_sums(*sums, np.full(len(rows), m + 1))
+            want = compute_hoi_batch(covs, NpletBatch(n, indices=rows), bias_correct=bias_correct)
+            for name in MEASURES:
+                np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                           rtol=0, atol=1e-12)
+            batch = NpletBatch(n, indices=list(itertools.combinations(range(n), m + 1)))
+            prefixes, at = np.unique(batch.indices[:, :-1], axis=0, return_inverse=True)
+            extended, _ = lattice.extend(prefixes, at.reshape(-1), batch.indices[:, -1],
+                                         batch.indices)
+            for got, want in zip(extended, lattice.sums(batch)[0]):
+                np.testing.assert_array_equal(got, want)
 
 
 @settings(max_examples=10, deadline=None)
