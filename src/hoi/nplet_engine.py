@@ -2,28 +2,28 @@
 
 An n-plet is a subset of k variables out of N. Batches hold B of them,
 either as a (B, K) index matrix (fixed order) or as a (B, N) boolean mask
-matrix (mixed orders). Every batch is evaluated on compact k x k
-sub-covariances by _direct_rows, the one direct-path driver, one order
-at a time, with results scattered back to the rows' variable positions.
-Every interaction measure is linear in three sums per (n-plet, dataset),
-EntropyTerms.sums: the joint term, the sum of the singles and the sum of
-the leave-one-out terms. Exhaustive scans get those sums for whole orders
-from a LogdetLattice instead, on one of two routes per order. The pivot
-route reads them straight from tables of excess entropies, built from
-pivots carried down the subset lattice while they fit a memory cap, with
-no per-row EntropyTerms; every other batch walks its own prefix tree,
-and the walk's leaf step (extend) also scores greedy growth. One kernel,
-_border, adds a variable to a set of known inverse and log-determinant
-through its Schur complement (_grow then grows the inverse, _unborder
-removes a variable); it serves the lattice and _BorderedSets, the stored
-sets that annealing moves. _prefix_descent borders sets up from their
-first members' variances, so only the direct path factors
+matrix (mixed orders). entropy_terms, the one direct path, evaluates a
+batch on compact k x k sub-covariances, one order at a time, with results
+scattered back to the rows' variable positions. Every interaction measure
+is linear in three sums per (n-plet, dataset), EntropyTerms.sums: the
+joint term, the sum of the singles and the sum of the leave-one-out terms.
+Scans and searches get those sums from a LogdetLattice instead, on one of
+two routes per order. The pivot route reads them straight from tables of
+excess entropies, built from pivots carried down the subset lattice while
+they fit a memory cap, with no per-row EntropyTerms; every other batch
+walks its own prefix tree, and the walk's leaf step (extend) also scores
+greedy growth. One kernel, _border, adds a variable to a set of known
+inverse and log-determinant through its Schur complement (_grow then
+grows the inverse, _unborder removes a variable); it serves the lattice
+and _BorderedSets, the stored sets that annealing moves and scores
+through a lattice. _prefix_descent borders sets up from their first
+members' variances, so only the direct path factors
 (copula_core._jittered_cholesky, the one jitter retry). A Schur
 complement that is not positive gives NaN, and a set is trusted only
 while every member's relative Schur complement clears BORDER_RTOL
-(_conditioned); rows that are not fall back to _direct_rows.
-enumerate_order and the lattice number n-plets in one combinatorial
-number system, with int64 ranks.
+(_conditioned); rows that are not go to the direct path from one site,
+LogdetLattice._checked. enumerate_order and the lattice number n-plets in
+one combinatorial number system, with int64 ranks.
 """
 
 import math
@@ -317,42 +317,6 @@ def _direct_logdets(covs: CovSet, batch: NpletBatch):
     return joint, joint[..., None] + np.log(np.einsum("...ij,...ij->...j", r, r))
 
 
-def _direct_rows(covs: CovSet, members: np.ndarray, joint: np.ndarray, loo: np.ndarray,
-                 rows=None, live=None) -> np.ndarray:
-    """The direct path: rows of the raw (B, D) joint and (B, D, K)
-    leave-one-out log-determinants refilled in place from _direct_logdets,
-    one call per order. Row r's set is members[r] at the slots live[r]
-    marks (all when live is None), in increasing order: sorted index rows,
-    mask rows with members arange(N), or slot rows so arranged.
-
-    rows are the rows to refill, by default all; they are returned.
-    NotPositiveDefinite coordinates are (row, dataset); the message names
-    the first failing row's n-plet, whatever the batching."""
-    if rows is None:
-        rows = np.arange(len(members))
-    if live is None:
-        live = np.ones(members.shape, dtype=bool)
-    orders = live[rows].sum(axis=1)
-    d_ax = np.arange(covs.n_datasets)[None, :, None]
-    failed = []
-    for k in np.unique(orders):
-        at = rows[orders == k]
-        slot = np.nonzero(live[at])[1].reshape(-1, k)
-        idx = np.take_along_axis(members[at], slot, axis=1)
-        try:
-            joint[at], loo[at[:, None, None], d_ax, slot[:, None, :]] = _direct_logdets(
-                covs, NpletBatch._trusted(covs.n_variables, idx))
-        except NotPositiveDefinite as err:
-            failed += [(int(at[g]), d) for g, d in err.coords]
-    if failed:
-        failed.sort()
-        r, d = failed[0]
-        nplet = tuple(int(v) for v in members[r, live[r]])
-        raise NotPositiveDefinite(f"n-plet {nplet} of dataset {d} not positive definite even "
-                                  "after a jitter retry", coords=failed)
-    return rows
-
-
 def _border(sigma: np.ndarray, members: np.ndarray, v: np.ndarray,
             inv: np.ndarray, logdet: np.ndarray):
     """Add variable v[b] to the set S = members[b] of known inverse and
@@ -426,7 +390,7 @@ def _prefix_descent(sigma: np.ndarray, idx: np.ndarray):
         new[1:] |= idx[1:, l] != idx[:-1, l]
         first = np.flatnonzero(new)
         at = node[first]
-        parent = inv[at]
+        parent = np.take(inv, at, axis=0)  # np.take gathers rows several times faster
         logdet, _, z, s = _border(sigma, idx[first, :l], idx[first, l], parent, logdet[at])
         inv = _grow(parent, z, s, l, out=np.empty((len(first), len(sigma), l + 1, l + 1)))
         node = np.cumsum(new) - 1
@@ -488,25 +452,44 @@ def _excess_terms(joint, loo, idx: np.ndarray, x_singles, bias, live=None) -> En
 
 
 def entropy_terms(covs: CovSet, batch: NpletBatch, bias_correct: bool = False) -> EntropyTerms:
-    """Joint, marginal and leave-one-out entropies for a whole batch.
+    """Joint, marginal and leave-one-out entropies for a whole batch: the
+    direct path.
 
     Marginal entropies are computed once per dataset from the covariance
     diagonal and gathered per n-plet. With bias_correct, every entropy is
     corrected at its effective dimension (the n-plet order for the joint
     term, order minus one for leave-one-out, one for marginals).
 
-    Every row runs on the direct path (_direct_rows), a mixed-order batch
-    one order at a time; a NotPositiveDefinite error reports (row,
-    dataset) coordinates in the caller's batch.
+    The raw log-determinants come from _direct_logdets, one call per
+    order, scattered back to each row's member slots (the variables'
+    positions in a mixed-order batch). NotPositiveDefinite coordinates are
+    (row, dataset) in the caller's batch; the message names the first
+    failing row's n-plet, whatever the batching.
     """
     bias = _bias_offsets(covs, int(batch.orders().max()), bias_correct)
-    b, members, live = batch.batch_size, batch.indices, batch.masks
-    if live is not None:
-        members = np.broadcast_to(np.arange(covs.n_variables), live.shape)
-    joint = np.empty((b, covs.n_datasets))
-    loo = np.zeros((b, covs.n_datasets, members.shape[1]))
-    _direct_rows(covs, members, joint, loo, live=live)
-    return _excess_terms(joint, loo, members, _excess_singles(covs, bias), bias, live=live)
+    n, d, live = covs.n_variables, covs.n_datasets, batch.masks
+    if live is None:
+        members, live = batch.indices, np.ones(batch.indices.shape, dtype=bool)
+    else:
+        members = np.broadcast_to(np.arange(n), live.shape)
+    joint, loo = np.empty((len(live), d)), np.zeros((len(live), d, live.shape[1]))
+    orders, failed = live.sum(axis=1), []
+    for k in np.unique(orders):
+        at = np.flatnonzero(orders == k)
+        slot = np.nonzero(live[at])[1].reshape(-1, k)
+        idx = np.take_along_axis(members[at], slot, axis=1)
+        try:
+            joint[at], loo[at[:, None, None], np.arange(d)[:, None], slot[:, None, :]] = (
+                _direct_logdets(covs, NpletBatch._trusted(n, idx)))
+        except NotPositiveDefinite as err:
+            failed += [(int(at[g]), e) for g, e in err.coords]
+    if failed:
+        failed.sort()
+        r, e = failed[0]
+        raise NotPositiveDefinite(f"n-plet {batch.row_indices(r)} of dataset {e} not positive "
+                                  "definite even after a jitter retry", coords=failed)
+    return _excess_terms(joint, loo, members, _excess_singles(covs, bias), bias,
+                         live=batch.masks)
 
 
 #: Cap, in bytes, on what a LogdetLattice keeps live at once: on the pivot
@@ -529,6 +512,13 @@ def _conditioned(members, live, diag, var):
     (dead slots, NaN and non-positive values do not)."""
     scale = diag * var[members].transpose(0, 2, 1)
     return live[:, None, :] & (scale > 0.0) & (scale * BORDER_RTOL <= 1.0)
+
+
+def _leave_one_out(joint, diag, good):
+    """(P, D, W) leave-one-out log-determinants joint + log diag of sets of
+    inverse diagonal diag: NaN at the slots good does not mark (dead or
+    untrusted), so a set with an untrusted member goes direct."""
+    return joint[..., None] + np.log(np.where(good, diag, np.nan))
 
 
 def _state_size(n: int, j: int) -> int:
@@ -578,20 +568,23 @@ class LogdetLattice:
     table min_order - 1 (table 1 holds the singles, 1/2 log sigma_ii -
     eta_1). A batch of any other order walks, so a lattice that opens no
     order scores any batch. A scan opens orders in increasing order and
-    evaluates every batch of an order before opening the next.
+    evaluates every batch of an order before opening the next; greedy and
+    annealing (through _BorderedSets) score on one that opens none.
 
-    _checked is the one fallback site, with one rule, after either route:
-    a row runs on the direct path when its J or L is NaN (a pivot fell
-    below the floor, a bordered row has a member whose relative Schur
-    complement does not clear BORDER_RTOL, or a Schur complement is not
-    positive). Its sums are then compute_hoi_batch's, bit for bit, or
-    it raises compute_hoi_batch's NotPositiveDefinite coordinates. Only
-    the n-plets that fail go direct, never the rest of their batch, so
-    which rows do does not depend on batch_size.
+    _checked is the engine's one fallback site, with one rule, after
+    either route and for annealing's proposals: a row runs on the direct
+    path, entropy_terms, when its J or L is NaN (a pivot fell below the
+    floor, a bordered set has a member whose relative Schur complement
+    does not clear BORDER_RTOL, or a Schur complement is not positive).
+    Its sums are then compute_hoi_batch's, bit for bit, or it raises
+    compute_hoi_batch's NotPositiveDefinite coordinates. Only the n-plets
+    that fail go direct, never the rest of their batch, so which rows do
+    does not depend on batch_size.
     """
 
     def __init__(self, covs: CovSet, min_order: int, max_order: int, bias_correct: bool):
         self.covs = covs
+        self.bias_correct = bias_correct
         n, d = covs.n_variables, covs.n_datasets
         self.sigma = covs.stacked()
         self.var = np.diagonal(self.sigma, axis1=-2, axis2=-1).T  # (N, D)
@@ -606,7 +599,7 @@ class LogdetLattice:
                 break
             if k >= min_order:
                 self.pivots.add(k)
-        self.binom = _binomial_table(n, max_order)
+        self.binom = _binomial_table(n, max(self.pivots, default=0))  # read by pivot orders only
         self.tables = {}
         self.states = None  # pivot states of the open order's (k - 1)-plets
 
@@ -664,31 +657,34 @@ class LogdetLattice:
         pivot order open() made current, else walked."""
         k, idx = batch.order, batch.indices
         if k in self.tables and k - 1 in self.tables:
-            return self._checked(idx, *self._gather(idx))
-        return self.extend(idx[:, :-1], np.arange(len(idx)), idx[:, -1], idx)
+            return self._checked(self._gather(idx), idx)
+        return self.extend(idx[:, :-1], None, idx[:, -1], idx)
 
-    def extend(self, parents: np.ndarray, parent: np.ndarray, add: np.ndarray,
-               rows: np.ndarray):
+    def extend(self, parents: np.ndarray, parent, add: np.ndarray, rows: np.ndarray):
         """((B, D) J, S, L of EntropyTerms.sums, rows on the direct path) of
-        the sorted (B, K) rows, row b parents[parent[b]] plus variable add[b].
+        the sorted (B, K) rows, row b parents[parent[b]] plus variable add[b]
+        (parent None: row b is parents[b] plus add[b], so rows are already
+        in that slot order).
 
         The (P, K - 1) parents come from one _prefix_descent. Row c's joint
         term is its parent's plus log s, and leaving out member j gives
         logdet(c) + log (sigma_c^-1)_jj, or the parent's for add; S and L
         add the parent's members in turn, then add. A row with a member
         that _conditioned does not trust is NaN, so it goes direct."""
-        logdet, inv, node = _prefix_descent(self.sigma, parents)
-        at = node[parent]  # np.take gathers rows several times faster than indexing
-        members = np.concatenate([np.take(parents, parent, axis=0), add[:, None]], axis=1)
+        logdet, inv, at = _prefix_descent(self.sigma, parents)
+        if parent is None:
+            members = rows
+        else:
+            at = at[parent]
+            members = np.concatenate([np.take(parents, parent, axis=0), add[:, None]], axis=1)
         before, inv = np.take(logdet, at, axis=0), np.take(inv, at, axis=0)
         joint, diag, _, s = _border(self.sigma, members[:, :-1], add, inv, before)
         diag = np.concatenate([diag, 1.0 / s[..., None]], axis=-1)
-        # an untrusted member leaves its term NaN, so the row goes direct
         good = _conditioned(members, np.ones(members.shape, dtype=bool), diag, self.var)
-        loo = joint[..., None] + np.log(np.where(good, diag, np.nan))
+        loo = _leave_one_out(joint, diag, good)
         loo[..., -1] = np.where(good[..., -1], before, np.nan)  # c without add
-        return self._checked(rows, *_excess_terms(joint, loo, members, self.x_singles,
-                                                  self.bias).sums())
+        sums = _excess_terms(joint, loo, members, self.x_singles, self.bias).sums()
+        return self._checked(sums, rows)
 
     def _gather(self, idx: np.ndarray):
         """(B, D) J, S and L of a batch idx of a pivot order, read from the tables."""
@@ -702,34 +698,35 @@ class LogdetLattice:
             loo += np.take(below, loo_rank[j], axis=0)
         return joint, singles, loo
 
-    def _checked(self, idx: np.ndarray, joint, singles, loo):
-        """((B, D) J, S, L, rows on the direct path) of the rows idx after the
-        one fallback check: a row whose J or L is NaN takes the direct path,
-        summed as compute_hoi_batch sums it; NotPositiveDefinite coordinates
-        are rows of idx."""
+    def _checked(self, sums, members: np.ndarray, live=None):
+        """((B, D) J, S, L, rows on the direct path) after the one fallback
+        check: a row whose J or L is NaN goes to entropy_terms, its sums
+        then compute_hoi_batch's by construction. Row r's set is members[r],
+        a sorted index row, or its slots live[r] marks, which then go as a
+        mask row. NotPositiveDefinite coordinates are rows of members."""
+        joint, singles, loo = sums
         if not (np.isnan(joint).any() or np.isnan(loo).any()):  # the common case, tested fast
-            return (joint, singles, loo), 0
+            return sums, 0
         rows = np.flatnonzero(np.isnan(joint).any(axis=1) | np.isnan(loo).any(axis=1))
-        raw = np.empty((len(rows), self.covs.n_datasets))
-        raw_loo = np.zeros(raw.shape + (idx.shape[1],))
+        n = self.covs.n_variables
+        if live is None:
+            batch = NpletBatch._trusted(n, members[rows])
+        else:
+            at, slots = np.nonzero(live[rows])
+            masks = np.zeros((len(rows), n), dtype=bool)
+            masks[at, members[rows[at], slots]] = True
+            batch = NpletBatch(n, masks=masks, check_unique=False)
         try:
-            _direct_rows(self.covs, idx[rows], raw, raw_loo)
+            terms = entropy_terms(self.covs, batch, self.bias_correct)
         except NotPositiveDefinite as err:
             raise NotPositiveDefinite(
                 str(err), coords=[(int(rows[r]), d) for r, d in err.coords]) from None
-        joint[rows], singles[rows], loo[rows] = _excess_terms(
-            raw, raw_loo, idx[rows], self.x_singles, self.bias).sums()
-        return (joint, singles, loo), rows.size
+        joint[rows], singles[rows], loo[rows] = terms.sums()
+        return sums, rows.size
 
 
 #: accepted bordered moves after which a _BorderedSets row is rebuilt
 _REFRESH_MOVES = 50
-
-
-def _leading(members: np.ndarray, live: np.ndarray, n: int):
-    """Slot rows with their live members sorted into the leading slots, and their live mask."""
-    sets = np.sort(np.where(live, members, n), axis=1)
-    return np.where(sets < n, sets, 0), sets < n
 
 
 @dataclass
@@ -738,16 +735,19 @@ class _Proposal:
     row, scored.
 
     members and live (P, W) hold each set in slots, logdet (P, D) and loo
-    (P, D, W) its raw joint and leave-one-out log-determinants, and direct
-    (P,) marks the sets scored on the direct path. inv (P, D, W, W) is each
-    inverse before its add, and grow (into, slot, z, s) the adding rows,
-    their slots and _border's z and s, from which accept grows it.
+    (P, D, W) its bordered joint and leave-one-out log-determinants, sums
+    the (P, D) J, S and L of EntropyTerms.sums after the lattice's
+    fallback check, and direct (P,) marks the sets that took the direct
+    path. inv (P, D, W, W) is each inverse before its add, and grow (into,
+    slot, z, s) the adding rows, their slots and _border's z and s, from
+    which accept grows it.
     """
 
     members: np.ndarray
     live: np.ndarray
     logdet: np.ndarray
     loo: np.ndarray
+    sums: tuple
     direct: np.ndarray
     inv: np.ndarray
     grow: tuple
@@ -755,7 +755,8 @@ class _Proposal:
 
 class _BorderedSets:
     """Annealing's chains: variable sets stored with the inverses and
-    log-determinants of their sub-covariances, moved one variable at a time.
+    log-determinants of their sub-covariances, moved one variable at a
+    time, scored through a LogdetLattice's covariances, bias and fallback.
 
     Row r keeps its members in the slots of a W-wide row (live marks the
     used ones), sigma_d[members, members]^-1 in the matching slots of a
@@ -767,24 +768,20 @@ class _BorderedSets:
     row every _REFRESH_MOVES accepted moves (refresh, by _prefix_descent:
     nothing here is factored).
 
-    The trust rule: a proposal goes to the direct path (_direct_rows), as
-    compute_hoi_batch would score it, when its set or the stored set it
-    starts from has a member whose relative Schur complement is below
-    BORDER_RTOL (a non-positive one, which leaves NaN, included). Such a
+    The trust rule: a proposal is untrusted when its set or the stored set
+    it starts from has a member whose relative Schur complement is below
+    BORDER_RTOL (a non-positive one, which leaves NaN, included). Its
+    leave-one-out terms are then NaN, so the lattice's _checked scores it
+    on the direct path from its mask, as compute_hoi_batch would. Such a
     proposal, if accepted, is rebuilt.
     """
 
-    def __init__(self, covs: CovSet, members: np.ndarray, live: np.ndarray, width: int,
-                 bias_correct: bool = False):
+    def __init__(self, lattice: LogdetLattice, members: np.ndarray, live: np.ndarray,
+                 width: int):
         """Store the sets of slot rows members at live in W = width slots,
         as many as the largest set a move makes."""
-        self.covs = covs
-        self.bias_correct = bias_correct
-        self.sigma = covs.stacked()
-        self.var = np.diagonal(self.sigma, axis1=-2, axis2=-1).T  # (N, D)
-        self.bias = _bias_offsets(covs, 1, bias_correct)
-        self.x_singles = _excess_singles(covs, self.bias)
-        b, d = len(members), covs.n_datasets
+        self.lattice = lattice
+        b, d = len(members), lattice.covs.n_datasets
         self.members = np.zeros((b, width), dtype=np.int64)
         self.live = np.zeros((b, width), dtype=bool)
         self.inv = np.zeros((b, d, width, width))
@@ -796,21 +793,23 @@ class _BorderedSets:
         """Build the sets members[i] at live[i] from scratch into stored
         rows rows[i], sorted into the leading slots, one prefix descent
         per order."""
-        n = self.covs.n_variables
-        members, live = _leading(members, live, n)
+        n = self.lattice.covs.n_variables
+        members = np.sort(np.where(live, members, n), axis=1)
+        live = members < n
         orders = live.sum(axis=1)
         self.members[rows], self.live[rows], self.inv[rows], self.moves[rows] = 0, False, 0.0, 0
         for k in np.unique(orders):
             at, idx = rows[orders == k], members[orders == k, :k]
-            logdet, inv, node = _prefix_descent(self.sigma, idx)
+            logdet, inv, node = _prefix_descent(self.lattice.sigma, idx)
             self.logdet[at], self.inv[at, :, :k, :k] = logdet[node], inv[node]
             self.members[at, :k], self.live[at, :k] = idx, True
 
     def propose(self, drop: np.ndarray, add: np.ndarray) -> _Proposal:
         """Every stored set r without variable drop[r], then with variable
         add[r] (-1: neither), scored."""
+        lat = self.lattice
         stored = _conditioned(self.members, self.live,
-                              np.diagonal(self.inv, axis1=-2, axis2=-1), self.var)
+                              np.diagonal(self.inv, axis1=-2, axis2=-1), lat.var)
         healthy = (stored == self.live[:, None, :]).all(axis=(1, 2))
         members, live = self.members.copy(), self.live.copy()
         logdet, inv = self.logdet.copy(), self.inv.copy()
@@ -822,25 +821,16 @@ class _BorderedSets:
         assert not live[into].all(axis=1).any(), "an add to a full set"
         diag = np.diagonal(inv, axis1=-2, axis2=-1).copy()
         slot, v, before = np.argmin(live[into], axis=1), add[into], logdet[into]
-        logdet[into], diag[into], z, s = _border(self.sigma, members[into], v, inv[into], before)
+        logdet[into], diag[into], z, s = _border(lat.sigma, members[into], v, inv[into], before)
         diag[into, :, slot] = 1.0 / s
         members[into, slot], live[into, slot] = v, True
-        good = _conditioned(members, live, diag, self.var)
-        loo = logdet[..., None] + np.log(np.where(good, diag, 1.0))
-        loo[into, :, slot] = before  # S + v without v is S itself
-        direct = ~healthy | ~(good == live[:, None, :]).all(axis=(1, 2))
-        rows = np.flatnonzero(direct)
-        if rows.size:
-            members[rows], live[rows] = _leading(members[rows], live[rows], self.covs.n_variables)
-            _direct_rows(self.covs, members, logdet, loo, rows=rows, live=live)
-        return _Proposal(members, live, logdet, loo, direct, inv, (into, slot, z, s))
-
-    def terms(self, p: _Proposal) -> EntropyTerms:
-        """EntropyTerms of a proposal's sets, by slot."""
-        k_max = int(p.live.sum(axis=1).max())
-        if k_max >= self.bias.shape[1]:  # bias rows are prefixes of longer tables
-            self.bias = _bias_offsets(self.covs, k_max, self.bias_correct)
-        return _excess_terms(p.logdet, p.loo, p.members, self.x_singles, self.bias, live=p.live)
+        good = _conditioned(members, live, diag, lat.var) & healthy[:, None, None]
+        loo = _leave_one_out(logdet, diag, good)
+        loo[into, :, slot] = np.where(good[into, :, slot], before, np.nan)  # S + v without v is S
+        direct = (good != live[:, None, :]).any(axis=(1, 2))
+        sums = _excess_terms(logdet, loo, members, lat.x_singles, lat.bias, live=live).sums()
+        sums, _ = lat._checked(sums, members, live)
+        return _Proposal(members, live, logdet, loo, sums, direct, inv, (into, slot, z, s))
 
     def accept(self, p: _Proposal, moved: np.ndarray) -> None:
         """Store every moved proposal in its row."""

@@ -7,8 +7,9 @@ size between two dataset groups, or a custom callable.
 
 Every greedy step and annealing move adds or removes one variable of a
 set whose inverse and log-determinant are known, and is scored by
-bordering, not factored afresh: greedy's by nplet_engine.LogdetLattice
-(extend), annealing's on the chains in nplet_engine._BorderedSets. This
+bordering, not factored afresh, on an nplet_engine.LogdetLattice that
+opens no order: greedy's by its walk's leaf step (extend), annealing's on
+the chains in nplet_engine._BorderedSets, which score through it. This
 module keeps the search policy: beam selection, the candidate
 extensions, random draws, Metropolis acceptance and cooling.
 """
@@ -22,7 +23,7 @@ import numpy as np
 from .copula_core import CovSet
 from .errors import DegenerateEffectSize, InvalidData, InvalidOrderRange
 # bench/tracer.py wraps optimizers.compute_hoi_batch and .enumerate_order: both stay importable
-from .measures import HoiBatch, compute_hoi_batch, hoi_from_sums, hoi_from_terms  # noqa: F401
+from .measures import HoiBatch, compute_hoi_batch, hoi_from_sums  # noqa: F401
 from .nplet_engine import (LogdetLattice, NpletBatch, _BorderedSets,  # noqa: F401
                            count_nplets, enumerate_order)
 from .scanner import MEASURES, Reducer, best_rows, scan
@@ -323,14 +324,17 @@ def anneal(covs: CovSet, spec: ObjectiveSpec, schedule: AnnealSchedule,
 
     Every iteration proposes one move per chain: within-order swaps one
     member for an outside variable, across-orders adds or removes one.
-    The chains' sets live in one nplet_engine._BorderedSets, which scores
-    every chain's proposal by bordering from its current set, or on the
-    direct path under its trust rule, as compute_hoi_batch would. Improving moves are always
-    accepted; a worsening move is accepted with probability
-    exp(-|dE| / Temp). Each chain draws from its own generator split off
-    the master seed, so runs are reproducible and chain trajectories do
-    not depend on kappa ordering. progress, if given, is called every 25
-    iterations and at the end.
+    The chains' sets live in one nplet_engine._BorderedSets on a
+    LogdetLattice that opens no order, as greedy's: every chain's proposal
+    is scored by bordering from its current set or, under the trust rule,
+    by the lattice's fallback on the direct path, bit for bit as
+    compute_hoi_batch scores its mask. With bias_correct, max_order must
+    be below the sample count (InsufficientSamples before the first
+    move). Improving moves are always accepted; a worsening move is
+    accepted with probability exp(-|dE| / Temp). Each chain draws from its
+    own generator split off the master seed, so runs are reproducible and
+    chain trajectories do not depend on kappa ordering. progress, if
+    given, is called every 25 iterations and at the end.
     """
     n = covs.n_variables
     if kappa < 1:
@@ -349,11 +353,11 @@ def anneal(covs: CovSet, spec: ObjectiveSpec, schedule: AnnealSchedule,
         k = int(rng.integers(min_o, max_o + 1))
         masks[c, rng.choice(n, size=k, replace=False)] = True
 
-    sets = _BorderedSets(covs, np.broadcast_to(np.arange(n), masks.shape), masks,
-                         width=max_o, bias_correct=bias_correct)
+    lattice = LogdetLattice(covs, min_o, max_o, bias_correct)  # opens no order
+    sets = _BorderedSets(lattice, np.broadcast_to(np.arange(n), masks.shape), masks, width=max_o)
 
     def score(proposal):
-        return evaluate_objective(hoi_from_terms(sets.terms(proposal)), spec)
+        return evaluate_objective(hoi_from_sums(*proposal.sums, proposal.live.sum(axis=1)), spec)
 
     none = np.full(kappa, -1)
     energies = score(sets.propose(none, none))

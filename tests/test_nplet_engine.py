@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,9 @@ from hoi import (
     extract_subcov_batch,
     pad_subcov_batch,
 )
+from hoi import nplet_engine
 from hoi.nplet_engine import (
+    LogdetLattice,
     _BorderedSets,
     _binomial_table,
     _border,
@@ -428,7 +432,8 @@ def test_bordered_sets_score_moves_from_any_stored_row():
     for r, row in enumerate([(0, 3, 5), (1, 2, 4, 6, 7, 8), (2, 8), (0, 1, 5, 6)]):
         stored[r, list(row)] = True
     # one slot wider than the largest set, row 1, so that it can take an add
-    sets = _BorderedSets(covs, np.broadcast_to(np.arange(n), stored.shape), stored, width=7)
+    sets = _BorderedSets(LogdetLattice(covs, 1, n, False),
+                         np.broadcast_to(np.arange(n), stored.shape), stored, width=7)
     # one proposal per row each round: drops, adds, swaps and no move, from every row
     rounds = (([3, 4, 8, 1], [-1, -1, 0, -1]), ([-1, -1, -1, -1], [7, 0, -1, 2]),
               ([5, -1, -1, 6], [1, 3, -1, 8]), ([-1, -1, -1, -1], [-1, -1, -1, -1]))
@@ -450,7 +455,8 @@ def test_bordered_sets_accept_then_give_back_the_accepted_logdets():
     stored = np.zeros((3, n), dtype=bool)
     for r, row in enumerate([(0, 3, 5), (1, 2, 4, 6), (2, 7, 8)]):
         stored[r, list(row)] = True
-    sets = _BorderedSets(covs, np.broadcast_to(np.arange(n), stored.shape), stored, width=6)
+    sets = _BorderedSets(LogdetLattice(covs, 1, n, False),
+                         np.broadcast_to(np.arange(n), stored.shape), stored, width=6)
     # each round, every row drops, adds or swaps one variable
     for drop, add in (([3, -1, 7], [-1, 0, 1]), ([-1, 6, -1], [4, 5, 3])):
         p = sets.propose(np.array(drop), np.array(add))
@@ -459,3 +465,18 @@ def test_bordered_sets_accept_then_give_back_the_accepted_logdets():
         np.testing.assert_array_equal(again.logdet, p.logdet)
         np.testing.assert_allclose(np.where(p.live[:, None, :], again.loo, 0.0),
                                    np.where(p.live[:, None, :], p.loo, 0.0), rtol=0, atol=1e-12)
+
+
+def test_one_direct_path_behind_one_fallback_site():
+    # inside the engine, only entropy_terms factors (_direct_logdets), and
+    # only the lattice's fallback check (_checked) calls entropy_terms
+    tree = ast.parse(Path(nplet_engine.__file__).read_text())
+    defs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    defs += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+             if isinstance(cls, ast.ClassDef) for node in cls.body
+             if isinstance(node, ast.FunctionDef)]
+    users = {name: sorted(owner for owner, node in defs for n in ast.walk(node)
+                          if isinstance(n, ast.Name) and n.id == name)
+             for name in ("_direct_logdets", "entropy_terms")}
+    assert users == {"_direct_logdets": ["entropy_terms"],
+                     "entropy_terms": ["LogdetLattice._checked"]}

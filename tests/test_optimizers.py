@@ -13,6 +13,7 @@ from hoi import (
     DegenerateEffectSize,
     GreedyResult,
     HoiBatch,
+    InsufficientSamples,
     InvalidData,
     InvalidOrderRange,
     NotPositiveDefinite,
@@ -396,6 +397,37 @@ def test_greedy_on_singular_input_takes_the_direct_path():
                 np.testing.assert_allclose(e.energy, want[0], rtol=0, atol=1e-12)
                 held |= e.order < 12 and {0, 4, 11} <= set(e.indices)
     assert held
+
+
+def test_anneal_direct_path_energies_equal_compute_hoi_batch_bitwise():
+    # x_11 = x_0 + x_4 in both datasets: every chain holding 0, 4 and 11 was
+    # last scored on the direct path, from its mask, as compute_hoi_batch
+    # scores it, so its energy is compute_hoi_batch's bit for bit
+    covs = sampled_covset(1, 2, seed=2)
+    t = np.eye(12)
+    t[11] = 0.0
+    t[11, [0, 4]] = 1.0
+    covs = CovSet([CovarianceMatrix(t @ c.sigma @ t.T) for c in covs.covs])
+    spec = ObjectiveSpec(measure="dtc", direction="max")
+    st = anneal(covs, spec, AnnealSchedule(max_iters=300, min_order=3, max_order=12),
+                kappa=8, seed=0)
+    held = [c for c, m in enumerate(st.masks) if {0, 4, 11} <= set(np.flatnonzero(m))]
+    assert held
+    want = evaluate_objective(compute_hoi_batch(covs, NpletBatch(12, masks=st.masks[held],
+                                                          check_unique=False)), spec)
+    np.testing.assert_array_equal(st.energies[held], want)
+
+
+def test_anneal_bias_correction_refuses_max_order_at_the_sample_count():
+    # the same rule as greedy's: every order the chains may reach must be
+    # below T, checked before the first move, whatever orders they start at
+    sigma = sampled_covset(1, 1, seed=4).covs[0].sigma
+    covs = CovSet([CovarianceMatrix(sigma, n_samples_used=10)])
+    sched = AnnealSchedule(max_iters=0, min_order=3, max_order=10)
+    st = anneal(covs, ObjectiveSpec(), sched, kappa=4, seed=5)
+    assert st.masks.sum(axis=1).max() < 10  # no chain starts at order T
+    with pytest.raises(InsufficientSamples):
+        anneal(covs, ObjectiveSpec(), sched, kappa=4, seed=5, bias_correct=True)
 
 
 def test_searches_on_well_conditioned_input_never_factor(monkeypatch):

@@ -783,12 +783,11 @@ def test_lattice_fallback_rows_equal_compute_hoi_batch_bitwise():
     t = np.eye(9)
     t[8] = 0.0
     t[8, [0, 3]] = 1.0
-    direct_rows = nplet_engine._direct_rows
+    terms_of = nplet_engine.entropy_terms
 
-    def recorded(c, idx, joint, loo):
-        rows = direct_rows(c, idx, joint, loo)
-        direct.update(map(tuple, idx[rows].tolist()))
-        return rows
+    def recorded(c, batch, bias_correct=False):
+        direct.update(map(tuple, batch.indices.tolist()))
+        return terms_of(c, batch, bias_correct)
 
     wide = 0
     for seed in range(30):
@@ -797,7 +796,7 @@ def test_lattice_fallback_rows_equal_compute_hoi_batch_bitwise():
         for cap in (nplet_engine.LATTICE_TABLE_BYTES, 0):  # every order pivots, then walks
             direct, seen = set(), []
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(nplet_engine, "_direct_rows", recorded)
+                mp.setattr(nplet_engine, "entropy_terms", recorded)
                 mp.setattr(nplet_engine, "LATTICE_TABLE_BYTES", cap)
                 scan(covs, 1, 9, Callback(lambda batch, hoi: seen.append((batch, hoi))))
             assert direct == {row for row in ref.all_subsets(9, 3, 9) if {0, 3, 8} <= set(row)}
@@ -813,7 +812,7 @@ def test_lattice_fallback_rows_equal_compute_hoi_batch_bitwise():
         parents, parent, add, rows = random_extensions(seed, 9, 4, 20)
         direct = set()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(nplet_engine, "_direct_rows", recorded)
+            mp.setattr(nplet_engine, "entropy_terms", recorded)
             sums, count = nplet_engine.LogdetLattice(covs, 5, 5, False).extend(
                 parents, parent, add, rows)
         on = [i for i, row in enumerate(rows.tolist()) if {0, 3, 8} <= set(row)]
