@@ -23,7 +23,9 @@ complement that is not positive gives NaN, and a set is trusted only
 while every member's relative Schur complement clears BORDER_RTOL
 (_conditioned); rows that are not go to the direct path from one site,
 LogdetLattice._checked. enumerate_order and the lattice number n-plets in
-one combinatorial number system, with int64 ranks.
+one combinatorial number system, with int64 ranks; a scan streams a walk
+order from enumerate_order and slices a pivot order from the index rows
+its lattice builds (_lex_rows).
 """
 
 import math
@@ -201,7 +203,9 @@ def enumerate_order(n: int, k: int, batch_size: int = 10000):
     chunk may be shorter), each unranked on its own from LogdetLattice's
     number system: c has lexicographic rank C(n, k) - 1 - r', r' the colex
     rank of its mirror n - 1 - c. Memory stays O(batch_size * k); an order
-    with C(n, k) > 2**62 raises ExhaustiveLimitExceeded.
+    with C(n, k) > 2**62 raises ExhaustiveLimitExceeded. A scan streams
+    its walk orders from here; a pivot order slices the same rows from its
+    lattice's index table (_lex_rows) instead.
     """
     if not 1 <= k <= n:
         raise InvalidOrderRange(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -218,6 +222,25 @@ def enumerate_order(n: int, k: int, batch_size: int = 10000):
         # lexicographic ranks [start, stop) are mirror colex ranks, reversed
         mirror = _colex_unrank(np.arange(total - stop, total - start), k, binom)
         yield NpletBatch._trusted(n, n - 1 - mirror[::-1, ::-1])
+
+
+def _lex_rows(below: np.ndarray, n: int) -> np.ndarray:
+    """(k, C(n, k)) members of every k-subset of n variables, one column
+    each, in lexicographic order, from below, the same array of order
+    k - 1 (one empty column for order 0). The block led by variable u is u
+    over the last C(n - 1 - u, k - 1) columns of below, the (k - 1)-subsets
+    of u + 1..n - 1 (Knuth, TAOCP 4A 7.2.1.3), so each member row is k
+    slice copies. Member row p is contiguous, so a (B, k) batch
+    rows[:, a:b].T is column-major; the dtype is below's."""
+    k, total = len(below) + 1, below.shape[1]
+    rows = np.empty((k, math.comb(n, k)), dtype=below.dtype)
+    at = 0
+    for u in range(n - k + 1):
+        size = math.comb(n - 1 - u, k - 1)
+        rows[0, at:at + size] = u
+        rows[1:, at:at + size] = below[:, total - size:]
+        at += size
+    return rows
 
 
 @dataclass
@@ -494,7 +517,9 @@ def entropy_terms(covs: CovSet, batch: NpletBatch, bias_correct: bool = False) -
 
 #: Cap, in bytes, on what a LogdetLattice keeps live at once: on the pivot
 #: route, the raw log-determinant tables and the pivot states of two orders.
-#: Orders past it walk, which keeps nothing between batches.
+#: Orders past it walk, which keeps nothing between batches. A pivot
+#: order's index rows (_lex_rows, C(N, k) * k bytes at N <= 256) ride
+#: outside the cap: at most 3.7 MB at N=20, for orders k - 1 and k.
 LATTICE_TABLE_BYTES = 64 * 2**20
 
 #: Schur complements below BORDER_RTOL times the variance of their variable
@@ -555,6 +580,8 @@ class LogdetLattice:
       sum_{p<j} C(c_p, p + 1) + sum_{p>j} C(c_p, p)), S as k gathers of the
       singles. No (B, D, K) array is formed. A pivot below
       BORDER_RTOL * sigma_vv is NaN, and so is everything built on it.
+      open(k) also builds the order's n-plets, rows (_lex_rows), from
+      order k - 1's, so a scan slices its batches from them.
     - walk: each batch borders down its own prefix tree (extend; Hager
       1989, SIAM Review 31:221) to raw log-determinants, summed through
       EntropyTerms as compute_hoi_batch sums them. No table is read or
@@ -602,23 +629,31 @@ class LogdetLattice:
         self.binom = _binomial_table(n, max(self.pivots, default=0))  # read by pivot orders only
         self.tables = {}
         self.states = None  # pivot states of the open order's (k - 1)-plets
+        self.rows = None  # the open pivot order's n-plets (_lex_rows)
 
     def open(self, k: int) -> None:
-        """Make order k current: a pivot order builds table k, a walk order
-        drops every table."""
+        """Make order k current: a pivot order builds table k and rows, its
+        (k, C(N, k)) n-plets in lexicographic order, from order k - 1's; a
+        walk order drops every table and rows."""
         self.tables = {m: t for m, t in self.tables.items() if m == k - 1 and k in self.pivots}
         if k not in self.pivots:
+            self.rows = None
             return
+        n = self.covs.n_variables
         if k - 1 not in self.tables:  # descend from the empty set
             table, self.states = np.zeros((1, self.covs.n_datasets)), {-1: self.sigma[None]}
+            self.rows = np.zeros((0, 1), dtype=np.min_scalar_type(n - 1))
             for j in range(1, k):
                 table = self._descend(table, j, carry=True)
+                self.rows = _lex_rows(self.rows, n)
             self.tables[k - 1] = table
+        self.rows = _lex_rows(self.rows, n)
         self.tables[k] = self._descend(self.tables[k - 1], k, carry=k + 1 in self.pivots)
 
     def _descend(self, table: np.ndarray, j: int, carry: bool) -> np.ndarray:
-        """Table j from table j - 1 and the pivot states of the (j - 1)-plets;
-        self.states becomes those of the j-plets when carry, else None.
+        """Table j from table j - 1 and the pivot states of the (j - 1)-plets,
+        which it consumes; self.states becomes those of the j-plets when
+        carry, else None.
 
         States are grouped by largest member m (-1 for the empty set): group
         m is a (C(m, j - 2), D, N - 1 - m, N - 1 - m) array in colex order,
@@ -627,12 +662,14 @@ class LogdetLattice:
         max p < v, ranks C(v, j) on, in the colex order of p: so their
         entries are table[:C(v, j - 1)] plus 1/2 log of v's pivots less the
         bias step, pivots read from groups m < v in turn, and their states
-        eliminate v from the same groups."""
+        eliminate v from the same groups. Children are built from the
+        largest v down, so group v - 1 is dropped as soon as child v is
+        built: no later child reads it."""
         n, d = self.covs.n_variables, self.covs.n_datasets
         step = self.bias[:, j] - self.bias[:, j - 1]
         out = np.empty((math.comb(n, j), d))
         children = {}
-        for v in range(j - 1, n):
+        for v in range(n - 1, j - 2, -1):
             parents = [(v - m - 1, g) for m, g in self.states.items() if m < v]
             piv = np.concatenate([g[:, :, a, a] for a, g in parents])
             piv = np.where(piv >= BORDER_RTOL * self.var[v], piv, np.nan)
@@ -648,7 +685,8 @@ class LogdetLattice:
                                              - col[..., :, None] * scaled[..., None, :])
                     at += len(g)
                 children[v] = child
-        self.states = children if carry else None
+            self.states.pop(v - 1, None)  # no later child reads group v - 1
+        self.states = dict(sorted(children.items())) if carry else None
         return out
 
     def sums(self, batch: NpletBatch):
@@ -815,13 +853,14 @@ class _BorderedSets:
         logdet, inv = self.logdet.copy(), self.inv.copy()
         out = np.flatnonzero(drop >= 0)
         j = np.argmax(live[out] & (members[out] == drop[out, None]), axis=1)
-        logdet[out], inv[out] = _unborder(inv[out], logdet[out], j)
+        logdet[out], inv[out] = _unborder(np.take(inv, out, axis=0), logdet[out], j)
         live[out, j] = False
         into = np.flatnonzero(add >= 0)
         assert not live[into].all(axis=1).any(), "an add to a full set"
         diag = np.diagonal(inv, axis1=-2, axis2=-1).copy()
         slot, v, before = np.argmin(live[into], axis=1), add[into], logdet[into]
-        logdet[into], diag[into], z, s = _border(lat.sigma, members[into], v, inv[into], before)
+        logdet[into], diag[into], z, s = _border(lat.sigma, members[into], v,
+                                                  np.take(inv, into, axis=0), before)
         diag[into, :, slot] = 1.0 / s
         members[into, slot], live[into, slot] = v, True
         good = _conditioned(members, live, diag, lat.var) & healthy[:, None, None]
@@ -840,6 +879,6 @@ class _BorderedSets:
         self.logdet[keep], self.inv[keep] = p.logdet[keep], p.inv[keep]
         self.moves[keep] += 1
         into, slot, z, s = (a[keep[p.grow[0]]] for a in p.grow)
-        self.inv[into] = _grow(self.inv[into], z, s, slot)
+        self.inv[into] = _grow(np.take(self.inv, into, axis=0), z, s, slot)
         if renew.any():
             self.refresh(np.flatnonzero(renew), p.members[renew], p.live[renew])

@@ -214,7 +214,8 @@ class FeatureAccumulator(Reducer):
     information summaries, orders >= 3 feed the interaction summaries,
     and the single order-N row supplies the whole-system values. The
     C(N, 2) pairwise MI rows are kept, so their spread is a two-pass
-    population std, free of the cancellation in E[x^2] - E[x]^2. The
+    population std, free of the cancellation in E[x^2] - E[x]^2, reduced
+    per dataset so that no dataset's features depend on the others'. The
     interaction sums fold in one row at a time from the scan's start (an
     axis-0 sum of a C-contiguous array adds its rows in order), so every
     feature is the same whatever the batch boundaries.
@@ -271,8 +272,9 @@ class FeatureAccumulator(Reducer):
             raise InvalidData("feature accumulation needs orders 2..N")
         if np.isnan(self._whole).any():
             raise InvalidData("feature accumulation never saw the order-N row")
-        mi = np.concatenate(self._mi)  # (C(N, 2), D)
-        mi_mean, mi_std = np.mean(mi, axis=0), np.std(mi, axis=0)
+        # (D, C(N, 2)): one contiguous row per dataset, summed pairwise whatever D
+        mi = np.concatenate(self._mi).T.copy()
+        mi_mean, mi_std = np.mean(mi, axis=1), np.std(mi, axis=1)
         out = []
         for d in range(self._d):
             means = self._sums[d] / self._count
@@ -307,6 +309,16 @@ def _ordered_map(fn, items, pool, workers: int):
         yield done.result()
 
 
+def _batches(lattice: LogdetLattice, k: int, batch_size: int):
+    """Order k's n-plets in lexicographic batches: slices of the lattice's
+    index rows on a pivot order, enumerate_order on a walk order."""
+    rows, n = lattice.rows, lattice.covs.n_variables
+    if k not in lattice.pivots:
+        return enumerate_order(n, k, batch_size)
+    return (NpletBatch._trusted(n, rows[:, at:at + batch_size].T.astype(np.int64))
+            for at in range(0, rows.shape[1], batch_size))
+
+
 def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
          batch_size: int = 10000, bias_correct: bool = False,
          workers: int = 1, progress=None):
@@ -326,11 +338,14 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
       below and updated by one rank-one term per child. J is read from
       that table, L as k gathers of order k - 1's table and S as k
       gathers of the singles. Batches then only read tables: no gather of
-      sub-covariances, no factorisation and no per-row entropy terms.
-    - walk: each batch borders its own prefix tree, from one variable up
-      to each n-plet, with one Schur complement per distinct prefix; the
-      leave-one-out terms come from the bordered inverse's diagonal. No
-      table is read or written.
+      sub-covariances, no factorisation and no per-row entropy terms. The
+      batches themselves are slices of the order's index rows, which the
+      lattice builds from order k - 1's when the order opens: nothing is
+      unranked.
+    - walk: each batch, unranked by enumerate_order, borders its own
+      prefix tree, from one variable up to each n-plet, with one Schur
+      complement per distinct prefix; the leave-one-out terms come from
+      the bordered inverse's diagonal. No table is read or written.
 
     An order takes the pivot route when its two tables, C(N, k - 1) +
     C(N, k) floats per dataset, plus the states of orders k - 1 and k fit
@@ -364,7 +379,7 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
     batch_size : int
         Rows per streamed batch, at least 1; memory stays O(batch_size)
         plus, on pivot orders, the lattice's tables and states, at most
-        64 MiB.
+        64 MiB, and its index rows, k * C(N, k) bytes per order.
     bias_correct : bool
         Apply the finite-sample entropy correction (needs estimated
         covariances).
@@ -405,7 +420,7 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
             # interpreter lock throughout, so threads gain them nothing
             on = None if k in lattice.pivots else pool
             for batch, hoi, direct in _ordered_map(
-                    score, enumerate_order(n, k, batch_size), on, workers):
+                    score, _batches(lattice, k, batch_size), on, workers):
                 reducer.update(batch, hoi)
                 batches += 1
                 seen += batch.batch_size

@@ -858,6 +858,83 @@ def test_a_lattice_walks_every_order_but_its_open_pivot_order():
                     np.testing.assert_array_equal(got, want)
 
 
+def scanned_batches(covs, lo, hi, **kw):
+    """(order, indices) of every batch a scan hands its reducer, in turn."""
+    return scan(covs, lo, hi, Callback(lambda batch, hoi: (batch.order, batch.indices)), **kw)
+
+
+@pytest.mark.parametrize("min_order", [1, 2, 3])
+@pytest.mark.parametrize("batch_size", [1, 7, 10000])
+def test_pivot_batches_are_slices_of_the_lexicographic_rows(min_order, batch_size):
+    # min_order > 1 builds the first pivot order's rows from the empty set
+    for n in range(min_order, 10):
+        covs = toy_covset(n, n=n)
+        assert nplet_engine.LogdetLattice(covs, min_order, n, False).pivots == set(
+            range(min_order, n + 1))
+        got = scanned_batches(covs, min_order, n, batch_size=batch_size)
+        want = [(k, b.indices) for k in range(min_order, n + 1)
+                for b in enumerate_order(n, k, batch_size)]
+        assert len(got) == len(want)
+        for (k, idx), (k_want, idx_want) in zip(got, want):
+            assert k == k_want and idx.dtype == np.int64
+            assert idx.T.flags.c_contiguous  # member columns, as _ranks reads them
+            np.testing.assert_array_equal(idx, idx_want)
+
+
+@pytest.mark.parametrize("n", [1, 5, 20])
+def test_lex_rows_at_the_first_and_last_order(n):
+    rows = nplet_engine._lex_rows(np.zeros((0, 1), dtype=np.uint8), n)
+    np.testing.assert_array_equal(rows, np.arange(n)[None])  # order 1
+    for _ in range(1, n):
+        rows = nplet_engine._lex_rows(rows, n)
+    assert rows.dtype == np.uint8
+    np.testing.assert_array_equal(rows, np.arange(n)[:, None])  # order N: one column
+    # a lattice keeps one byte per member of its open pivot order
+    lattice = nplet_engine.LogdetLattice(toy_covset(3, n=n), n, n, False)
+    lattice.open(n)
+    assert lattice.rows.dtype == np.uint8
+    np.testing.assert_array_equal(lattice.rows, rows)
+
+
+def test_pivot_scans_never_unrank(monkeypatch):
+    # pivot orders slice their batches from the lattice's rows: a scan whose
+    # every order pivots runs with per-batch unranking broken
+    covs = toy_covset(15, n=9, d=2)
+    assert nplet_engine.LogdetLattice(covs, 2, 9, False).pivots == set(range(2, 10))
+    base = measure_rows(covs, 2, 9, batch_size=11)
+
+    def no_unrank(*args, **kwargs):
+        raise AssertionError("unranked")
+
+    monkeypatch.setattr(nplet_engine, "_colex_unrank", no_unrank)
+    monkeypatch.setattr(scanner, "enumerate_order", no_unrank)
+    np.testing.assert_array_equal(measure_rows(covs, 2, 9, batch_size=11), base)
+
+
+@pytest.mark.parametrize("cap, pivots", [(8 * 880, {1, 2}), (0, set())])
+def test_walk_orders_stream_from_enumerate_order(monkeypatch, cap, pivots):
+    # 880 floats per dataset: orders 1 and 2 pivot and the rest walk, so
+    # one scan streams from both sources; with a zero cap every order walks
+    covs = toy_covset(12, n=10)
+    monkeypatch.setattr(nplet_engine, "LATTICE_TABLE_BYTES", cap)
+    assert nplet_engine.LogdetLattice(covs, 1, 10, False).pivots == pivots
+    enumerated = []
+    enumerate_batches = scanner.enumerate_order
+
+    def recorded(n, k, batch_size):
+        enumerated.append(k)
+        return enumerate_batches(n, k, batch_size)
+
+    monkeypatch.setattr(scanner, "enumerate_order", recorded)
+    got = scanned_batches(covs, 1, 10, batch_size=7)
+    assert enumerated == [k for k in range(1, 11) if k not in pivots]
+    want = [b.indices for k in range(1, 11) for b in enumerate_batches(10, k, 7)]
+    assert len(got) == len(want)
+    for (_, idx), idx_want in zip(got, want):
+        assert idx.dtype == np.int64
+        np.testing.assert_array_equal(idx, idx_want)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_lattice_extend_borders_rows_from_any_parents(seed):
     # greedy grows through extend: rows bordered from random parents match
@@ -970,6 +1047,19 @@ def test_features_invariant_to_workers_and_stable_across_batch_size():
                 for got, want in zip(other, base):
                     for name in FEATURE_NAMES:
                         assert getattr(got, name) == getattr(want, name), (n, batch_size, name)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n, seed", [(4, 0), (7, 1), (12, 2), (12, 3), (12, 4)])
+def test_features_of_a_dataset_do_not_depend_on_its_covset(n, seed, d):
+    # each dataset's features are those of a scan of that dataset alone,
+    # bit for bit: every order pivots either way, and no reduction mixes
+    # datasets (the pairwise MI mean and spread included)
+    covs = toy_covset(seed, n=n, d=d)
+    assert nplet_engine.LogdetLattice(covs, 2, n, False).pivots == set(range(2, n + 1))
+    together = extract_features(covs)
+    for cov, got in zip(covs.covs, together):
+        assert got == extract_features(CovSet([cov]))[0]
 
 
 def test_feature_size_limits():
