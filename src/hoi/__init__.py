@@ -34,14 +34,9 @@ from .errors import (
 from .measures import (
     HoiBatch,
     compute_hoi_batch,
-    dtc_from_terms,
-    o_information,
     pairwise_mi,
-    s_information,
-    tc_from_terms,
 )
 from .nplet_engine import (
-    EntropyTerms,
     NpletBatch,
     SubCovBatch,
     count_nplets,
@@ -107,12 +102,7 @@ __all__ = [
     "DegenerateEffectSize",
     "HoiBatch",
     "compute_hoi_batch",
-    "dtc_from_terms",
-    "o_information",
     "pairwise_mi",
-    "s_information",
-    "tc_from_terms",
-    "EntropyTerms",
     "NpletBatch",
     "SubCovBatch",
     "count_nplets",

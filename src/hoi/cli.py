@@ -38,6 +38,7 @@ from .nplet_engine import count_nplets
 from .optimizers import AnnealSchedule, ObjectiveSpec, anneal, greedy
 from .scanner import (
     FEATURE_NAMES,
+    MEASURES,
     Histogram,
     TopK,
     extract_features,
@@ -45,7 +46,6 @@ from .scanner import (
 )
 from .synthetic import PgmSpec, sample_gaussian
 
-_MEASURE_CHOICES = ("tc", "dtc", "o", "s")
 _EXIT_TWO = (NotPositiveDefinite, DegenerateEffectSize, OSError)
 
 
@@ -400,7 +400,7 @@ def _add_compute(p, *, batch_size=True, workers=True):
 
 
 def _add_objective(p):
-    p.add_argument("--measure", choices=_MEASURE_CHOICES, default="o")
+    p.add_argument("--measure", choices=MEASURES, default="o")
     p.add_argument("--direction", choices=("max", "min"), default="max")
     p.add_argument("--aggregate", choices=("mean", "effect"), default="mean")
     p.add_argument("--cond-a", default=None,

@@ -2,17 +2,17 @@
 
 An n-plet is a subset of k variables out of N. Batches hold B of them,
 either as a (B, K) index matrix (fixed order) or as a (B, N) boolean mask
-matrix (mixed orders). entropy_terms, the one direct path, evaluates a
-batch on compact k x k sub-covariances, one order at a time, with results
-scattered back to the rows' variable positions. Every interaction measure
-is linear in three sums per (n-plet, dataset), EntropyTerms.sums: the
-joint term, the sum of the singles and the sum of the leave-one-out terms.
-Scans and searches get those sums from a LogdetLattice instead, on one of
-two routes per order. The pivot route reads them straight from tables of
+matrix (mixed orders). Every interaction measure is linear in three
+sums per (n-plet, dataset): the joint term J, the sum S of the singles
+and the sum L of the leave-one-out terms. entropy_terms, the one direct
+path, gives them for a batch from compact k x k sub-covariances, one
+order at a time, each row summed over its own members. Scans and
+searches get the same sums from a LogdetLattice instead, on one of two
+routes per order. The pivot route reads them straight from tables of
 excess entropies, built from pivots carried down the subset lattice while
-they fit a memory cap, with no per-row EntropyTerms; every other batch
-walks its own prefix tree, and the walk's leaf step (extend) also scores
-greedy growth. One kernel, _border, adds a variable to a set of known
+they fit a memory cap, with no per-row terms; every other batch walks
+its own prefix tree, and the walk's leaf step (extend) also scores greedy
+growth. One kernel, _border, adds a variable to a set of known
 inverse and log-determinant through its Schur complement (_grow then
 grows the inverse, _unborder removes a variable); it serves the lattice
 and _BorderedSets, the stored sets that annealing moves and scores
@@ -255,38 +255,6 @@ class SubCovBatch:
     matrices: np.ndarray
 
 
-@dataclass
-class EntropyTerms:
-    """Entropy terms per (n-plet, dataset), in nats, without baselines.
-
-    excess_joint : (B, D) joint entropy of each n-plet.
-    excess_singles : (B, D, K) marginal entropy of each member variable.
-    excess_leave_one_out : (B, D, K) entropy of the n-plet minus one member.
-    orders : (B,) effective order of each row.
-
-    Each entropy has its independent-standard-normal baseline removed
-    (k, 1 and k - 1 times NORMAL_ENTROPY respectively): the baselines
-    cancel algebraically in every interaction measure, so an identity
-    covariance yields exact zeros instead of ~1e-16 residue. Bias
-    corrections, when requested, are already applied.
-
-    For mixed-order batches K equals N, each row's terms sit at its
-    variables' positions and every other position holds zero, so sums
-    over the last axis never need a mask.
-    """
-
-    excess_joint: np.ndarray
-    excess_singles: np.ndarray
-    excess_leave_one_out: np.ndarray
-    orders: np.ndarray
-
-    def sums(self):
-        """(B, D) joint term, sum of singles and sum of leave-one-out terms:
-        every interaction measure is linear in these three."""
-        return (self.excess_joint, self.excess_singles.sum(axis=-1),
-                self.excess_leave_one_out.sum(axis=-1))
-
-
 def extract_subcov_batch(covs: CovSet, batch: NpletBatch) -> SubCovBatch:
     """Gather principal submatrices for a fixed-order batch in one shot."""
     if batch.mode != "fixed":
@@ -456,63 +424,66 @@ def _excess_singles(covs: CovSet, bias: np.ndarray) -> np.ndarray:
     return 0.5 * np.log(diag) - bias[:, 1][:, None]
 
 
-def _excess_terms(joint, loo, idx: np.ndarray, x_singles, bias, live=None) -> EntropyTerms:
-    """EntropyTerms of (B, K) member rows idx from their raw (B, D) joint
-    and (B, D, K) leave-one-out log-determinants, slot by slot. Every slot
-    is a member unless live (B, K) marks the members; the other slots then
-    hold zeros, as in a mixed-order batch."""
-    b, k = idx.shape
+def _excess_sums(joint, loo, idx: np.ndarray, x_singles, bias, live=None):
+    """(B, D) sums J, S and L of (B, K) member rows idx from their raw
+    (B, D) joint and (B, D, K) leave-one-out log-determinants: each excess
+    entropy is 1/2 logdet less its bias at its effective dimension, summed
+    slot by slot. Every slot is a member unless live (B, K) marks the
+    members; the other slots then add zeros."""
+    k = idx.shape[1]
     singles = x_singles[:, idx].transpose(1, 0, 2)
     if live is None:
-        orders = np.full(b, k)
         joint, loo = 0.5 * joint - bias[:, k], 0.5 * loo - bias[:, k - 1][None, :, None]
     else:
         orders, at = live.sum(axis=1), live[:, None, :]
         joint, loo = 0.5 * joint - bias[:, orders].T, 0.5 * loo - bias[:, orders - 1].T[:, :, None]
         singles, loo = np.where(at, singles, 0.0), np.where(at, loo, 0.0)
-    return EntropyTerms(excess_joint=joint, excess_singles=singles,
-                        excess_leave_one_out=loo, orders=orders)
+    return joint, singles.sum(axis=-1), loo.sum(axis=-1)
 
 
-def entropy_terms(covs: CovSet, batch: NpletBatch, bias_correct: bool = False) -> EntropyTerms:
-    """Joint, marginal and leave-one-out entropies for a whole batch: the
-    direct path.
+def entropy_terms(covs: CovSet, batch: NpletBatch, bias_correct: bool = False):
+    """(B, D) sums J, S and L of a whole batch: the direct path.
 
-    Marginal entropies are computed once per dataset from the covariance
-    diagonal and gathered per n-plet. With bias_correct, every entropy is
-    corrected at its effective dimension (the n-plet order for the joint
-    term, order minus one for leave-one-out, one for marginals).
+    J is each n-plet's excess joint entropy, S the sum of its members' and L
+    the sum of its leave-one-out ones; every interaction measure is linear
+    in the three (measures.hoi_from_sums). An excess entropy has its
+    independent-standard-normal baseline (k, 1 or k - 1 times
+    NORMAL_ENTROPY) removed: the baselines cancel algebraically in every
+    measure, so an identity covariance yields exact zeros instead of ~1e-16
+    residue. Marginal entropies are computed once per dataset from the
+    covariance diagonal and gathered per n-plet. With bias_correct, every
+    entropy is corrected at its effective dimension (the n-plet order for
+    the joint term, order minus one for leave-one-out, one for marginals).
 
     The raw log-determinants come from _direct_logdets, one call per
-    order, scattered back to each row's member slots (the variables'
-    positions in a mixed-order batch). NotPositiveDefinite coordinates are
-    (row, dataset) in the caller's batch; the message names the first
-    failing row's n-plet, whatever the batching.
+    order, and each order's rows are summed over their own members
+    (_excess_sums), so a mask row's sums equal its sorted index row's.
+    NotPositiveDefinite coordinates are (row, dataset) in the caller's
+    batch; the message names the first failing row's n-plet, whatever the
+    batching.
     """
-    bias = _bias_offsets(covs, int(batch.orders().max()), bias_correct)
-    n, d, live = covs.n_variables, covs.n_datasets, batch.masks
-    if live is None:
-        members, live = batch.indices, np.ones(batch.indices.shape, dtype=bool)
-    else:
-        members = np.broadcast_to(np.arange(n), live.shape)
-    joint, loo = np.empty((len(live), d)), np.zeros((len(live), d, live.shape[1]))
-    orders, failed = live.sum(axis=1), []
+    orders = batch.orders()
+    bias = _bias_offsets(covs, int(orders.max()), bias_correct)
+    x_singles, n = _excess_singles(covs, bias), covs.n_variables
+    sums, failed = np.empty((3, len(orders), covs.n_datasets)), []
     for k in np.unique(orders):
         at = np.flatnonzero(orders == k)
-        slot = np.nonzero(live[at])[1].reshape(-1, k)
-        idx = np.take_along_axis(members[at], slot, axis=1)
+        if batch.masks is None:
+            idx = batch.indices
+        else:  # each row's members, in ascending order
+            idx = np.nonzero(batch.masks[at])[1].reshape(-1, k)
         try:
-            joint[at], loo[at[:, None, None], np.arange(d)[:, None], slot[:, None, :]] = (
-                _direct_logdets(covs, NpletBatch._trusted(n, idx)))
+            joint, loo = _direct_logdets(covs, NpletBatch._trusted(n, idx))
         except NotPositiveDefinite as err:
             failed += [(int(at[g]), e) for g, e in err.coords]
+            continue
+        sums[:, at] = _excess_sums(joint, loo, idx, x_singles, bias)
     if failed:
         failed.sort()
         r, e = failed[0]
         raise NotPositiveDefinite(f"n-plet {batch.row_indices(r)} of dataset {e} not positive "
                                   "definite even after a jitter retry", coords=failed)
-    return _excess_terms(joint, loo, members, _excess_singles(covs, bias), bias,
-                         live=batch.masks)
+    return tuple(sums)
 
 
 #: Cap, in bytes, on what a LogdetLattice keeps live at once: on the pivot
@@ -557,8 +528,8 @@ class LogdetLattice:
     """Entropy-term sums of whole orders, scanned in turn.
 
     sums() gives, per (n-plet, dataset), the three sums every interaction
-    measure is linear in (EntropyTerms.sums): the excess joint entropy J,
-    the sum S of the members' excess entropies and the sum L of the
+    measure is linear in (measures.hoi_from_sums): the excess joint entropy
+    J, the sum S of the members' excess entropies and the sum L of the
     leave-one-out excess entropies, each excess entropy 1/2 logdet less its
     bias eta(k, T) (zero without bias correction). Every order takes one
     of two routes, fixed per order:
@@ -583,8 +554,8 @@ class LogdetLattice:
       open(k) also builds the order's n-plets, rows (_lex_rows), from
       order k - 1's, so a scan slices its batches from them.
     - walk: each batch borders down its own prefix tree (extend; Hager
-      1989, SIAM Review 31:221) to raw log-determinants, summed through
-      EntropyTerms as compute_hoi_batch sums them. No table is read or
+      1989, SIAM Review 31:221) to raw log-determinants, summed by
+      _excess_sums as the direct path sums them. No table is read or
       written, and memory is O(batch_size K^2 D).
 
     An order takes the pivot route when its two tables, C(N, k - 1) +
@@ -690,17 +661,17 @@ class LogdetLattice:
         return out
 
     def sums(self, batch: NpletBatch):
-        """((B, D) J, S, L of EntropyTerms.sums, rows on the direct path) of
-        a fixed-order batch: read from the tables when its order is the
-        pivot order open() made current, else walked."""
+        """((B, D) sums J, S, L, rows on the direct path) of a fixed-order
+        batch: read from the tables when its order is the pivot order
+        open() made current, else walked."""
         k, idx = batch.order, batch.indices
         if k in self.tables and k - 1 in self.tables:
             return self._checked(self._gather(idx), idx)
         return self.extend(idx[:, :-1], None, idx[:, -1], idx)
 
     def extend(self, parents: np.ndarray, parent, add: np.ndarray, rows: np.ndarray):
-        """((B, D) J, S, L of EntropyTerms.sums, rows on the direct path) of
-        the sorted (B, K) rows, row b parents[parent[b]] plus variable add[b]
+        """((B, D) sums J, S, L, rows on the direct path) of the sorted
+        (B, K) rows, row b parents[parent[b]] plus variable add[b]
         (parent None: row b is parents[b] plus add[b], so rows are already
         in that slot order).
 
@@ -721,7 +692,7 @@ class LogdetLattice:
         good = _conditioned(members, np.ones(members.shape, dtype=bool), diag, self.var)
         loo = _leave_one_out(joint, diag, good)
         loo[..., -1] = np.where(good[..., -1], before, np.nan)  # c without add
-        sums = _excess_terms(joint, loo, members, self.x_singles, self.bias).sums()
+        sums = _excess_sums(joint, loo, members, self.x_singles, self.bias)
         return self._checked(sums, rows)
 
     def _gather(self, idx: np.ndarray):
@@ -755,11 +726,11 @@ class LogdetLattice:
             masks[at, members[rows[at], slots]] = True
             batch = NpletBatch(n, masks=masks, check_unique=False)
         try:
-            terms = entropy_terms(self.covs, batch, self.bias_correct)
+            joint[rows], singles[rows], loo[rows] = entropy_terms(
+                self.covs, batch, self.bias_correct)
         except NotPositiveDefinite as err:
             raise NotPositiveDefinite(
                 str(err), coords=[(int(rows[r]), d) for r, d in err.coords]) from None
-        joint[rows], singles[rows], loo[rows] = terms.sums()
         return sums, rows.size
 
 
@@ -774,11 +745,10 @@ class _Proposal:
 
     members and live (P, W) hold each set in slots, logdet (P, D) and loo
     (P, D, W) its bordered joint and leave-one-out log-determinants, sums
-    the (P, D) J, S and L of EntropyTerms.sums after the lattice's
-    fallback check, and direct (P,) marks the sets that took the direct
-    path. inv (P, D, W, W) is each inverse before its add, and grow (into,
-    slot, z, s) the adding rows, their slots and _border's z and s, from
-    which accept grows it.
+    its (P, D) sums J, S and L after the lattice's fallback check, and
+    direct (P,) marks the sets that took the direct path. inv (P, D, W, W)
+    is each inverse before its add, and grow (into, slot, z, s) the adding
+    rows, their slots and _border's z and s, from which accept grows it.
     """
 
     members: np.ndarray
@@ -867,7 +837,7 @@ class _BorderedSets:
         loo = _leave_one_out(logdet, diag, good)
         loo[into, :, slot] = np.where(good[into, :, slot], before, np.nan)  # S + v without v is S
         direct = (good != live[:, None, :]).any(axis=(1, 2))
-        sums = _excess_terms(logdet, loo, members, lat.x_singles, lat.bias, live=live).sums()
+        sums = _excess_sums(logdet, loo, members, lat.x_singles, lat.bias, live=live)
         sums, _ = lat._checked(sums, members, live)
         return _Proposal(members, live, logdet, loo, sums, direct, inv, (into, slot, z, s))
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copula_core import CovSet
-from .errors import DegenerateEffectSize, InvalidData, InvalidOrderRange
+from .errors import DegenerateEffectSize, InsufficientSamples, InvalidData, InvalidOrderRange
 # bench/tracer.py wraps optimizers.compute_hoi_batch and .enumerate_order: both stay importable
 from .measures import HoiBatch, compute_hoi_batch, hoi_from_sums  # noqa: F401
 from .nplet_engine import (LogdetLattice, NpletBatch, _BorderedSets,  # noqa: F401
@@ -272,9 +272,10 @@ class AnnealSchedule:
     mode "within-order" swaps one member for one outside variable and
     keeps each chain at its initial order; "across-orders" adds or
     removes one variable with equal probability, rejecting moves that
-    would leave [min_order, max_order]. patience 0 disables early
-    stopping, otherwise the run stops after that many iterations without
-    a best-solution improvement.
+    would leave [min_order, max_order]; max_order None means N, which
+    anneal clips to T - 1 on sample-estimated covariances. patience 0
+    disables early stopping, otherwise the run stops after that many
+    iterations without a best-solution improvement.
     """
 
     temp0: float | None = None
@@ -330,8 +331,11 @@ def anneal(covs: CovSet, spec: ObjectiveSpec, schedule: AnnealSchedule,
     by the lattice's fallback on the direct path, bit for bit as
     compute_hoi_batch scores its mask. With bias_correct, max_order must
     be below the sample count (InsufficientSamples before the first
-    move). Improving moves are always accepted; a worsening move is
-    accepted with probability exp(-|dE| / Temp). Each chain draws from its
+    move). A defaulted max_order on sample-estimated covariances is
+    clipped to T - 1, T the smallest sample count, with a warning
+    (InsufficientSamples if that is below min_order). Improving moves are
+    always accepted; a worsening move is accepted with probability
+    exp(-|dE| / Temp). Each chain draws from its
     own generator split off the master seed, so runs are reproducible and
     chain trajectories do not depend on kappa ordering. progress, if
     given, is called every 25 iterations and at the end.
@@ -346,6 +350,16 @@ def anneal(covs: CovSet, spec: ObjectiveSpec, schedule: AnnealSchedule,
             f"need 1 <= min_order <= max_order <= N, got min={min_o}, "
             f"max={max_o}, N={n}"
         )
+    t_used = covs.samples_used()
+    t = int(t_used[t_used > 0].min(initial=n + 1))  # n + 1: analytic covariances only
+    if schedule.max_order is None and t <= max_o:
+        # a sample covariance of T rows has rank at most T - 1
+        if t - 1 < min_o:
+            raise InsufficientSamples(
+                f"{t} samples leave no order in [min_order={min_o}, T - 1={t - 1}]")
+        warnings.warn(f"max_order defaults to N={n}, but a covariance from {t} samples "
+                      f"is singular past order {t - 1}; clipping", stacklevel=2)
+        max_o = t - 1
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(kappa)]
 
     masks = np.zeros((kappa, n), dtype=bool)

@@ -13,16 +13,11 @@ from hoi import (
     InvalidNplet,
     NpletBatch,
     compute_hoi_batch,
-    dtc_from_terms,
-    entropy_terms,
-    o_information,
     pairwise_mi,
     r_system_cov,
     s_system_cov,
-    s_information,
-    tc_from_terms,
 )
-from hoi.nplet_engine import EntropyTerms
+from hoi.measures import hoi_from_sums
 
 # closed forms for the redundant system with two unit-weight sources:
 # tc = log 2, dtc = log(3)/2, o = log(4/3)/2, s = log 2 + log(3)/2
@@ -121,18 +116,12 @@ def test_identity_covariance_measures_are_exact_zeros():
 
 
 def test_measures_from_hand_built_terms():
-    terms = EntropyTerms(
-        excess_joint=np.array([[4.0]]),
-        excess_singles=np.array([[[1.5, 1.6, 1.7]]]),
-        excess_leave_one_out=np.array([[[3.0, 3.1, 3.2]]]),
-        orders=np.array([3]),
-    )
-    assert tc_from_terms(terms)[0, 0] == pytest.approx(1.5 + 1.6 + 1.7 - 4.0)
-    assert dtc_from_terms(terms)[0, 0] == pytest.approx(-2.0 * 4.0 + 9.3)
-    assert o_information(terms)[0, 0] == pytest.approx(4.0 + (1.5 - 3.0) + (1.6 - 3.1) + (1.7 - 3.2))
-    assert s_information(terms)[0, 0] == pytest.approx(
-        tc_from_terms(terms)[0, 0] + dtc_from_terms(terms)[0, 0]
-    )
+    # J = 4, singles 1.5, 1.6, 1.7 (S = 4.8), leave-one-out 3.0, 3.1, 3.2 (L = 9.3)
+    hoi = hoi_from_sums(np.array([[4.0]]), np.array([[4.8]]), np.array([[9.3]]), np.array([3]))
+    assert hoi.tc[0, 0] == pytest.approx(1.5 + 1.6 + 1.7 - 4.0)
+    assert hoi.dtc[0, 0] == pytest.approx(-2.0 * 4.0 + 9.3)
+    assert hoi.o[0, 0] == pytest.approx(4.0 + (1.5 - 3.0) + (1.6 - 3.1) + (1.7 - 3.2))
+    assert hoi.s[0, 0] == pytest.approx(hoi.tc[0, 0] + hoi.dtc[0, 0])
 
 
 def test_pairwise_mi_closed_form():
@@ -191,3 +180,29 @@ def test_mixed_batch_rows_equal_fixed_batches_and_reference(seed, bias_correct):
                 got = getattr(mixed, m)[r, d]
                 assert abs(got - getattr(fixed, m)[0, d]) <= 1e-10
                 assert abs(got - w) <= 1e-10
+
+
+@pytest.mark.parametrize("bias_correct", [False, True])
+@pytest.mark.parametrize("n", [9, 12, 20])
+def test_mask_rows_equal_their_sorted_index_rows_bitwise(n, bias_correct):
+    # the direct path sums each row over its own members, so a mask row's
+    # measures are its sorted index row's bit for bit, at any N
+    rng = np.random.default_rng(n)
+    covs = []
+    for _ in range(2):
+        a = rng.standard_normal((2 * n, n))
+        covs.append(CovarianceMatrix(a.T @ a / (2 * n) + 0.3 * np.eye(n), n_samples_used=3 * n))
+    covs = CovSet(covs)
+    orders = np.concatenate([[3, n], rng.integers(3, n + 1, size=150)])
+    masks = np.zeros((len(orders), n), dtype=bool)
+    for r, k in enumerate(orders):
+        masks[r, rng.choice(n, size=k, replace=False)] = True
+    mixed = compute_hoi_batch(covs, NpletBatch(n, masks=masks, check_unique=False),
+                              bias_correct=bias_correct)
+    for k in np.unique(orders):
+        rows = np.flatnonzero(orders == k)
+        idx = [np.flatnonzero(masks[r]) for r in rows]
+        fixed = compute_hoi_batch(covs, NpletBatch(n, indices=idx, check_unique=False),
+                                  bias_correct=bias_correct)
+        for m in ("tc", "dtc", "o", "s"):
+            np.testing.assert_array_equal(getattr(mixed, m)[rows], getattr(fixed, m))

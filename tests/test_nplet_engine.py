@@ -27,10 +27,12 @@ from hoi import nplet_engine
 from hoi.nplet_engine import (
     LogdetLattice,
     _BorderedSets,
+    _bias_offsets,
     _binomial_table,
     _border,
     _colex_unrank,
     _direct_logdets,
+    _excess_singles,
     _prefix_descent,
     _ranks,
     _unborder,
@@ -271,35 +273,47 @@ def test_collinear_matrices_never_give_non_finite_terms():
             sigma = t @ base @ t.T
             sigma = 0.5 * (sigma + sigma.T)
             covs = CovSet([CovarianceMatrix(sigma)])
-            terms = entropy_terms(covs, NpletBatch(3, indices=[[0, 1, 2]]))
-            assert np.isfinite(terms.excess_joint).all()
-            assert np.isfinite(terms.excess_leave_one_out).all()
+            batch = NpletBatch(3, indices=[[0, 1, 2]])
+            joint, loo = _direct_logdets(covs, batch)
+            assert np.isfinite(joint).all()
+            assert np.isfinite(loo).all()
             minors = [np.linalg.slogdet(sigma[np.ix_(rest, rest)])[1]
                       for rest in ([1, 2], [0, 2], [0, 1])]
-            np.testing.assert_allclose(2.0 * terms.excess_leave_one_out[0, 0], minors,
-                                       rtol=0, atol=1e-6)
+            np.testing.assert_allclose(loo[0, 0], minors, rtol=0, atol=1e-6)
+            sums = entropy_terms(covs, batch)  # J, S and L
+            assert all(np.isfinite(x).all() for x in sums)
+            np.testing.assert_allclose(2.0 * sums[2][0, 0], sum(minors), rtol=0, atol=1e-6)
 
 
 def test_entropy_terms_match_slogdet_reference():
     covs = random_covset(4, 6, d=2)
     idx = np.array(list(itertools.combinations(range(6), 3)))
-    terms = entropy_terms(covs, NpletBatch(6, indices=idx))
+    batch = NpletBatch(6, indices=idx)
+    joint, loo = _direct_logdets(covs, batch)
+    singles = _excess_singles(covs, _bias_offsets(covs, 3, False))  # (D, N)
+    j_sum, s_sum, l_sum = entropy_terms(covs, batch)
     for b, row in enumerate(idx):
         for d in range(2):
             sig = covs.covs[d].sigma
             sub = sig[np.ix_(row, row)]
             # excess entropies drop k, 1 and k - 1 unit-normal baselines
-            assert terms.excess_joint[b, d] + 3 * NORMAL_ENTROPY == pytest.approx(
-                ref.entropy(sub), rel=1e-12
-            )
+            want_joint = ref.entropy(sub)
+            assert 0.5 * joint[b, d] + 3 * NORMAL_ENTROPY == pytest.approx(want_joint, rel=1e-12)
+            assert j_sum[b, d] + 3 * NORMAL_ENTROPY == pytest.approx(want_joint, rel=1e-12)
+            want_singles, want_loo = [], []
             for pos, j in enumerate(row):
-                assert terms.excess_singles[b, d, pos] + NORMAL_ENTROPY == pytest.approx(
-                    ref.entropy(sig[j : j + 1, j : j + 1]), rel=1e-12
-                )
+                want_singles.append(ref.entropy(sig[j : j + 1, j : j + 1]))
+                assert singles[d, j] + NORMAL_ENTROPY == pytest.approx(want_singles[-1],
+                                                                      rel=1e-12)
                 keep = [i for i in range(3) if i != pos]
-                assert terms.excess_leave_one_out[b, d, pos] + 2 * NORMAL_ENTROPY == pytest.approx(
-                    ref.entropy(sub[np.ix_(keep, keep)]), rel=1e-12
+                want_loo.append(ref.entropy(sub[np.ix_(keep, keep)]))
+                assert 0.5 * loo[b, d, pos] + 2 * NORMAL_ENTROPY == pytest.approx(
+                    want_loo[-1], rel=1e-12
                 )
+            assert s_sum[b, d] + 3 * NORMAL_ENTROPY == pytest.approx(sum(want_singles),
+                                                                     rel=1e-12)
+            assert l_sum[b, d] + 3 * 2 * NORMAL_ENTROPY == pytest.approx(sum(want_loo),
+                                                                         rel=1e-12)
 
 
 def test_entropy_terms_mixed_equals_fixed():
@@ -309,18 +323,8 @@ def test_entropy_terms_mixed_equals_fixed():
     masks = np.zeros((len(idx), 7), dtype=bool)
     np.put_along_axis(masks, idx, True, axis=1)
     mixed = entropy_terms(covs, NpletBatch(7, masks=masks))
-    np.testing.assert_allclose(mixed.excess_joint, fixed.excess_joint, atol=1e-12)
-    at = idx[:, None, :].repeat(2, 1)
-    np.testing.assert_allclose(
-        np.take_along_axis(mixed.excess_singles, at, -1), fixed.excess_singles, atol=1e-12
-    )
-    np.testing.assert_allclose(
-        np.take_along_axis(mixed.excess_leave_one_out, at, -1), fixed.excess_leave_one_out,
-        atol=1e-12,
-    )
-    # positions outside each n-plet hold exact zeros
-    assert (mixed.excess_singles[~masks[:, None, :].repeat(2, 1)] == 0.0).all()
-    assert (mixed.excess_leave_one_out[~masks[:, None, :].repeat(2, 1)] == 0.0).all()
+    for got, want in zip(mixed, fixed):  # J, S and L
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_entropy_terms_bias_needs_sample_counts():
@@ -333,26 +337,25 @@ def test_entropy_terms_bias_needs_sample_counts():
 def test_entropy_terms_bias_correction_uses_effective_dimension():
     covs = random_covset(7, 4, samples=60)
     batch = NpletBatch(4, indices=np.array([[0, 1, 2]]))
+    np.testing.assert_allclose(
+        _excess_singles(covs, _bias_offsets(covs, 3, True)),
+        _excess_singles(covs, _bias_offsets(covs, 3, False)) - ref.entropy_bias(1, 60),
+        atol=1e-12,
+    )
     raw = entropy_terms(covs, batch)
     corr = entropy_terms(covs, batch, bias_correct=True)
-    assert corr.excess_joint[0, 0] == pytest.approx(
-        raw.excess_joint[0, 0] - ref.entropy_bias(3, 60), abs=1e-12
-    )
-    np.testing.assert_allclose(
-        corr.excess_singles[0, 0], raw.excess_singles[0, 0] - ref.entropy_bias(1, 60),
-        atol=1e-12,
-    )
-    np.testing.assert_allclose(
-        corr.excess_leave_one_out[0, 0], raw.excess_leave_one_out[0, 0] - ref.entropy_bias(2, 60),
-        atol=1e-12,
-    )
+    # J, S and L: one joint term of order 3, three singles and three of order 2
+    for got, want, k, count in zip(corr, raw, (3, 1, 2), (1, 3, 3)):
+        assert got[0, 0] == pytest.approx(want[0, 0] - count * ref.entropy_bias(k, 60),
+                                          abs=1e-12)
 
 
 def test_order_one_rows_have_zero_leave_one_out():
     covs = random_covset(8, 3)
-    masks = np.eye(3, dtype=bool)
-    terms = entropy_terms(covs, NpletBatch(3, masks=masks))
-    np.testing.assert_allclose(terms.excess_leave_one_out, 0.0, atol=1e-12)
+    _, loo = _direct_logdets(covs, NpletBatch(3, indices=np.arange(3)[:, None]))
+    np.testing.assert_allclose(loo, 0.0, atol=1e-12)
+    _, _, l_sum = entropy_terms(covs, NpletBatch(3, masks=np.eye(3, dtype=bool)))
+    np.testing.assert_allclose(l_sum, 0.0, atol=1e-12)
 
 
 def test_mixed_batch_failure_reports_caller_row():

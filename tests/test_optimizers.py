@@ -430,6 +430,19 @@ def test_anneal_bias_correction_refuses_max_order_at_the_sample_count():
         anneal(covs, ObjectiveSpec(), sched, kappa=4, seed=5, bias_correct=True)
 
 
+def test_anneal_clips_a_defaulted_max_order_below_the_sample_count():
+    # T = 8 samples of N = 12 variables: every set of order >= 8 is singular,
+    # so a defaulted max_order (N) is clipped to T - 1, as greedy clips kappa
+    covs = CovSet([estimate_covariance(copula_transform(
+        sample_gaussian(planted_covset().covs[0], 8, seed=3)))])
+    with pytest.warns(UserWarning, match="clipping"):
+        st = anneal(covs, ObjectiveSpec(), AnnealSchedule(max_iters=100, min_order=3),
+                    kappa=6, seed=1)
+    assert st.masks.sum(axis=1).max() <= 7 and st.best_mask.sum() <= 7
+    with pytest.raises(InsufficientSamples):
+        anneal(covs, ObjectiveSpec(), AnnealSchedule(max_iters=0, min_order=8), kappa=2)
+
+
 def test_searches_on_well_conditioned_input_never_factor(monkeypatch):
     # greedy scores seeds, restart seeds and growth on the lattice, and
     # every set anneal stores, refreshed ones included, is bordered up from

@@ -390,7 +390,7 @@ def test_near_singular_scan_matches_the_direct_path(
         on_direct = [i for i, row in enumerate(rows) if tuple(row) in direct]
         if on_direct:
             want = entropy_terms(covs, NpletBatch(n, indices=[rows[i] for i in on_direct]))
-            for got, wanted in zip((joint_sum, singles_sum, loo_sum), want.sums()):
+            for got, wanted in zip((joint_sum, singles_sum, loo_sum), want):
                 np.testing.assert_array_equal(got[on_direct], wanted)
         for i in sorted(set(range(len(rows))) - set(on_direct)):
             row = rows[i]
@@ -655,15 +655,15 @@ def direct_measure_rows(covs, lo, hi, bias_correct):
 
 def test_pivot_scans_skip_per_row_terms(monkeypatch):
     # pivot orders read J, S and L straight from the tables: no per-row
-    # EntropyTerms is built, so a scan completes with _excess_terms broken
+    # terms are summed, so a scan completes with _excess_sums broken
     covs = walk_covset(5, 10, 2, 40)
     assert nplet_engine.LogdetLattice(covs, 1, 10, True).pivots == set(range(1, 11))
     want = direct_measure_rows(covs, 1, 10, bias_correct=True)
 
     def no_terms(*args, **kwargs):
-        raise AssertionError("_excess_terms called")
+        raise AssertionError("_excess_sums called")
 
-    monkeypatch.setattr(nplet_engine, "_excess_terms", no_terms)
+    monkeypatch.setattr(nplet_engine, "_excess_sums", no_terms)
     ticks = []
     got = measure_rows(covs, 1, 10, bias_correct=True, progress=ticks.append)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
