@@ -95,7 +95,7 @@ def _parses_as_float(cell: str) -> bool:
 
 def _read_csv(path: Path) -> DataMatrix:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
             lines = fh.readlines()
     except UnicodeDecodeError as e:
         raise InvalidData(f"{path}: not valid UTF-8 ({e})") from None
@@ -198,7 +198,7 @@ def _parse_orders(text: str, n: int):
     return lo, hi
 
 
-def _int_or_all(text: str, n: int, flag: str) -> int:
+def _int_or_all(text: str, n: int | None, flag: str) -> int | None:
     try:
         return n if text == "all" else int(text)
     except ValueError:
@@ -317,7 +317,7 @@ def _cmd_anneal(args):
     schedule = AnnealSchedule(
         temp0=temp0, alpha=args.alpha, max_iters=args.iters,
         patience=args.patience, mode=args.mode, min_order=args.min_order,
-        max_order=_int_or_all(args.max_order, covs.n_variables, "--max-order"),
+        max_order=_int_or_all(args.max_order, None, "--max-order"),  # anneal clips 'all' to T - 1
     )
     state = anneal(covs, spec, schedule, kappa=args.kappa, seed=args.seed,
                    bias_correct=args.bias_correct,

@@ -16,9 +16,11 @@ growth. One kernel, _border, adds a variable to a set of known
 inverse and log-determinant through its Schur complement (_grow then
 grows the inverse, _unborder removes a variable); it serves the lattice
 and _BorderedSets, the stored sets that annealing moves and scores
-through a lattice. _prefix_descent borders sets up from their first
-members' variances, so only the direct path factors
-(copula_core._jittered_cholesky, the one jitter retry). A Schur
+through a lattice. Every bordering starts from the empty set
+(log-determinant 0, a 0 x 0 inverse): _prefix_descent borders sets up
+from it one member at a time, and the pivot route's tables climb from
+table 0. Only the direct path factors (copula_core._jittered_cholesky,
+the one jitter retry), and nothing calls np.linalg.inv. A Schur
 complement that is not positive gives NaN, and a set is trusted only
 while every member's relative Schur complement clears BORDER_RTOL
 (_conditioned); rows that are not go to the direct path from one site,
@@ -338,24 +340,19 @@ def _border(sigma: np.ndarray, members: np.ndarray, v: np.ndarray,
     return logdet + np.log(s), diag, z, s
 
 
-def _grow(inv: np.ndarray, z: np.ndarray, s: np.ndarray, slot, out=None) -> np.ndarray:
-    """sigma[S + v, S + v]^-1 from inv = sigma[S, S]^-1 (B, D, m, m) and
-    _border's z and s: inv + z z^T / s, formed in place, then -z / s in row
-    and column slot and 1 / s where they cross. v takes slot (per row, or
-    one for all): a zero row and column of inv, which then holds the
-    result, or row and column m of out (B, D, m + 1, m + 1). Returns the
-    result."""
-    m, edge = inv.shape[-1], -z / s[..., None]
-    inv -= z[..., :, None] * edge[..., None, :]
-    if out is None:
-        out = inv
-    else:
-        out[..., :m, :m] = inv
-    rows = np.arange(len(out))
-    out[rows, :, slot, :m] = edge
-    out[rows, :, :m, slot] = edge
-    out[rows, :, slot, slot] = 1.0 / s
-    return out
+def _grow(inv: np.ndarray, z: np.ndarray, s: np.ndarray, slot) -> np.ndarray:
+    """sigma[S + v, S + v]^-1, in place, from inv = sigma[S, S]^-1 (B, D, W, W)
+    and _border's z and s, with z over inv's leading slots: inv + z z^T / s
+    there, then -z / s in row and column slot and 1 / s where they cross.
+    v takes slot, per row or one for all, whose row and column are dead
+    (zero, or past z). Returns inv."""
+    m, edge = z.shape[-1], -z / s[..., None]
+    inv[..., :m, :m] -= z[..., :, None] * edge[..., None, :]
+    rows = np.arange(len(inv))
+    inv[rows, :, slot, :m] = edge
+    inv[rows, :, :m, slot] = edge
+    inv[rows, :, slot, slot] = 1.0 / s
+    return inv
 
 
 def _prefix_descent(sigma: np.ndarray, idx: np.ndarray):
@@ -363,27 +360,25 @@ def _prefix_descent(sigma: np.ndarray, idx: np.ndarray):
     sets among the (B, m) index rows idx, and each row's set (B,).
 
     The level-l nodes are the runs of adjacent rows sharing an (l + 1)-
-    prefix, as in lexicographic order. Level 0 holds the first members'
-    variances s = sigma_vv (logdet log s, inverse 1 / s); every deeper node
-    is its parent bordered by its last member (_border, _grow; Hager 1989,
-    SIAM Review 31:221), holds exactly its own members, and depends on its
-    prefix alone. A Schur complement (or variance) that is not positive
-    makes a node and its subtree NaN."""
+    prefix, as in lexicographic order. The descent starts from the empty
+    set (logdet 0, a 0 x 0 inverse), and every node is its parent bordered
+    by its last member (_border, then _grow into the node's new slot; Hager
+    1989, SIAM Review 31:221): it holds exactly its own members and depends
+    on its prefix alone. A Schur complement that is not positive makes a
+    node and its subtree NaN."""
     b, m = idx.shape
-    if m == 0:  # every row is the empty set
-        return np.zeros((1, len(sigma))), np.zeros((1, len(sigma), 0, 0)), np.zeros(b, dtype=int)
-    new = np.r_[True, idx[1:, 0] != idx[:-1, 0]]  # rows that start a node of the level
-    s = sigma[:, idx[new, 0], idx[new, 0]].T
-    s = np.where(s > 0.0, s, np.nan)
-    logdet, inv = np.log(s), (1.0 / s)[..., None, None]
-    node = np.cumsum(new) - 1  # each row's node at the level above
-    for l in range(1, m):
-        new[1:] |= idx[1:, l] != idx[:-1, l]
+    d = len(sigma)
+    logdet, inv = np.zeros((1, d)), np.zeros((1, d, 0, 0))
+    new, node = np.arange(b) == 0, np.zeros(b, dtype=int)  # every row starts at the root
+    for l in range(m):
+        new[1:] |= idx[1:, l] != idx[:-1, l]  # rows that start a node of the level
         first = np.flatnonzero(new)
         at = node[first]
         parent = np.take(inv, at, axis=0)  # np.take gathers rows several times faster
         logdet, _, z, s = _border(sigma, idx[first, :l], idx[first, l], parent, logdet[at])
-        inv = _grow(parent, z, s, l, out=np.empty((len(first), len(sigma), l + 1, l + 1)))
+        inv = np.zeros((len(first), d, l + 1, l + 1))
+        inv[..., :l, :l] = parent
+        _grow(inv, z, s, l)
         node = np.cumsum(new) - 1
     return logdet, inv, node
 
@@ -561,13 +556,14 @@ class LogdetLattice:
     An order takes the pivot route when its two tables, C(N, k - 1) +
     C(N, k) floats per dataset, plus the states of the (k - 1)- and
     k-plets (_state_size) fit LATTICE_TABLE_BYTES, and every order below
-    it does too: states pass from one order to the next, from the empty
-    set (sigma itself) up, so open(min_order) first descends from there to
-    table min_order - 1 (table 1 holds the singles, 1/2 log sigma_ii -
-    eta_1). A batch of any other order walks, so a lattice that opens no
-    order scores any batch. A scan opens orders in increasing order and
-    evaluates every batch of an order before opening the next; greedy and
-    annealing (through _BorderedSets) score on one that opens none.
+    it does too: tables and states pass from one order to the next, from
+    the empty set's (table 0, one zero entry, and sigma itself) up, so
+    open(min_order) climbs from there (table 1 holds the singles, 1/2 log
+    sigma_ii - eta_1). A batch of any other order walks, so a lattice
+    that opens no order scores any batch. A scan opens orders in
+    increasing order and evaluates every batch of an order before opening
+    the next; greedy and annealing (through _BorderedSets) score on one
+    that opens none.
 
     _checked is the engine's one fallback site, with one rule, after
     either route and for annealing's proposals: a row runs on the direct
@@ -604,22 +600,22 @@ class LogdetLattice:
 
     def open(self, k: int) -> None:
         """Make order k current: a pivot order builds table k and rows, its
-        (k, C(N, k)) n-plets in lexicographic order, from order k - 1's; a
-        walk order drops every table and rows."""
+        (k, C(N, k)) n-plets in lexicographic order, climbing one order at
+        a time from the highest table it holds, k - 1 or, if it holds none,
+        table 0, the empty set; a walk order drops every table and rows."""
         self.tables = {m: t for m, t in self.tables.items() if m == k - 1 and k in self.pivots}
         if k not in self.pivots:
             self.rows = None
             return
-        n = self.covs.n_variables
-        if k - 1 not in self.tables:  # descend from the empty set
-            table, self.states = np.zeros((1, self.covs.n_datasets)), {-1: self.sigma[None]}
+        n, d = self.covs.n_variables, self.covs.n_datasets
+        if not self.tables:  # the empty set, with sigma as its pivot state
+            self.tables[0], self.states = np.zeros((1, d)), {-1: self.sigma[None]}
             self.rows = np.zeros((0, 1), dtype=np.min_scalar_type(n - 1))
-            for j in range(1, k):
-                table = self._descend(table, j, carry=True)
-                self.rows = _lex_rows(self.rows, n)
-            self.tables[k - 1] = table
-        self.rows = _lex_rows(self.rows, n)
-        self.tables[k] = self._descend(self.tables[k - 1], k, carry=k + 1 in self.pivots)
+        for j in range(max(self.tables) + 1, k + 1):
+            self.tables = {j - 1: self.tables[j - 1]}
+            self.rows = _lex_rows(self.rows, n)
+            carry = j < k or k + 1 in self.pivots
+            self.tables[j] = self._descend(self.tables[j - 1], j, carry)
 
     def _descend(self, table: np.ndarray, j: int, carry: bool) -> np.ndarray:
         """Table j from table j - 1 and the pivot states of the (j - 1)-plets,
@@ -709,25 +705,22 @@ class LogdetLattice:
 
     def _checked(self, sums, members: np.ndarray, live=None):
         """((B, D) J, S, L, rows on the direct path) after the one fallback
-        check: a row whose J or L is NaN goes to entropy_terms, its sums
-        then compute_hoi_batch's by construction. Row r's set is members[r],
-        a sorted index row, or its slots live[r] marks, which then go as a
-        mask row. NotPositiveDefinite coordinates are rows of members."""
+        check: a row whose J or L is NaN goes to entropy_terms as a mask
+        row, its sums then compute_hoi_batch's by construction. Row r's set
+        is members[r] at the slots live[r] marks (every slot without live).
+        NotPositiveDefinite coordinates are rows of members."""
         joint, singles, loo = sums
         if not (np.isnan(joint).any() or np.isnan(loo).any()):  # the common case, tested fast
             return sums, 0
         rows = np.flatnonzero(np.isnan(joint).any(axis=1) | np.isnan(loo).any(axis=1))
+        live = np.ones(members.shape, dtype=bool) if live is None else live
+        at, slots = np.nonzero(live[rows])
         n = self.covs.n_variables
-        if live is None:
-            batch = NpletBatch._trusted(n, members[rows])
-        else:
-            at, slots = np.nonzero(live[rows])
-            masks = np.zeros((len(rows), n), dtype=bool)
-            masks[at, members[rows[at], slots]] = True
-            batch = NpletBatch(n, masks=masks, check_unique=False)
+        masks = np.zeros((len(rows), n), dtype=bool)
+        masks[at, members[rows[at], slots]] = True
         try:
             joint[rows], singles[rows], loo[rows] = entropy_terms(
-                self.covs, batch, self.bias_correct)
+                self.covs, NpletBatch(n, masks=masks, check_unique=False), self.bias_correct)
         except NotPositiveDefinite as err:
             raise NotPositiveDefinite(
                 str(err), coords=[(int(rows[r]), d) for r, d in err.coords]) from None

@@ -2,7 +2,7 @@
 
 A scan visits every n-plet in an order range exactly once per dataset,
 in lexicographic order within each order, feeding (batch, measures)
-pairs to a reducer. Reduction always happens in the parent process in
+pairs to a reducer. Reduction always happens on the calling thread in
 enumeration order, so the result is independent of batch size and worker
 count. Orders are evaluated one after another on a log-determinant
 lattice (nplet_engine.LogdetLattice). The 21-feature informational
@@ -325,10 +325,12 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
     """Visit every n-plet with order in [min_order, max_order] once.
 
     Orders run one after another on a log-determinant lattice
-    (nplet_engine.LogdetLattice), and no matrix is inverted. The lattice
-    gives each batch the three (B, D) sums every measure is linear in:
-    the joint excess entropy J, the members' sum S and the leave-one-out
-    sum L; measures.hoi_from_sums turns them into tc, dtc, o and s. Each
+    (nplet_engine.LogdetLattice). Nothing calls np.linalg.inv: inverses
+    are bordered up from the empty set, and the direct path forms a
+    triangular inverse by forward substitution. The lattice gives each
+    batch the three (B, D) sums every measure is linear in: the joint
+    excess entropy J, the members' sum S and the leave-one-out sum L;
+    measures.hoi_from_sums turns them into tc, dtc, o and s. Each
     order takes one of two routes:
 
     - pivot: the order's table of joint excess entropies, indexed by
@@ -343,7 +345,7 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
       lattice builds from order k - 1's when the order opens: nothing is
       unranked.
     - walk: each batch, unranked by enumerate_order, borders its own
-      prefix tree, from one variable up to each n-plet, with one Schur
+      prefix tree, from the empty set up to each n-plet, with one Schur
       complement per distinct prefix; the leave-one-out terms come from
       the bordered inverse's diagonal. No table is read or written.
 

@@ -324,6 +324,21 @@ def test_effect_objective_runs_on_directory(tmp_path):
     assert math.isfinite(float(rows[1][3]))
 
 
+
+def test_anneal_default_max_order_is_clipped_below_the_sample_count(tmp_path):
+    # 8 samples of 12 variables: every set of order 8 or more is singular,
+    # so --max-order all (the default) leaves anneal's clip to T - 1 = 7
+    path = tmp_path / "short.csv"
+    x = np.random.default_rng(1).standard_normal((8, 12))
+    np.savetxt(path, x, fmt="%.17g", delimiter=",", comments="",
+               header=",".join(f"v{j}" for j in range(12)))
+    out = tmp_path / "a.csv"
+    with pytest.warns(UserWarning, match="clipping"):
+        assert main(["anneal", "--input", str(path), "--min-order", "3", "--iters", "50",
+                     "--kappa", "6", "--seed", "1", "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert len(rows) == 8 and all(3 <= int(r[1]) <= 7 for r in rows[1:])
+
 def test_csv_trailing_blank_lines_are_ignored(tmp_path, data_csv, capsys):
     text = data_csv.read_text()
     (tmp_path / "t").mkdir()
@@ -341,6 +356,21 @@ def test_csv_trailing_blank_lines_are_ignored(tmp_path, data_csv, capsys):
     assert main(base + ["--input", str(inner)]) == 1
     assert "row 4 has 0 fields" in capsys.readouterr().err
 
+
+
+def test_csv_byte_order_mark_is_dropped(tmp_path, data_csv):
+    # Excel's "CSV UTF-8" starts the file with a byte-order mark
+    (tmp_path / "bom").mkdir()
+    bom = tmp_path / "bom" / data_csv.name  # same stem, same dataset column
+    bom.write_bytes(b"\xef\xbb\xbf" + data_csv.read_bytes())
+    base = ["scan", "--orders", "3:3", "--reduce", "top:2:max:o"]
+    assert main(base + ["--input", str(data_csv), "--out", str(tmp_path / "a.csv")]) == 0
+    assert main(base + ["--input", str(bom), "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    # a directory mixing a marked file with a plain one has one header
+    (tmp_path / "bom" / "plain.csv").write_bytes(data_csv.read_bytes())
+    assert main(["features", "--input", str(tmp_path / "bom"),
+                 "--out", str(tmp_path / "f.csv")]) == 0
 
 def test_headerless_csv_is_rejected(tmp_path, data_csv, capsys):
     # without its header the first sample would become the variable names

@@ -412,6 +412,15 @@ def test_bordering_adds_and_removes_one_variable_exactly():
 def test_prefix_descent_matches_slogdet_and_inv():
     covs = random_covset(21, 8, d=2)
     sigma = covs.stacked()
+    # every descent starts at the empty set: log-determinant 0, a 0 x 0 inverse
+    logdet, inv, node = _prefix_descent(sigma, np.zeros((3, 0), dtype=np.int64))
+    assert logdet.tolist() == [[0.0, 0.0]] and inv.shape == (1, 2, 0, 0)
+    np.testing.assert_array_equal(node, np.zeros(3))
+    # its first level is each variable's variance, exactly
+    var = np.diagonal(sigma, axis1=1, axis2=2).T  # (N, D)
+    logdet, inv, _ = _prefix_descent(sigma, np.arange(8)[:, None])
+    np.testing.assert_array_equal(logdet, np.log(var))
+    np.testing.assert_array_equal(inv[:, :, 0, 0], 1.0 / var)
     for m in range(1, 9):
         # lexicographic rows, which share their prefixes with their neighbours
         idx = np.array(list(itertools.combinations(range(8), m)))
@@ -427,6 +436,28 @@ def test_prefix_descent_matches_slogdet_and_inv():
         np.testing.assert_array_equal(part[0], logdet[window])
         np.testing.assert_array_equal(part[1], inv[window])
 
+
+
+@pytest.mark.parametrize("n,d", [(7, 3), (12, 1)])
+def test_lattice_opens_every_order_alike_from_any_lowest_order(n, d):
+    # open(k) climbs from the empty set when it holds no table k - 1, so a
+    # lattice whose lowest order is lo gives the bits of one from order 1
+    covs = random_covset(31 + n, n, d=d, samples=200)
+    for bias_correct in (False, True):
+        climbed = {}
+        first = LogdetLattice(covs, 1, n, bias_correct)
+        assert first.pivots == set(range(1, n + 1))
+        for k in range(1, n + 1):
+            first.open(k)
+            climbed[k] = (first.tables[k - 1], first.tables[k], first.rows)
+        for lo in range(2, n + 1):
+            lattice = LogdetLattice(covs, lo, n, bias_correct)
+            for k in range(lo, n + 1):
+                lattice.open(k)
+                assert sorted(lattice.tables) == [k - 1, k]
+                for got, want in zip((lattice.tables[k - 1], lattice.tables[k], lattice.rows),
+                                     climbed[k]):
+                    np.testing.assert_array_equal(got, want)
 
 def test_bordered_sets_score_moves_from_any_stored_row():
     covs = random_covset(12, 9, d=2)

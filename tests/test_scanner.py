@@ -786,7 +786,7 @@ def test_lattice_fallback_rows_equal_compute_hoi_batch_bitwise():
     terms_of = nplet_engine.entropy_terms
 
     def recorded(c, batch, bias_correct=False):
-        direct.update(map(tuple, batch.indices.tolist()))
+        direct.update(batch.row_indices(i) for i in range(batch.batch_size))
         return terms_of(c, batch, bias_correct)
 
     wide = 0
