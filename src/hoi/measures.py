@@ -6,6 +6,7 @@ correlation) shared randomness; their difference is the O-information
 their sum the S-information. All values are in nats.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,12 +67,16 @@ def pairwise_mi(cov, i: int, j: int, bias_correct: bool = False) -> float:
     Equals the total correlation of the pair; at order 2 TC and DTC
     coincide, so this is also their common value.
     """
+    try:
+        i, j = operator.index(i), operator.index(j)
+    except TypeError:
+        raise InvalidNplet(f"pairwise MI needs integer indices, got ({i!r}, {j!r})") from None
     if i == j:
         raise InvalidNplet("pairwise MI needs two distinct variables")
     c = _as_cov(cov)
     n = c.n_variables
     if not (0 <= i < n and 0 <= j < n):
         raise InvalidNplet(f"indices ({i}, {j}) out of range for N={n}")
-    pair = np.array([sorted((int(i), int(j)))], dtype=np.int64)
+    pair = np.array([sorted((i, j))], dtype=np.int64)
     return float(compute_hoi_batch(CovSet([c]), NpletBatch(n, indices=pair),
                                    bias_correct=bias_correct).tc[0, 0])

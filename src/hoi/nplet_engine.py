@@ -31,6 +31,7 @@ its lattice builds (_lex_rows).
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,11 +80,17 @@ class NpletBatch:
                  check_unique: bool = True):
         if (indices is None) == (masks is None):
             raise InvalidNplet("provide exactly one of indices or masks")
+        try:
+            self.n_variables = operator.index(n_variables)
+        except TypeError:
+            raise InvalidData(f"n_variables must be an integer, got {n_variables!r}") from None
         if n_variables < 1:
             raise InvalidData(f"n_variables must be >= 1, got {n_variables}")
-        self.n_variables = int(n_variables)
         if indices is not None:
-            idx = np.asarray(indices, dtype=np.int64)
+            idx = np.asarray(indices)
+            if idx.dtype.kind not in "iu":
+                raise InvalidNplet(f"indices must be integers, got dtype {idx.dtype}")
+            idx = idx.astype(np.int64, copy=False)
             if idx.ndim != 2 or idx.shape[0] < 1 or idx.shape[1] < 1:
                 raise InvalidNplet(f"indices must be a nonempty 2-D array, got shape {idx.shape}")
             if idx.min() < 0 or idx.max() >= n_variables:
@@ -177,25 +184,6 @@ def _colex_unrank(ranks: np.ndarray, k: int, binom: np.ndarray) -> np.ndarray:
         r -= col[rows[:, p]]
     rows[:, 0] = r
     return rows
-
-
-def _ranks(idx: np.ndarray, binom: np.ndarray):
-    """(B,) colex ranks of the rows of idx and (B, K) ranks of each row
-    without its member j: a prefix sum of C(c_p, p + 1) over p < j plus a
-    suffix sum of C(c_p, p) over p > j (member p moves to position p - 1),
-    one B-long column at a time."""
-    k = idx.shape[1]
-    cols, by_pos = idx.T, binom.T
-    loo = np.empty((k, idx.shape[0]), dtype=np.int64)
-    acc = np.zeros(idx.shape[0], dtype=np.int64)
-    for p in range(k):
-        loo[p] = acc
-        acc += by_pos[p + 1][cols[p]]
-    rank, acc = acc, np.zeros_like(acc)
-    for p in range(k - 1, -1, -1):
-        loo[p] += acc
-        acc += by_pos[p][cols[p]]
-    return rank, loo.T
 
 
 def enumerate_order(n: int, k: int, batch_size: int = 10000):
@@ -485,7 +473,9 @@ def entropy_terms(covs: CovSet, batch: NpletBatch, bias_correct: bool = False):
 #: route, the raw log-determinant tables and the pivot states of two orders.
 #: Orders past it walk, which keeps nothing between batches. A pivot
 #: order's index rows (_lex_rows, C(N, k) * k bytes at N <= 256) ride
-#: outside the cap: at most 3.7 MB at N=20, for orders k - 1 and k.
+#: outside the cap: at most 3.7 MB at N=20, for orders k - 1 and k. It
+#: also bounds the parent inverses extend gathers at once, one group of
+#: rows at a time (the walk's prefix tree itself is not bounded).
 LATTICE_TABLE_BYTES = 64 * 2**20
 
 #: Schur complements below BORDER_RTOL times the variance of their variable
@@ -675,33 +665,47 @@ class LogdetLattice:
         term is its parent's plus log s, and leaving out member j gives
         logdet(c) + log (sigma_c^-1)_jj, or the parent's for add; S and L
         add the parent's members in turn, then add. A row with a member
-        that _conditioned does not trust is NaN, so it goes direct."""
-        logdet, inv, at = _prefix_descent(self.sigma, parents)
+        that _conditioned does not trust is NaN, so it goes direct. Rows
+        are bordered in groups whose gathered parent inverses fit
+        LATTICE_TABLE_BYTES, then checked as one batch."""
+        logdet, tree, at = _prefix_descent(self.sigma, parents)
         if parent is None:
             members = rows
         else:
             at = at[parent]
             members = np.concatenate([np.take(parents, parent, axis=0), add[:, None]], axis=1)
-        before, inv = np.take(logdet, at, axis=0), np.take(inv, at, axis=0)
-        joint, diag, _, s = _border(self.sigma, members[:, :-1], add, inv, before)
-        diag = np.concatenate([diag, 1.0 / s[..., None]], axis=-1)
-        good = _conditioned(members, np.ones(members.shape, dtype=bool), diag, self.var)
-        loo = _leave_one_out(joint, diag, good)
-        loo[..., -1] = np.where(good[..., -1], before, np.nan)  # c without add
-        sums = _excess_sums(joint, loo, members, self.x_singles, self.bias)
-        return self._checked(sums, rows)
+        sums = np.empty((3, len(rows), len(self.sigma)))
+        step = max(1, LATTICE_TABLE_BYTES // max(1, tree[:1].nbytes))
+        for lo in range(0, len(rows), step):
+            g, c = slice(lo, lo + step), members[lo:lo + step]
+            before = np.take(logdet, at[g], axis=0)
+            joint, diag, _, s = _border(self.sigma, c[:, :-1], add[g],
+                                        np.take(tree, at[g], axis=0), before)
+            diag = np.concatenate([diag, 1.0 / s[..., None]], axis=-1)
+            good = _conditioned(c, np.ones(c.shape, dtype=bool), diag, self.var)
+            loo = _leave_one_out(joint, diag, good)
+            loo[..., -1] = np.where(good[..., -1], before, np.nan)  # c without add
+            sums[:, g] = _excess_sums(joint, loo, c, self.x_singles, self.bias)
+        return self._checked(tuple(sums), rows)
 
     def _gather(self, idx: np.ndarray):
-        """(B, D) J, S and L of a batch idx of a pivot order, read from the tables."""
-        k = idx.shape[1]
-        rank, loo_rank = _ranks(idx, self.binom)
-        below, cols, loo_rank = self.tables[k - 1], idx.T, loo_rank.T  # (K, B) columns
-        joint = np.take(self.tables[k], rank, axis=0)
-        singles, loo = np.take(self.singles, cols[0], axis=0), np.take(below, loo_rank[0], axis=0)
+        """(B, D) J, S and L of a batch idx of a pivot order, read from the
+        tables member by member. Row c without member j has colex rank
+        sum_{p<j} C(c_p, p + 1) + sum_{p>j} C(c_p, p) (member p moves to
+        position p - 1): a backward pass forms the suffix sums, and the
+        forward pass adds member j's prefix term after reading table k - 1
+        and the singles, ending at c's own rank, where J is read."""
+        k, cols, by_pos = idx.shape[1], idx.T, self.binom.T
+        rest = [np.zeros(len(idx), dtype=np.int64)]
+        for p in range(k - 1, 0, -1):
+            rest.insert(0, rest[0] + by_pos[p][cols[p]])
+        below, rank = self.tables[k - 1], by_pos[1][cols[0]]
+        singles, loo = np.take(self.singles, cols[0], axis=0), np.take(below, rest[0], axis=0)
         for j in range(1, k):
             singles += np.take(self.singles, cols[j], axis=0)
-            loo += np.take(below, loo_rank[j], axis=0)
-        return joint, singles, loo
+            loo += np.take(below, rank + rest[j], axis=0)
+            rank += by_pos[j + 1][cols[j]]
+        return np.take(self.tables[k], rank, axis=0), singles, loo
 
     def _checked(self, sums, members: np.ndarray, live=None):
         """((B, D) J, S, L, rows on the direct path) after the one fallback

@@ -8,6 +8,7 @@ test beds for estimators and search heuristics.
 """
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +94,10 @@ def ground_truth_hoi(cov, nplet) -> tuple:
     the population covariance.
     """
     c = _as_cov(cov)
-    idx = [int(v) for v in nplet]
+    try:
+        idx = [operator.index(v) for v in nplet]
+    except TypeError:
+        raise InvalidNplet(f"n-plet indices must be integers, got {nplet!r}") from None
     if len(set(idx)) != len(idx):
         raise InvalidNplet("duplicate indices in n-plet")
     if not idx:

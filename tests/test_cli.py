@@ -96,6 +96,36 @@ def test_scan_outputs_are_byte_identical_across_runs_and_workers(
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_workers_flag_overrides_the_environment(tmp_path, data_csv, monkeypatch):
+    seen = []
+    real_scan = cli.scan
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["workers"])
+        return real_scan(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "scan", spy)
+    monkeypatch.setenv("HOI_WORKERS", "1")
+    outs = []
+    for i, extra in enumerate(([], ["--workers", "2"])):
+        out = tmp_path / f"top{i}.csv"
+        assert main(["scan", "--input", str(data_csv), "--orders", "2:5",
+                     "--reduce", "top:10:max:o", "--out", str(out)] + extra) == 0
+        outs.append(out.read_bytes())
+    assert seen == [1, 2]
+    assert outs[0] == outs[1]
+
+
+def test_a_single_order_reads_as_its_range(tmp_path, data_csv):
+    outs = []
+    for i, orders in enumerate(("4", "4:4")):
+        out = tmp_path / f"top{i}.csv"
+        assert main(["scan", "--input", str(data_csv), "--orders", orders,
+                     "--reduce", "top:5:max:o", "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_scan_histogram_shape(tmp_path, data_csv):
     out = tmp_path / "hist.csv"
     assert main(["scan", "--input", str(data_csv), "--orders", "3:3",
@@ -158,6 +188,16 @@ def test_anneal_output_rows_and_determinism(tmp_path, data_csv):
     assert float(rows[1][4]) == want.best_energy * -1.0  # natural sign for min
 
 
+def test_anneal_with_a_fixed_start_temperature(tmp_path, data_csv):
+    out = tmp_path / "a.csv"
+    assert main(["anneal", "--input", str(data_csv), "--kappa", "4", "--iters", "20",
+                 "--temp0", "0.5", "--out", str(out)]) == 0
+    covs = covset_from_csv(data_csv)
+    want = hoi.anneal(covs, hoi.ObjectiveSpec(), hoi.AnnealSchedule(temp0=0.5, max_iters=20),
+                      kappa=4)
+    assert float(read_rows(out)[1][4]) == want.best_energy
+
+
 def test_features_schema_and_agreement(tmp_path, data_csv):
     out = tmp_path / "features.csv"
     assert main(["features", "--input", str(data_csv), "--out", str(out)]) == 0
@@ -186,7 +226,7 @@ def test_progress_lines_go_to_stderr(capsys, data_csv):
     assert "fallback_rows=0" in err
 
 
-def test_usage_and_validation_failures_exit_one(tmp_path, data_csv, capsys):
+def test_usage_and_validation_failures_exit_one(tmp_path, data_csv, capsys, monkeypatch):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\nx,4\n")
     ragged = tmp_path / "ragged.csv"
@@ -198,6 +238,10 @@ def test_usage_and_validation_failures_exit_one(tmp_path, data_csv, capsys):
     unreadable = tmp_path / "unreadable"
     (unreadable / "zz.csv").mkdir(parents=True)
     (unreadable / "aa.csv").write_text(data_csv.read_text())
+    headers = tmp_path / "headers"  # two CSVs whose headers differ
+    headers.mkdir()
+    (headers / "a.csv").write_text(data_csv.read_text())
+    (headers / "b.csv").write_text("renamed_" + data_csv.read_text())
     cases = [
         [],
         ["bogus"],
@@ -241,10 +285,24 @@ def test_usage_and_validation_failures_exit_one(tmp_path, data_csv, capsys):
         ["anneal", "--input", str(data_csv), "--batch-size", "10"],
         ["scan", "--input", str(unreadable), "--orders", "3:3",
          "--reduce", "top:1:max:o"],
+        ["scan", "--input", str(headers), "--orders", "3:3",
+         "--reduce", "top:1:max:o"],
+        ["greedy", "--input", str(data_csv), "--target-order", "x"],
+        ["scan", "--input", str(data_csv), "--orders", "3:3",
+         "--reduce", "top:x:max:o"],
+        ["greedy", "--input", str(data_csv), "--aggregate", "effect",
+         "--cond-a", "0,x", "--cond-b", "0,1"],
+        ["greedy", "--input", str(data_csv), "--cond-a", "0"],
+        ["anneal", "--input", str(data_csv), "--temp0", "hot"],
     ]
     for argv in cases:
         assert main(argv) == 1, argv
         capsys.readouterr()  # drain
+    monkeypatch.setenv("HOI_WORKERS", "x")
+    assert main(["scan", "--input", str(data_csv), "--orders", "3:3",
+                 "--reduce", "top:1:max:o"]) == 1
+    assert "HOI_WORKERS must be an integer" in capsys.readouterr().err
+    monkeypatch.delenv("HOI_WORKERS")
     lines = data_csv.read_text().splitlines(keepends=True)
     spaces = tmp_path / "spaces.csv"  # whitespace-only interior line
     spaces.write_text("".join(lines[:3] + ["   \n"] + lines[3:]))

@@ -138,6 +138,8 @@ def test_pairwise_mi_validation():
         pairwise_mi(cov, 1, 1)
     with pytest.raises(InvalidNplet):
         pairwise_mi(cov, 0, 3)
+    with pytest.raises(InvalidNplet):  # not truncated to the MI of (0, 1)
+        pairwise_mi(cov, 0.6, 1.9)
 
 
 def test_mixed_batch_measures_equal_fixed_order():

@@ -34,7 +34,6 @@ from hoi.nplet_engine import (
     _direct_logdets,
     _excess_singles,
     _prefix_descent,
-    _ranks,
     _unborder,
 )
 
@@ -104,6 +103,9 @@ def test_enumeration_matches_itertools_rows_and_batch_boundaries(batch_size, siz
 
 
 def test_colex_unrank_inverts_the_rank():
+    def colex(rows, binom):  # sum_p C(c_p, p + 1), row by row
+        return binom[rows, np.arange(1, rows.shape[1] + 1)].sum(axis=1)
+
     for n in range(1, 13):
         for k in range(1, n + 1):
             binom = _binomial_table(n, k)
@@ -111,26 +113,32 @@ def test_colex_unrank_inverts_the_rank():
             rows = _colex_unrank(ranks, k, binom)
             assert (rows >= 0).all() and (rows < n).all(), (n, k)
             assert (np.diff(rows, axis=1) > 0).all(), (n, k)
-            np.testing.assert_array_equal(_ranks(rows, binom)[0], ranks)
+            np.testing.assert_array_equal(colex(rows, binom), ranks)
     rng = np.random.default_rng(0)
     for k in range(3, 7):
         binom = _binomial_table(200, k)
         ranks = rng.integers(0, count_nplets(200, k, k), size=5000)
-        np.testing.assert_array_equal(_ranks(_colex_unrank(ranks, k, binom), binom)[0], ranks)
+        np.testing.assert_array_equal(colex(_colex_unrank(ranks, k, binom), binom), ranks)
 
 
-def test_ranks_equal_brute_force_colex_ranks():
+def test_gather_reads_the_tables_at_brute_force_colex_ranks():
     def colex(row):
         return sum(math.comb(c, p + 1) for p, c in enumerate(row))
 
     rng = np.random.default_rng(7)
     for n, k in ((1, 1), (6, 1), (6, 6), (9, 4), (20, 10), (20, 20), (200, 3)):
-        binom = _binomial_table(n, k)
+        lattice = LogdetLattice(CovSet([CovarianceMatrix(np.eye(n))]), k, k, False)
+        # distinct entries: entry r of a table holds r + 1/2, so every sum is exact
+        lattice.binom = _binomial_table(n, k)
+        lattice.tables = {m: np.arange(math.comb(n, m))[:, None] + 0.5 for m in (k - 1, k)}
+        lattice.singles = np.arange(n)[:, None] + 0.25
         rows = np.array([np.sort(rng.choice(n, k, replace=False)) for _ in range(300)])
-        rank, loo = _ranks(rows, binom)
-        assert rank.tolist() == [colex(row) for row in rows.tolist()], (n, k)
-        want = [[colex(row[:j] + row[j + 1:]) for j in range(k)] for row in rows.tolist()]
-        assert loo.tolist() == want, (n, k)
+        joint, singles, loo = lattice._gather(rows)
+        rows = rows.tolist()
+        assert joint[:, 0].tolist() == [colex(row) + 0.5 for row in rows], (n, k)
+        assert singles[:, 0].tolist() == [sum(row) + 0.25 * k for row in rows], (n, k)
+        want = [sum(colex(row[:j] + row[j + 1:]) + 0.5 for j in range(k)) for row in rows]
+        assert loo[:, 0].tolist() == want, (n, k)
 
 
 def test_enumeration_is_lazy_below_the_rank_limit_and_refused_above():
@@ -173,6 +181,13 @@ def test_nplet_batch_validation():
         NpletBatch(4, masks=np.zeros((1, 4), dtype=bool))
     with pytest.raises(InvalidNplet):
         NpletBatch(4, masks=np.ones((1, 4), dtype=np.int64))
+    # indices that are not integers are refused, not truncated
+    for indices in ([[0.7, 1.2, 2.9]], [["0", "1"]], [[True, False]]):
+        with pytest.raises(InvalidNplet):
+            NpletBatch(5, indices=indices)
+    with pytest.raises(InvalidData):
+        NpletBatch(5.5, indices=[[0, 1]])
+    assert NpletBatch(np.int64(5), indices=np.array([[0, 4]], dtype=np.uint8)).n_variables == 5
     # duplicates allowed when explicitly trusted
     b = NpletBatch(4, indices=np.array([[0, 1], [0, 1]]), check_unique=False)
     assert b.batch_size == 2

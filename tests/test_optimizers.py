@@ -23,6 +23,7 @@ from hoi import (
     block_concat,
     compute_hoi_batch,
     copula_transform,
+    enumerate_order,
     estimate_covariance,
     evaluate_objective,
     greedy,
@@ -30,7 +31,7 @@ from hoi import (
     s_system_cov,
     sample_gaussian,
 )
-from hoi import optimizers
+from hoi import nplet_engine, optimizers
 
 HALF_LOG_TWO = 0.5 * math.log(2.0)
 
@@ -203,6 +204,16 @@ def test_greedy_progress_counts_evaluations():
     counts = [t["nplets"] for t in ticks]
     assert counts[0] > 220  # the restart beams are evaluated at the start order
     assert counts == sorted(counts)
+
+
+def test_anneal_progress_reports_every_25_iterations_and_at_the_end():
+    ticks = []
+    st = anneal(planted_covset(), ObjectiveSpec(), AnnealSchedule(max_iters=60), kappa=5,
+                seed=1, progress=ticks.append)
+    assert [t["iterations"] for t in ticks] == [25, 50, 60]
+    assert [t["nplets"] for t in ticks] == [5 * 26, 5 * 51, 5 * 61]
+    assert ticks[-1]["best"] == st.best_energy
+    assert ticks[-1]["temperature"] == st.temperature
 
 
 @pytest.mark.parametrize("restarts", [1, 3])
@@ -475,6 +486,34 @@ def test_searches_on_well_conditioned_input_never_factor(monkeypatch):
         np.testing.assert_allclose(e.energy, want[0], rtol=0, atol=1e-12)
     direct = compute_hoi_batch(covs, NpletBatch(n, masks=st.masks, check_unique=False))
     np.testing.assert_allclose(st.energies, evaluate_objective(direct, spec), rtol=0, atol=1e-10)
+
+
+def test_grouped_extend_equals_one_group_bit_for_bit(monkeypatch):
+    # N = 60, D = 2: order 3 walks under either cap, so only the groups in
+    # which extend gathers parent inverses change. x_59 = x_0 + x_3 makes
+    # every set holding 0, 3 and 59 singular, and such rows fall back
+    rng = np.random.default_rng(11)
+    sigmas = []
+    for _ in range(2):
+        x = rng.standard_normal((300, 60)) @ (np.eye(60) + 0.2 * rng.standard_normal((60, 60)))
+        x[:, 59] = x[:, 0] + x[:, 3]
+        sigmas.append(CovarianceMatrix(np.cov(x, rowvar=False)))
+    covs = CovSet(sigmas)
+    spec = ObjectiveSpec(measure="o", direction="max")
+    walked = NpletBatch(60, indices=next(enumerate_order(60, 5, 2000)).indices)
+
+    def run():
+        found = [greedy(covs, spec, 3, 7, kappa=4, seed=5, restarts=r) for r in (1, 3)]
+        lattice = nplet_engine.LogdetLattice(covs, 5, 5, False)
+        assert not lattice.pivots
+        sums, fallback = lattice.sums(walked)  # holds (0, 1, 2, 3, 59)
+        return [r.per_order for r in found], [a.tobytes() for a in sums], fallback
+
+    want = run()
+    assert want[2] > 0
+    # three (D, 4, 4) parent inverses per group at order 5, one at order 7
+    monkeypatch.setattr(nplet_engine, "LATTICE_TABLE_BYTES", 3 * 2 * 8 * 4 * 4)
+    assert run() == want
 
 
 def test_optimizers_import_only_public_engine_names_and_the_set_state():

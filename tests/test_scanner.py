@@ -877,7 +877,7 @@ def test_pivot_batches_are_slices_of_the_lexicographic_rows(min_order, batch_siz
         assert len(got) == len(want)
         for (k, idx), (k_want, idx_want) in zip(got, want):
             assert k == k_want and idx.dtype == np.int64
-            assert idx.T.flags.c_contiguous  # member columns, as _ranks reads them
+            assert idx.T.flags.c_contiguous  # member columns, as _gather reads them
             np.testing.assert_array_equal(idx, idx_want)
 
 

@@ -8,6 +8,7 @@ from hoi import (
     CovarianceMatrix,
     InsufficientSamples,
     InvalidData,
+    InvalidNplet,
     PgmBlock,
     PgmSpec,
     block_concat,
@@ -57,6 +58,13 @@ def test_ground_truth_matches_reference_route():
     want = ref.measures(sigma.sigma, range(4))
     np.testing.assert_allclose(got, want, atol=1e-12)
     assert all(isinstance(v, float) for v in got)
+
+
+def test_ground_truth_refuses_non_integer_indices():
+    sigma = r_system_cov(3, 1.0)
+    with pytest.raises(InvalidNplet):  # not truncated to the measures of (0, 1, 2)
+        ground_truth_hoi(sigma, [0.9, 1.5, 2.2])
+    assert ground_truth_hoi(sigma, np.array([0, 1, 2])) == ground_truth_hoi(sigma, [0, 1, 2])
 
 
 def test_sample_gaussian_shape_determinism_and_moments():
