@@ -407,12 +407,25 @@ def _excess_singles(covs: CovSet, bias: np.ndarray) -> np.ndarray:
     return 0.5 * np.log(diag) - bias[:, 1][:, None]
 
 
+def _slot_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of (..., K) terms over the last axis, member by member in slot
+    order: slot 0, then slots 1..K-1 added left to right, as
+    LogdetLattice._gather adds them. numpy's own reduction picks its order
+    from the layout and K, and a short last axis is slow to reduce."""
+    total = terms[..., 0].copy()
+    for j in range(1, terms.shape[-1]):
+        total += terms[..., j]
+    return total
+
+
 def _excess_sums(joint, loo, idx: np.ndarray, x_singles, bias, live=None):
     """(B, D) sums J, S and L of (B, K) member rows idx from their raw
     (B, D) joint and (B, D, K) leave-one-out log-determinants: each excess
-    entropy is 1/2 logdet less its bias at its effective dimension, summed
-    slot by slot. Every slot is a member unless live (B, K) marks the
-    members; the other slots then add zeros."""
+    entropy is 1/2 logdet less its bias at its effective dimension. S and L
+    add the members one by one in slot order (_slot_sum), the one summation
+    order of every route. Every slot is a member unless live (B, K) marks
+    the members; the other slots then add zeros, which leaves every sum as
+    its members' alone, whatever the width K."""
     k = idx.shape[1]
     singles = x_singles[:, idx].transpose(1, 0, 2)
     if live is None:
@@ -421,7 +434,7 @@ def _excess_sums(joint, loo, idx: np.ndarray, x_singles, bias, live=None):
         orders, at = live.sum(axis=1), live[:, None, :]
         joint, loo = 0.5 * joint - bias[:, orders].T, 0.5 * loo - bias[:, orders - 1].T[:, :, None]
         singles, loo = np.where(at, singles, 0.0), np.where(at, loo, 0.0)
-    return joint, singles.sum(axis=-1), loo.sum(axis=-1)
+    return joint, _slot_sum(singles), _slot_sum(loo)
 
 
 def entropy_terms(covs: CovSet, batch: NpletBatch, bias_correct: bool = False):
@@ -534,7 +547,8 @@ class LogdetLattice:
       tables (_gather): J from table k, L as k gathers of table k - 1 (a
       leave-one-out term of a k-plet is the joint term of a (k - 1)-plet, at rank
       sum_{p<j} C(c_p, p + 1) + sum_{p>j} C(c_p, p)), S as k gathers of the
-      singles. No (B, D, K) array is formed. A pivot below
+      singles, both added member by member in slot order. No (B, D, K)
+      array is formed. A pivot below
       BORDER_RTOL * sigma_vv is NaN, and so is everything built on it.
       open(k) also builds the order's n-plets, rows (_lex_rows), from
       order k - 1's, so a scan slices its batches from them.
@@ -542,6 +556,10 @@ class LogdetLattice:
       1989, SIAM Review 31:221) to raw log-determinants, summed by
       _excess_sums as the direct path sums them. No table is read or
       written, and memory is O(batch_size K^2 D).
+
+    Every route adds S and L member by member, in slot order (_gather as
+    _excess_sums does), so S is the same bits on both routes and on the
+    direct path, whatever K, D or the width of the rows holding a set.
 
     An order takes the pivot route when its two tables, C(N, k - 1) +
     C(N, k) floats per dataset, plus the states of the (k - 1)- and

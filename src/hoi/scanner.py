@@ -349,6 +349,9 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
       complement per distinct prefix; the leave-one-out terms come from
       the bordered inverse's diagonal. No table is read or written.
 
+    Both routes, like the direct path, add S and L member by member, in
+    slot order, so an n-plet's S is the same bits on either route.
+
     An order takes the pivot route when its two tables, C(N, k - 1) +
     C(N, k) floats per dataset, plus the states of orders k - 1 and k fit
     nplet_engine.LATTICE_TABLE_BYTES (64 MiB; at N=20 and D=1 they peak

@@ -3,7 +3,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import digamma
 
@@ -67,6 +67,33 @@ def test_rank_columns_matches_double_argsort():
     for j in range(3):
         np.testing.assert_array_equal(got[:, j], ref.ranks(x[:, j]))
     # the layout fixes the BLAS route, and so the last bits, of the covariance
+    assert got.flags.f_contiguous and got.dtype == np.int64
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(3, 300),
+       st.lists(st.sampled_from(("ints", "zeros", "signed", "free")), min_size=1, max_size=6),
+       st.integers(0, 2**32 - 1))
+def test_rank_columns_equal_the_stable_reference_on_tied_columns(t, kinds, seed):
+    # ties, -0.0 == 0.0 included, break by row order, so the ranks are the
+    # reference's whatever the columns hold
+    rng = np.random.default_rng(seed)
+
+    def column(kind):
+        if kind == "ints":
+            return rng.integers(-2, 3, t).astype(float)
+        if kind == "zeros":
+            return rng.choice([-0.0, 0.0, 1.0], t)
+        col = rng.standard_normal(t)
+        if kind == "signed":  # -0.0 and 0.0 are its only tie
+            col[rng.choice(t, 2, replace=False)] = rng.permutation([-0.0, 0.0])
+        return col
+
+    x = np.stack([column(kind) for kind in kinds], axis=1)
+    assume((x.max(axis=0) > x.min(axis=0)).all())  # no column is constant
+    got = rank_columns(x)
+    for j in range(x.shape[1]):
+        np.testing.assert_array_equal(got[:, j], ref.ranks(x[:, j]))
     assert got.flags.f_contiguous and got.dtype == np.int64
 
 

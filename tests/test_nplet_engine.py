@@ -33,6 +33,7 @@ from hoi.nplet_engine import (
     _colex_unrank,
     _direct_logdets,
     _excess_singles,
+    _excess_sums,
     _prefix_descent,
     _unborder,
 )
@@ -473,6 +474,63 @@ def test_lattice_opens_every_order_alike_from_any_lowest_order(n, d):
                 for got, want in zip((lattice.tables[k - 1], lattice.tables[k], lattice.rows),
                                      climbed[k]):
                     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_every_route_sums_the_singles_in_one_order(d, monkeypatch):
+    # the pivot route (_gather), the walk and the direct path add S member by
+    # member in slot order, so S agrees bit for bit at every order; J and L
+    # come from different log-determinants and agree to rounding
+    n = 12
+    covs = random_covset(40 + d, n, d=d, samples=200)
+    pivot = LogdetLattice(covs, 1, n, True)
+    assert pivot.pivots == set(range(1, n + 1))
+    monkeypatch.setattr(nplet_engine, "LATTICE_TABLE_BYTES", 0)
+    walk = LogdetLattice(covs, 1, n, True)
+    assert not walk.pivots
+    for k in range(1, n + 1):
+        pivot.open(k)
+        batch = NpletBatch(n, indices=pivot.rows.T.astype(np.int64))
+        routes = [pivot.sums(batch), walk.sums(batch), (entropy_terms(covs, batch, True), 0)]
+        (joint, singles, loo), _ = routes[0]
+        for (j, s, l), direct in routes[1:]:
+            assert direct == 0, k
+            np.testing.assert_array_equal(s, singles, err_msg=f"order {k}")
+            np.testing.assert_allclose(j, joint, rtol=0, atol=1e-12, err_msg=f"order {k}")
+            np.testing.assert_allclose(l, loo, rtol=0, atol=1e-12, err_msg=f"order {k}")
+
+
+def test_excess_sums_add_slot_by_slot_whatever_the_width():
+    covs = random_covset(50, 20, d=2, samples=300)
+    bias = _bias_offsets(covs, 20, True)
+    singles = _excess_singles(covs, bias)
+    rng = np.random.default_rng(51)
+    for k in range(1, 21):
+        idx = np.sort(rng.random((64, 20)).argsort(axis=1)[:, :k], axis=1)
+        joint, loo = rng.normal(size=(64, 2)), rng.normal(size=(64, 2, k))
+        got = _excess_sums(joint, loo, idx, singles, bias)
+        terms = (singles[:, idx].transpose(1, 0, 2), 0.5 * loo - bias[:, k - 1][None, :, None])
+        for total, parts in zip(got[1:], terms):  # S and L, added left to right
+            want = parts[..., 0].copy()
+            for j in range(1, k):
+                want = want + parts[..., j]
+            np.testing.assert_array_equal(total, want, err_msg=f"k={k}")
+        if k > 13:
+            continue
+        # the same members among dead slots of a 16-slot row, in the same order
+        live = np.zeros((64, 16), dtype=bool)
+        for row in live:
+            row[np.sort(rng.choice(16, k, replace=False))] = True
+        wide_idx = np.zeros((64, 16), dtype=np.int64)
+        wide_loo = np.full((64, 2, 16), np.nan)
+        wide_idx[live] = idx.ravel()
+        wide_loo.transpose(0, 2, 1)[live] = loo.transpose(0, 2, 1).reshape(-1, 2)
+        compact = _excess_sums(joint, loo, idx, singles, bias, live=np.ones(idx.shape, bool))
+        wide = _excess_sums(joint, wide_loo, wide_idx, singles, bias, live=live)
+        for a, b, c in zip(wide, compact, got):
+            np.testing.assert_array_equal(a, b, err_msg=f"k={k}")
+            np.testing.assert_array_equal(b, c, err_msg=f"k={k}")
+
 
 def test_bordered_sets_score_moves_from_any_stored_row():
     covs = random_covset(12, 9, d=2)
