@@ -313,10 +313,12 @@ def _border(sigma: np.ndarray, members: np.ndarray, v: np.ndarray,
         diag(sigma[S + v, S + v]^-1) = diag(inv) + z**2 / s on S, 1 / s at v.
 
     Returns logdet(S + v), that diagonal on S (B, D, m), z and s. A slot
-    of S whose rows and columns of inv are zero contributes nothing. A
-    Schur complement that is not positive is NaN, and NaN inputs stay NaN,
-    so the direct path takes such rows. _unborder runs the identity
-    backwards.
+    of S whose rows and columns of inv are zero contributes nothing to the
+    value, but not to the last bits: einsum adds every slot, so a set
+    stored among dead slots of a wider array can round differently from
+    the compact set. A Schur complement that is not positive is NaN, and
+    NaN inputs stay NaN, so the direct path takes such rows. _unborder
+    runs the identity backwards.
     """
     n = sigma.shape[-1]
     flat = sigma.reshape(len(sigma), n * n)
@@ -483,12 +485,13 @@ def entropy_terms(covs: CovSet, batch: NpletBatch, bias_correct: bool = False):
 
 
 #: Cap, in bytes, on what a LogdetLattice keeps live at once: on the pivot
-#: route, the raw log-determinant tables and the pivot states of two orders.
-#: Orders past it walk, which keeps nothing between batches. A pivot
-#: order's index rows (_lex_rows, C(N, k) * k bytes at N <= 256) ride
-#: outside the cap: at most 3.7 MB at N=20, for orders k - 1 and k. It
-#: also bounds the parent inverses extend gathers at once, one group of
-#: rows at a time (the walk's prefix tree itself is not bounded).
+#: route, the raw log-determinant tables and the pivot states of two orders
+#: (_pivot_orders). Orders past it walk, which keeps nothing between
+#: batches. A pivot order's index rows (_lex_rows, C(N, k) * k bytes at
+#: N <= 256) ride outside the cap: at most 3.7 MB at N=20, for orders
+#: k - 1 and k. It also sizes extend's border groups: the parent inverses
+#: one group gathers fit it (the walk's prefix tree itself is not bounded),
+#: so a zero cap borders one row per group.
 LATTICE_TABLE_BYTES = 64 * 2**20
 
 #: Schur complements below BORDER_RTOL times the variance of their variable
@@ -520,6 +523,25 @@ def _state_size(n: int, j: int) -> int:
     sum over j-plets p of (n - 1 - max p)**2, which is 2 C(n, j + 2) + C(n, j + 1)
     (n**2 for the empty set)."""
     return 2 * math.comb(n, j + 2) + math.comb(n, j + 1)
+
+
+def _pivot_orders(n: int, d: int, min_order: int, max_order: int) -> set:
+    """The orders of min_order..max_order a LogdetLattice over D = d
+    datasets of N = n variables takes on the pivot route: those whose two
+    tables and the pivot states of their (k - 1)- and k-plets fit
+    LATTICE_TABLE_BYTES, while every order below them does too. The one
+    place the route is decided; a test substitutes this function to send
+    every order down the walk without shrinking the cap, which also sizes
+    extend's border groups."""
+    cap = LATTICE_TABLE_BYTES // (8 * d)
+    pivots = set()
+    for k in range(1, max_order + 1):
+        tables = math.comb(n, k - 1) + math.comb(n, k)
+        if tables + _state_size(n, k - 1) + _state_size(n, k) > cap:
+            break
+        if k >= min_order:
+            pivots.add(k)
+    return pivots
 
 
 class LogdetLattice:
@@ -593,14 +615,7 @@ class LogdetLattice:
         self.bias = _bias_offsets(covs, max_order, bias_correct)
         self.x_singles = _excess_singles(covs, self.bias)
         self.singles = np.ascontiguousarray(self.x_singles.T)  # (N, D), gathered by row
-        cap = LATTICE_TABLE_BYTES // (8 * d)
-        self.pivots = set()
-        for k in range(1, max_order + 1):
-            tables = math.comb(n, k - 1) + math.comb(n, k)
-            if tables + _state_size(n, k - 1) + _state_size(n, k) > cap:
-                break
-            if k >= min_order:
-                self.pivots.add(k)
+        self.pivots = _pivot_orders(n, d, min_order, max_order)
         self.binom = _binomial_table(n, max(self.pivots, default=0))  # read by pivot orders only
         self.tables = {}
         self.states = None  # pivot states of the open order's (k - 1)-plets
@@ -671,40 +686,37 @@ class LogdetLattice:
         k, idx = batch.order, batch.indices
         if k in self.tables and k - 1 in self.tables:
             return self._checked(self._gather(idx), idx)
-        return self.extend(idx[:, :-1], None, idx[:, -1], idx)
+        return self.extend(idx[:, :-1], np.arange(len(idx)), idx)
 
-    def extend(self, parents: np.ndarray, parent, add: np.ndarray, rows: np.ndarray):
-        """((B, D) sums J, S, L, rows on the direct path) of the sorted
-        (B, K) rows, row b parents[parent[b]] plus variable add[b]
-        (parent None: row b is parents[b] plus add[b], so rows are already
-        in that slot order).
+    def extend(self, parents: np.ndarray, parent: np.ndarray, members: np.ndarray):
+        """((B, D) sums J, S, L, rows on the direct path) of the (B, K)
+        member rows members, in slot order: row b holds the members of
+        parents[parent[b]], then the variable it adds. The walk passes its
+        own sorted rows with parent b; greedy passes each extension's
+        parent and its unsorted slot row.
 
         The (P, K - 1) parents come from one _prefix_descent. Row c's joint
         term is its parent's plus log s, and leaving out member j gives
-        logdet(c) + log (sigma_c^-1)_jj, or the parent's for add; S and L
-        add the parent's members in turn, then add. A row with a member
-        that _conditioned does not trust is NaN, so it goes direct. Rows
-        are bordered in groups whose gathered parent inverses fit
+        logdet(c) + log (sigma_c^-1)_jj, or the parent's for the added one;
+        S and L add the members in slot order. A row with a member that
+        _conditioned does not trust is NaN, so it goes direct. Rows are
+        bordered in groups whose gathered parent inverses fit
         LATTICE_TABLE_BYTES, then checked as one batch."""
         logdet, tree, at = _prefix_descent(self.sigma, parents)
-        if parent is None:
-            members = rows
-        else:
-            at = at[parent]
-            members = np.concatenate([np.take(parents, parent, axis=0), add[:, None]], axis=1)
-        sums = np.empty((3, len(rows), len(self.sigma)))
+        at = at[parent]
+        sums = np.empty((3, len(members), len(self.sigma)))
         step = max(1, LATTICE_TABLE_BYTES // max(1, tree[:1].nbytes))
-        for lo in range(0, len(rows), step):
+        for lo in range(0, len(members), step):
             g, c = slice(lo, lo + step), members[lo:lo + step]
             before = np.take(logdet, at[g], axis=0)
-            joint, diag, _, s = _border(self.sigma, c[:, :-1], add[g],
+            joint, diag, _, s = _border(self.sigma, c[:, :-1], c[:, -1],
                                         np.take(tree, at[g], axis=0), before)
             diag = np.concatenate([diag, 1.0 / s[..., None]], axis=-1)
             good = _conditioned(c, np.ones(c.shape, dtype=bool), diag, self.var)
             loo = _leave_one_out(joint, diag, good)
-            loo[..., -1] = np.where(good[..., -1], before, np.nan)  # c without add
+            loo[..., -1] = np.where(good[..., -1], before, np.nan)  # c without its added one
             sums[:, g] = _excess_sums(joint, loo, c, self.x_singles, self.bias)
-        return self._checked(tuple(sums), rows)
+        return self._checked(tuple(sums), members)
 
     def _gather(self, idx: np.ndarray):
         """(B, D) J, S and L of a batch idx of a pivot order, read from the
@@ -729,8 +741,9 @@ class LogdetLattice:
         """((B, D) J, S, L, rows on the direct path) after the one fallback
         check: a row whose J or L is NaN goes to entropy_terms as a mask
         row, its sums then compute_hoi_batch's by construction. Row r's set
-        is members[r] at the slots live[r] marks (every slot without live).
-        NotPositiveDefinite coordinates are rows of members."""
+        is members[r] at the slots live[r] marks (every slot without live),
+        in any slot order: the mask is the same. NotPositiveDefinite
+        coordinates are rows of members."""
         joint, singles, loo = sums
         if not (np.isnan(joint).any() or np.isnan(loo).any()):  # the common case, tested fast
             return sums, 0

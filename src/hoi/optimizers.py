@@ -151,23 +151,24 @@ class _Beam(Reducer):
 
 
 def _extensions(parents: np.ndarray, n: int):
-    """Every distinct one-variable extension of the (B, k) parent rows, as
-    sorted rows in lexicographic order, with the parent each one extends
-    and the variable it adds. Parents come in increasing tuple order, and
-    an extension reachable from several parents is assigned the first."""
-    b, k = parents.shape
-    parent = np.repeat(np.arange(b), n)
-    var = np.tile(np.arange(n), b)
-    keep = (parents[parent] != var[:, None]).all(axis=1)
-    parent, var = parent[keep], var[keep]
-    rows = np.sort(np.column_stack([parents[parent], var]), axis=1)
+    """Every distinct one-variable extension of the (B, k) parent rows: the
+    sorted rows in lexicographic order, the parent each one extends, and
+    the same rows in slot order (the parent's members, then the added
+    variable), as LogdetLattice.extend takes them. Parents come in
+    increasing tuple order, and an extension reachable from several
+    parents is assigned the first."""
+    parent = np.repeat(np.arange(len(parents)), n)
+    members = np.column_stack([parents[parent], np.tile(np.arange(n), len(parents))])
+    keep = (members[:, :-1] != members[:, -1:]).all(axis=1)
+    parent, members = parent[keep], members[keep]
+    rows = np.sort(members, axis=1)
     # np.unique(rows, axis=0, return_index=True), without its structured sort:
     # a stable lexicographic sort keeps the first of equal rows in front
     order = np.lexsort(rows.T[::-1])
     rows = rows[order]
     first = np.concatenate([[True], (rows[1:] != rows[:-1]).any(axis=1)])
     order = order[first]
-    return rows[first], parent[order], var[order]
+    return rows[first], parent[order], members[order]
 
 
 def greedy(covs: CovSet, spec: ObjectiveSpec, start_order: int,
@@ -246,9 +247,9 @@ def greedy(covs: CovSet, spec: ObjectiveSpec, start_order: int,
         """The kappa best one-variable extensions of a beam's members, each
         bordered from one parent, whichever other members reach it."""
         parents = np.array(sorted(idx for _, idx in beam), dtype=np.int64)
-        rows, parent, add = _extensions(parents, n)
-        return best_of(rows, lambda batch, chunk: lattice.extend(
-            parents, parent[chunk], add[chunk], batch.indices))
+        rows, parent, members = _extensions(parents, n)
+        return best_of(rows, lambda _, chunk: lattice.extend(
+            parents, parent[chunk], members[chunk]))
 
     per_order = []
     for order in range(start_order, target_order + 1):

@@ -32,9 +32,9 @@ cov = synthetic.block_concat([synthetic.r_system_cov(2, 1.0),
 x = synthetic.sample_gaussian(cov, 300, seed=0).values
 covs = copula_core.CovSet([copula_core.estimate_covariance(copula_core.copula_transform(x))])
 scanner.scan(covs, 3, 6, scanner.TopK("o", "max", 3), workers=2, bias_correct=True)
-cap, nplet_engine.LATTICE_TABLE_BYTES = nplet_engine.LATTICE_TABLE_BYTES, 0  # every order walks
+route, nplet_engine._pivot_orders = nplet_engine._pivot_orders, lambda *_: set()  # all walk
 scanner.scan(covs, 1, 6, scanner.TopK("o", "max", 3), workers=2, bias_correct=True)
-nplet_engine.LATTICE_TABLE_BYTES = cap
+nplet_engine._pivot_orders = route
 spec = optimizers.ObjectiveSpec(measure="o", direction="max")
 optimizers.greedy(covs, spec, 3, 5, kappa=3, bias_correct=True)
 optimizers.anneal(covs, spec, optimizers.AnnealSchedule(max_iters=5, min_order=2),

@@ -126,7 +126,7 @@ def test_extensions_are_the_unique_sorted_rows_with_their_first_parent():
             pool = rng.choice(n, min(n, k + 2), replace=False)
             parents = np.unique(np.sort([rng.choice(pool, k, replace=False) for _ in range(b)],
                                         axis=1), axis=0)
-            rows, parent, add = optimizers._extensions(parents, n)
+            rows, parent, members = optimizers._extensions(parents, n)
             reached = [(tuple(sorted(p + [v])), i, v) for i, p in enumerate(parents.tolist())
                        for v in range(n) if v not in p]
             want, first = np.unique(np.array([r for r, _, _ in reached]), axis=0,
@@ -134,7 +134,8 @@ def test_extensions_are_the_unique_sorted_rows_with_their_first_parent():
             assert len(want) < len(reached)
             np.testing.assert_array_equal(rows, want)
             assert parent.tolist() == [reached[f][1] for f in first]
-            assert add.tolist() == [reached[f][2] for f in first]
+            assert members[:, -1].tolist() == [reached[f][2] for f in first]
+            np.testing.assert_array_equal(members[:, :-1], parents[parent])  # slot order
 
 
 def test_greedy_recovers_planted_blocks_at_order_four():

@@ -332,7 +332,7 @@ def test_near_singular_scan_matches_the_direct_path(
         seed, n, kinds, batch_size, workers, min_order, walk):
     # Rows the lattice cannot serve take the direct path and get the sums
     # of entropy_terms' values bit for bit; rows it serves, on the pivot
-    # route or (with no room for tables) the walk, hold the log-determinants
+    # route or (with the pivot route cleared) the walk, hold the log-determinants
     # of their own and their minors' submatrices within 1e-12, and every
     # pivot behind them clears the floor. Both paths raise the same
     # NotPositiveDefinite coordinates, and no value is left non-finite.
@@ -354,7 +354,7 @@ def test_near_singular_scan_matches_the_direct_path(
         mp.setattr(nplet_engine.LogdetLattice, "sums", recorded_sums)
         mp.setattr(nplet_engine, "_direct_logdets", recorded_direct)
         if walk:
-            mp.setattr(nplet_engine, "LATTICE_TABLE_BYTES", 0)
+            mp.setattr(nplet_engine, "_pivot_orders", lambda *_: set())
         try:
             scan(covs, min_order, n, Callback(lambda batch, hoi: seen.append((batch, hoi))),
                  batch_size=batch_size, workers=workers)
@@ -467,13 +467,13 @@ def walk_covset(seed, n, d, t):
            st.tuples(st.integers(26, 40), st.integers(3, 4)),
            st.integers(3, 10).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n)))))
 def test_walk_orders_match_the_direct_path_and_ignore_batching(seed, d, bias_correct, order):
-    # with no room for tables every order walks: orders 3..4 of N >= 26,
+    # with the pivot route cleared every order walks: orders 3..4 of N >= 26,
     # and any order of a small N, orders 1 and 2 included
     n, k = order
     t = 3 * n
     covs = walk_covset(seed, n, d, t)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nplet_engine, "LATTICE_TABLE_BYTES", 0)
+        mp.setattr(nplet_engine, "_pivot_orders", lambda *_: set())
         lattice = nplet_engine.LogdetLattice(covs, k, k, bias_correct)
         assert not lattice.pivots
 
@@ -520,7 +520,7 @@ def test_bordered_near_singular_orders_raise_the_direct_paths_coordinates(
     covs = degenerate_covset(seed, n, kinds)
     seen, raised = [], None
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nplet_engine, "LATTICE_TABLE_BYTES", 0)
+        mp.setattr(nplet_engine, "_pivot_orders", lambda *_: set())
         assert not nplet_engine.LogdetLattice(covs, k, k, False).pivots
         try:
             scan(covs, k, k, Callback(lambda batch, hoi: seen.append(hoi)),
@@ -537,6 +537,113 @@ def test_bordered_near_singular_orders_raise_the_direct_paths_coordinates(
     assert raised == wanted
     for hoi in seen:
         assert all(np.isfinite(getattr(hoi, m)).all() for m in MEASURES)
+
+
+@pytest.mark.parametrize("kinds", [["combination"] * 2, ["combination", "correlation"]])
+def test_a_cleared_route_walks_as_a_zero_cap_does_in_whole_batch_groups(kinds):
+    # clearing the pivot route and zeroing LATTICE_TABLE_BYTES both send
+    # every order down the walk, with the same bits, fallback rows and
+    # NotPositiveDefinite coordinates; but a zero cap also borders extend's
+    # leaves one row per group, where the cleared route borders each batch
+    # as one group
+    covs = degenerate_covset(3, 26, kinds)
+    border = nplet_engine._border
+    runs = []
+    for patch in (("_pivot_orders", lambda *_: set()), ("LATTICE_TABLE_BYTES", 0)):
+        calls, ticks, got, raised = [], [], None, None
+
+        def counted(sigma, members, v, inv, logdet):
+            calls.append(len(v))
+            return border(sigma, members, v, inv, logdet)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nplet_engine, *patch)
+            mp.setattr(nplet_engine, "_border", counted)
+            assert not nplet_engine.LogdetLattice(covs, 3, 4, False).pivots
+            try:
+                got = measure_rows(covs, 3, 4, progress=ticks.append)
+            except NotPositiveDefinite as err:
+                raised = err.coords
+        runs.append({"measures": got, "fallback": [t["fallback_rows"] for t in ticks],
+                     "raised": raised, "calls": calls})
+    cleared, zero = runs
+    assert cleared["fallback"] == zero["fallback"] and cleared["raised"] == zero["raised"]
+    assert (cleared["raised"] is not None) == (kinds[1] == "correlation")
+    if cleared["raised"] is not None:
+        return
+    np.testing.assert_array_equal(cleared["measures"], zero["measures"])
+    assert cleared["fallback"][-1] > 0
+    # per batch of order k: k - 1 descent levels, then its leaf groups
+    at = 0
+    for k, size in ((3, 2600), (4, 10000), (4, 4950)):
+        at += k
+        assert cleared["calls"][at - 1] == size
+    assert len(cleared["calls"]) == at
+    assert len(zero["calls"]) == at - 3 + 2600 + 14950  # one row per leaf group
+
+
+@st.composite
+def block_systems(draw):
+    """2-4 covariance blocks of 1-4 variables each: random positive
+    definite matrices and R and S systems."""
+    blocks = []
+    for _ in range(draw(st.integers(2, 4))):
+        kind = draw(st.sampled_from(["spd", "r", "s"]))
+        if kind == "spd":
+            size = draw(st.integers(1, 4))
+            a = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(
+                (2 * size, size))
+            blocks.append(a.T @ a / (2 * size) + 0.3 * np.eye(size))
+        else:
+            make = r_system_cov if kind == "r" else s_system_cov
+            blocks.append(make(draw(st.integers(1, 3)), draw(st.floats(0.3, 1.5))).sigma)
+    return blocks
+
+
+@settings(max_examples=25, deadline=None)
+@given(blocks=block_systems(), seed=st.integers(0, 2**32 - 1))
+def test_measures_add_over_independent_blocks(blocks, seed):
+    # tc, dtc, o and s are additive over independent subsystems (Rosas et
+    # al. 2019, Phys. Rev. E 100:032305): an n-plet spread over the blocks
+    # of a block-diagonal covariance scores the sum of its parts' oracle
+    # values, on the direct path and on either scan route
+    sigma = block_concat([CovarianceMatrix(b) for b in blocks]).sigma
+    n = len(sigma)
+    covs = CovSet([CovarianceMatrix(sigma)])
+    starts = np.cumsum([0] + [len(b) for b in blocks])
+    rng = np.random.default_rng(seed)
+    rows = sorted({tuple(sorted(rng.choice(n, rng.integers(1, n + 1), replace=False).tolist()))
+                   for _ in range(6)})
+    want = {}
+    for row in rows:
+        want[row] = np.zeros(4)
+        for b, lo in zip(blocks, starts):
+            part = [v - lo for v in row if lo <= v < lo + len(b)]
+            if part:
+                want[row] += ref.measures(b, part)
+    masks = np.zeros((len(rows), n), dtype=bool)
+    for i, row in enumerate(rows):
+        masks[i, list(row)] = True
+    direct = compute_hoi_batch(covs, NpletBatch(n, masks=masks))
+    for i, row in enumerate(rows):
+        got = [getattr(direct, m)[i, 0] for m in MEASURES]
+        np.testing.assert_allclose(got, want[row], rtol=0, atol=1e-12)
+
+    def keep(batch, hoi):
+        return {row: [getattr(hoi, m)[i, 0] for m in MEASURES]
+                for i, row in enumerate(map(tuple, batch.indices.tolist())) if row in want}
+
+    lo, hi = min(map(len, rows)), max(map(len, rows))
+    for walk in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if walk:
+                mp.setattr(nplet_engine, "_pivot_orders", lambda *_: set())
+            scanned = {}
+            for found in scan(covs, lo, hi, Callback(keep)):
+                scanned.update(found)
+        assert sorted(scanned) == rows
+        for row in rows:
+            np.testing.assert_allclose(scanned[row], want[row], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -793,11 +900,12 @@ def test_lattice_fallback_rows_equal_compute_hoi_batch_bitwise():
     for seed in range(30):
         sigmas = [t @ c.sigma @ t.T for c in toy_covset(seed, n=9, d=2).covs]
         covs = CovSet([CovarianceMatrix(0.5 * (s + s.T)) for s in sigmas])
-        for cap in (nplet_engine.LATTICE_TABLE_BYTES, 0):  # every order pivots, then walks
+        for walk in (False, True):  # every order pivots, then walks
             direct, seen = set(), []
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(nplet_engine, "entropy_terms", recorded)
-                mp.setattr(nplet_engine, "LATTICE_TABLE_BYTES", cap)
+                if walk:
+                    mp.setattr(nplet_engine, "_pivot_orders", lambda *_: set())
                 scan(covs, 1, 9, Callback(lambda batch, hoi: seen.append((batch, hoi))))
             assert direct == {row for row in ref.all_subsets(9, 3, 9) if {0, 3, 8} <= set(row)}
             for batch, hoi in seen:
@@ -809,12 +917,12 @@ def test_lattice_fallback_rows_equal_compute_hoi_batch_bitwise():
                 for m in MEASURES:
                     np.testing.assert_array_equal(getattr(hoi, m)[on], getattr(want, m))
         # rows greedy grows from random parents (extend) take the same rule
-        parents, parent, add, rows = random_extensions(seed, 9, 4, 20)
+        parents, parent, members, rows = random_extensions(seed, 9, 4, 20)
         direct = set()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(nplet_engine, "entropy_terms", recorded)
             sums, count = nplet_engine.LogdetLattice(covs, 5, 5, False).extend(
-                parents, parent, add, rows)
+                parents, parent, members)
         on = [i for i, row in enumerate(rows.tolist()) if {0, 3, 8} <= set(row)]
         assert on and count == len(on) and direct == {tuple(rows[i].tolist()) for i in on}
         got = hoi_from_sums(*sums, np.full(len(rows), 5))
@@ -825,13 +933,14 @@ def test_lattice_fallback_rows_equal_compute_hoi_batch_bitwise():
 
 
 def random_extensions(seed, n, m, p):
-    """(parents, parent, add, rows): greedy's one-variable extensions of p
-    random m-plets of n variables, parents in increasing tuple order."""
+    """(parents, parent, members, rows): greedy's one-variable extensions
+    of p random m-plets of n variables, parents in increasing tuple order,
+    in slot order (members) and sorted (rows)."""
     rng = np.random.default_rng(seed)
     subsets = list(itertools.combinations(range(n), m))
     parents = np.array(sorted(subsets[i] for i in rng.choice(len(subsets), p, replace=False)))
-    rows, parent, add = _extensions(parents, n)
-    return parents, parent, add, rows
+    rows, parent, members = _extensions(parents, n)
+    return parents, parent, members, rows
 
 
 def test_a_lattice_walks_every_order_but_its_open_pivot_order():
@@ -944,8 +1053,8 @@ def test_lattice_extend_borders_rows_from_any_parents(seed):
         covs = walk_covset(seed, n, 2, 40)
         lattice = nplet_engine.LogdetLattice(covs, 1, n, bias_correct)
         for m in range(1, n):
-            parents, parent, add, rows = random_extensions(seed, n, m, min(6, math.comb(n, m)))
-            sums, direct = lattice.extend(parents, parent, add, rows)
+            parents, parent, members, rows = random_extensions(seed, n, m, min(6, math.comb(n, m)))
+            sums, direct = lattice.extend(parents, parent, members)
             assert direct == 0
             got = hoi_from_sums(*sums, np.full(len(rows), m + 1))
             want = compute_hoi_batch(covs, NpletBatch(n, indices=rows), bias_correct=bias_correct)
@@ -954,8 +1063,7 @@ def test_lattice_extend_borders_rows_from_any_parents(seed):
                                            rtol=0, atol=1e-12)
             batch = NpletBatch(n, indices=list(itertools.combinations(range(n), m + 1)))
             prefixes, at = np.unique(batch.indices[:, :-1], axis=0, return_inverse=True)
-            extended, _ = lattice.extend(prefixes, at.reshape(-1), batch.indices[:, -1],
-                                         batch.indices)
+            extended, _ = lattice.extend(prefixes, at.reshape(-1), batch.indices)
             for got, want in zip(extended, lattice.sums(batch)[0]):
                 np.testing.assert_array_equal(got, want)
 

@@ -22,12 +22,17 @@ agree bit for bit, the largest |difference| and, for scale, the largest
   orders 3..12, 60 iterations) on one N=200 covariance with planted
   redundant and synergistic blocks, per seed: the greedy sets and
   values, the anneal best set and energy, and the final chain masks.
+- anneal_n12: anneal (20 chains, across orders 3..12, 500 iterations)
+  on criterion 06's analytic N=12 system (R and S blocks of 3 sources
+  and 4 independent variables), seeds 0-4: the best sets and energies,
+  and the final chain masks and energies. Chains pass the 50-move
+  rebuild many times, and exact ties decide moves.
 - features: the sha256 of `hoi features --bias-correct --workers 2` on
   the CSVs in DIR, or, without --corpus, on a seeded corpus of 12 CSVs
   of N=10, T=1500, half of them rounded to two decimals so that columns
   hold ties.
 
-A recording takes about 10 s on one core and 120 MB on disk, nearly all
+A recording takes about 13 s on one core and 120 MB on disk, nearly all
 of it the walk cases' measures.
 """
 
@@ -153,6 +158,19 @@ def case_search_s2(hoi):
 
 def case_search_s3(hoi):
     return _search(hoi, 3)
+
+
+def case_anneal_n12(hoi):
+    covs = hoi.CovSet([hoi.block_concat([hoi.r_system_cov(3, 1.0), hoi.s_system_cov(3, 1.0),
+                                         hoi.CovarianceMatrix(np.eye(4))])])
+    spec = hoi.ObjectiveSpec(measure="o", direction="max")
+    schedule = hoi.AnnealSchedule(mode="across-orders", min_order=3, max_order=12,
+                                  max_iters=500)
+    runs = [hoi.anneal(covs, spec, schedule, kappa=20, seed=seed) for seed in range(5)]
+    return {"best_masks": np.array([r.best_mask for r in runs]),
+            "best_energies": np.array([r.best_energy for r in runs]),
+            "chain_masks": np.array([r.masks for r in runs]),
+            "chain_energies": np.array([r.energies for r in runs])}
 
 
 def _write_corpus(folder: Path):

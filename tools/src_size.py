@@ -6,8 +6,11 @@ docstring (module, class or function docstrings, found with ast). Run
 from anywhere:
 
     python tools/src_size.py [SRC_DIR]
+    python tools/src_size.py SRC_A SRC_B
 
-SRC_DIR defaults to the repository's src/hoi.
+SRC_DIR defaults to the repository's src/hoi. With two directories it
+prints both trees' counts per module (0 where a tree lacks the module)
+and the change from SRC_A to SRC_B.
 """
 
 import ast
@@ -42,15 +45,32 @@ def sizes(text: str) -> tuple:
     return text.count("\n"), len(code)
 
 
+def table(root: Path) -> dict:
+    """{module name: (lines, code lines)} of every module under root."""
+    return {path.name: sizes(path.read_text(encoding="utf-8"))
+            for path in sorted(root.glob("*.py"))}
+
+
 def main(argv) -> None:
-    root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src" / "hoi"
-    total = [0, 0]
-    print(f"{'module':<20}{'lines':>8}{'code':>8}")
-    for path in sorted(root.glob("*.py")):
-        lines, code = sizes(path.read_text(encoding="utf-8"))
-        total = [total[0] + lines, total[1] + code]
-        print(f"{path.name:<20}{lines:>8}{code:>8}")
-    print(f"{'total':<20}{total[0]:>8}{total[1]:>8}")
+    roots = [Path(a) for a in argv[1:]] or [Path(__file__).resolve().parent.parent / "src" / "hoi"]
+    if len(roots) == 1:
+        total = [0, 0]
+        print(f"{'module':<20}{'lines':>8}{'code':>8}")
+        for name, (lines, code) in table(roots[0]).items():
+            total = [total[0] + lines, total[1] + code]
+            print(f"{name:<20}{lines:>8}{code:>8}")
+        print(f"{'total':<20}{total[0]:>8}{total[1]:>8}")
+        return
+    if len(roots) != 2:
+        raise SystemExit("usage: src_size.py [SRC_DIR] | SRC_A SRC_B")
+    a, b = table(roots[0]), table(roots[1])
+    rows = {name: a.get(name, (0, 0)) + b.get(name, (0, 0))
+            for name in sorted(a.keys() | b.keys())}
+    rows["total"] = tuple(sum(r[i] for r in rows.values()) for i in range(4))
+    print(f"{'module':<20}{'lines A':>9}{'code A':>8}{'lines B':>9}{'code B':>8}"
+          f"{'Δ lines':>9}{'Δ code':>8}")
+    for name, (la, ca, lb, cb) in rows.items():
+        print(f"{name:<20}{la:>9}{ca:>8}{lb:>9}{cb:>8}{lb - la:>+9}{cb - ca:>+8}")
 
 
 if __name__ == "__main__":
