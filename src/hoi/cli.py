@@ -295,8 +295,7 @@ def _cmd_greedy(args):
     target = _int_or_all(args.target_order, covs.n_variables, "--target-order")
     result = greedy(covs, spec, args.start_order, target, kappa=args.kappa,
                     seed=args.seed, bias_correct=args.bias_correct,
-                    batch_size=args.batch_size, restarts=args.restarts,
-                    progress=_progress_printer(args.progress))
+                    restarts=args.restarts, progress=_progress_printer(args.progress))
     rows = [
         [e.order, ",".join(var_names[i] for i in e.indices),
          _mask_hex(e.indices), _fmt(e.value)]
@@ -341,8 +340,7 @@ def _cmd_anneal(args):
 def _cmd_features(args):
     names, covs, _ = _load_input(args.input)
     feats = extract_features(covs, bias_correct=args.bias_correct,
-                             limit=args.limit, batch_size=args.batch_size,
-                             workers=_resolve_workers(args),
+                             limit=args.limit, workers=_resolve_workers(args),
                              progress=_progress_printer(args.progress))
     # as_dict() lists the features in FEATURE_NAMES order
     rows = [[name, *map(_fmt, fv.as_dict().values())] for name, fv in zip(names, feats)]
@@ -389,9 +387,7 @@ def _add_common(p, *, data_input=True):
                    help="print machine-readable progress to stderr")
 
 
-def _add_compute(p, *, batch_size=True, workers=True):
-    if batch_size:
-        p.add_argument("--batch-size", type=int, default=10000)
+def _add_compute(p, *, workers=True):
     p.add_argument("--bias-correct", action="store_true",
                    help="apply the finite-sample entropy correction")
     if workers:
@@ -417,6 +413,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("scan", help="exhaustive scan over an order range")
     _add_common(p)
     _add_compute(p)
+    p.add_argument("--batch-size", type=int, default=10000,
+                   help="most n-plets a reducer sees at once")
     p.add_argument("--orders", default="3:all", help="order range, e.g. 3:all or 3:5")
     p.add_argument("--reduce", default="top:10:max:o",
                    help="top:K:max|min:MEASURE or hist:MEASURE:BINS:LO:HI")
@@ -434,7 +432,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("anneal", help="simulated annealing over n-plets")
     _add_common(p)
-    _add_compute(p, batch_size=False, workers=False)
+    _add_compute(p, workers=False)
     _add_objective(p)
     p.add_argument("--min-order", type=int, default=3)
     p.add_argument("--max-order", default="all")

@@ -11,15 +11,15 @@ searches get the same sums from a LogdetLattice instead, on one of two
 routes per order. The pivot route reads them straight from tables of
 excess entropies, built from pivots carried down the subset lattice while
 they fit a memory cap, with no per-row terms; every other batch walks
-its own prefix tree, and the walk's leaf step (extend) also scores greedy
-growth. One kernel, _border, adds a variable to a set of known
-inverse and log-determinant through its Schur complement (_grow then
-grows the inverse, _unborder removes a variable); it serves the lattice
-and _BorderedSets, the stored sets that annealing moves and scores
-through a lattice. Every bordering starts from the empty set
-(log-determinant 0, a 0 x 0 inverse): _prefix_descent borders sets up
-from it one member at a time, and the pivot route's tables climb from
-table 0. Only the direct path factors (copula_core._jittered_cholesky,
+its own prefix tree, in batches the same cap sizes (_walk_rows), and the
+walk's leaf step (extend) also scores greedy growth. One kernel, _border,
+adds a variable to a set of known inverse and log-determinant through
+its Schur complement (_grow then grows the inverse, _unborder removes a
+variable); it serves the lattice and _BorderedSets, the stored sets that
+annealing moves and scores through a lattice. Every bordering starts
+from the empty set (log-determinant 0, a 0 x 0 inverse): _prefix_descent
+borders sets up from it one member at a time, and the pivot route's
+tables climb from table 0. Only the direct path factors (copula_core._jittered_cholesky,
 the one jitter retry), and nothing calls np.linalg.inv. A Schur
 complement that is not positive gives NaN, and a set is trusted only
 while every member's relative Schur complement clears BORDER_RTOL
@@ -484,14 +484,15 @@ def entropy_terms(covs: CovSet, batch: NpletBatch, bias_correct: bool = False):
     return tuple(sums)
 
 
-#: Cap, in bytes, on what a LogdetLattice keeps live at once: on the pivot
-#: route, the raw log-determinant tables and the pivot states of two orders
-#: (_pivot_orders). Orders past it walk, which keeps nothing between
+#: Cap, in bytes, on what the engine holds at once. On the pivot route it
+#: bounds the raw log-determinant tables and the pivot states of two orders
+#: (_pivot_orders); orders past it walk, which keeps nothing between
 #: batches. A pivot order's index rows (_lex_rows, C(N, k) * k bytes at
 #: N <= 256) ride outside the cap: at most 3.7 MB at N=20, for orders
-#: k - 1 and k. It also sizes extend's border groups: the parent inverses
-#: one group gathers fit it (the walk's prefix tree itself is not bounded),
-#: so a zero cap borders one row per group.
+#: k - 1 and k. On the walk it bounds every batch (_walk_rows): a scan's
+#: walk batches and extend's border groups, greedy's candidates included,
+#: hold no more rows than their prefix tree and gathered parent inverses
+#: fit, so a zero cap walks one row at a time.
 LATTICE_TABLE_BYTES = 64 * 2**20
 
 #: Schur complements below BORDER_RTOL times the variance of their variable
@@ -532,7 +533,7 @@ def _pivot_orders(n: int, d: int, min_order: int, max_order: int) -> set:
     LATTICE_TABLE_BYTES, while every order below them does too. The one
     place the route is decided; a test substitutes this function to send
     every order down the walk without shrinking the cap, which also sizes
-    extend's border groups."""
+    every walk batch (_walk_rows)."""
     cap = LATTICE_TABLE_BYTES // (8 * d)
     pivots = set()
     for k in range(1, max_order + 1):
@@ -542,6 +543,15 @@ def _pivot_orders(n: int, d: int, min_order: int, max_order: int) -> set:
         if k >= min_order:
             pivots.add(k)
     return pivots
+
+
+def _walk_rows(d: int, k: int) -> int:
+    """The most rows of order k over D = d datasets that one walk batch may
+    hold: those whose prefix-tree nodes and gathered parent inverses, two
+    (k - 1) x (k - 1) arrays per row and dataset, fit LATTICE_TABLE_BYTES,
+    and at least one. A walk node depends only on its prefix, so no value
+    depends on it."""
+    return max(1, LATTICE_TABLE_BYTES // (16 * d * max(1, (k - 1) ** 2)))
 
 
 class LogdetLattice:
@@ -577,7 +587,10 @@ class LogdetLattice:
     - walk: each batch borders down its own prefix tree (extend; Hager
       1989, SIAM Review 31:221) to raw log-determinants, summed by
       _excess_sums as the direct path sums them. No table is read or
-      written, and memory is O(batch_size K^2 D).
+      written. A batch holds at most _walk_rows(D, K) rows at once, its
+      prefix tree and gathered parent inverses within LATTICE_TABLE_BYTES:
+      a scan streams a walk order in batches no larger, and extend borders
+      a larger one in groups of that size.
 
     Every route adds S and L member by member, in slot order (_gather as
     _excess_sums does), so S is the same bits on both routes and on the
@@ -700,12 +713,11 @@ class LogdetLattice:
         logdet(c) + log (sigma_c^-1)_jj, or the parent's for the added one;
         S and L add the members in slot order. A row with a member that
         _conditioned does not trust is NaN, so it goes direct. Rows are
-        bordered in groups whose gathered parent inverses fit
-        LATTICE_TABLE_BYTES, then checked as one batch."""
+        bordered in groups of _walk_rows, then checked as one batch."""
         logdet, tree, at = _prefix_descent(self.sigma, parents)
         at = at[parent]
         sums = np.empty((3, len(members), len(self.sigma)))
-        step = max(1, LATTICE_TABLE_BYTES // max(1, tree[:1].nbytes))
+        step = _walk_rows(len(self.sigma), members.shape[1])
         for lo in range(0, len(members), step):
             g, c = slice(lo, lo + step), members[lo:lo + step]
             before = np.take(logdet, at[g], axis=0)

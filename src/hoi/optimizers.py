@@ -82,7 +82,8 @@ def evaluate_objective(hoi: HoiBatch, spec: ObjectiveSpec) -> np.ndarray:
 
     The mean aggregator averages across datasets; the effect aggregator
     is the paired Cohen's d, mean(vA - vB) / std(vA - vB) with the
-    sample (ddof 1) standard deviation. direction='min' negates.
+    sample (ddof 1) standard deviation. A callable's output must be B
+    finite values (InvalidData otherwise). direction='min' negates.
     """
     vals = getattr(hoi, spec.measure)
     d_count = vals.shape[1]
@@ -92,6 +93,8 @@ def evaluate_objective(hoi: HoiBatch, spec: ObjectiveSpec) -> np.ndarray:
             raise InvalidData(
                 f"callable aggregator must return shape ({vals.shape[0]},), got {agg.shape}"
             )
+        if not np.isfinite(agg).all():
+            raise InvalidData("callable aggregator returned non-finite values")
     elif spec.aggregator == "mean":
         agg = vals.mean(axis=1)
     else:
@@ -173,19 +176,22 @@ def _extensions(parents: np.ndarray, n: int):
 
 def greedy(covs: CovSet, spec: ObjectiveSpec, start_order: int,
            target_order: int, kappa: int = 10, seed: int = 0, *,
-           bias_correct: bool = False, batch_size: int = 10000,
-           restarts: int = 1, progress=None) -> GreedyResult:
+           bias_correct: bool = False, restarts: int = 1,
+           progress=None) -> GreedyResult:
     """Beam search growing n-plets one variable at a time.
 
     The beam is seeded with the kappa best n-plets from an exhaustive
     scan of start_order (scanner.scan, on the log-determinant lattice;
     at large N the order walks, keeping no table). Each step scores every
-    one-variable extension of every member in batch_size chunks, bordered
-    from the smallest member tuple it extends (LogdetLattice.extend, the
-    walk's leaf step, so its value does not depend on which other members
-    reach it), and keeps the kappa best distinct candidates (ties to the
-    lexicographically smallest). With bias_correct, target_order must be
-    below the sample count (InsufficientSamples before the seed scan).
+    one-variable extension of every member, bordered from the smallest
+    member tuple it extends (LogdetLattice.extend, the walk's leaf step,
+    so its value does not depend on which other members reach it), and
+    keeps the kappa best distinct candidates (ties to the
+    lexicographically smallest). extend borders the candidates in groups
+    that LATTICE_TABLE_BYTES sizes, as it sizes the seed scan's walk
+    batches, so the cap sizes memory and no value depends on it.
+    With bias_correct, target_order must be below the sample count
+    (InsufficientSamples before the seed scan).
 
     restarts > 1 adds extra beams seeded with random start_order n-plets
     (drawn from seed, walked on the same lattice); the first beam is always
@@ -216,21 +222,18 @@ def greedy(covs: CovSet, spec: ObjectiveSpec, start_order: int,
     lattice = LogdetLattice(covs, start_order, target_order, bias_correct)  # opens no order
     seed_scan = {}
     beams = [scan(covs, start_order, start_order, _Beam(spec, kappa),
-                  batch_size=batch_size, bias_correct=bias_correct,
-                  progress=seed_scan.update)]
+                  bias_correct=bias_correct, progress=seed_scan.update)]
     evaluated = seed_scan["nplets"]
     batches = seed_scan["batches"]
 
-    def best_of(rows: np.ndarray, score):
-        """The kappa best sorted rows, each chunk's lattice sums score(batch, chunk)."""
+    def best_of(rows: np.ndarray, sums):
+        """The kappa best of the sorted rows, by their lattice sums."""
         nonlocal evaluated, batches
         beam = _Beam(spec, kappa)
-        for at in range(0, len(rows), batch_size):
-            chunk = slice(at, at + batch_size)
-            batch = NpletBatch._trusted(n, rows[chunk])
-            beam.update(batch, hoi_from_sums(*score(batch, chunk)[0], batch.orders()))
-            evaluated += batch.batch_size
-            batches += 1
+        batch = NpletBatch._trusted(n, rows)
+        beam.update(batch, hoi_from_sums(*sums, batch.orders()))
+        evaluated += batch.batch_size
+        batches += 1
         return beam.finalize()
 
     rng = np.random.default_rng(seed)
@@ -240,16 +243,15 @@ def greedy(covs: CovSet, spec: ObjectiveSpec, start_order: int,
         while len(starts) < kappa and attempts < 1000 * kappa:
             starts.add(tuple(np.sort(rng.choice(n, start_order, replace=False)).tolist()))
             attempts += 1
-        beams.append(best_of(np.array(sorted(starts), dtype=np.int64),
-                             lambda batch, _: lattice.sums(batch)))
+        rows = np.array(sorted(starts), dtype=np.int64)
+        beams.append(best_of(rows, lattice.sums(NpletBatch._trusted(n, rows))[0]))
 
     def grow(beam):
         """The kappa best one-variable extensions of a beam's members, each
         bordered from one parent, whichever other members reach it."""
         parents = np.array(sorted(idx for _, idx in beam), dtype=np.int64)
         rows, parent, members = _extensions(parents, n)
-        return best_of(rows, lambda _, chunk: lattice.extend(
-            parents, parent[chunk], members[chunk]))
+        return best_of(rows, lattice.extend(parents, parent, members)[0])
 
     per_order = []
     for order in range(start_order, target_order + 1):

@@ -22,7 +22,7 @@ from .copula_core import CovSet
 from .errors import ExhaustiveLimitExceeded, InvalidData, InvalidOrderRange
 # bench/tracer.py wraps scanner.compute_hoi_batch, so the name stays importable here
 from .measures import HoiBatch, compute_hoi_batch, hoi_from_sums  # noqa: F401
-from .nplet_engine import LogdetLattice, NpletBatch, count_nplets, enumerate_order
+from .nplet_engine import LogdetLattice, NpletBatch, _walk_rows, count_nplets, enumerate_order
 
 MEASURES = ("tc", "dtc", "o", "s")
 
@@ -311,10 +311,11 @@ def _ordered_map(fn, items, pool, workers: int):
 
 def _batches(lattice: LogdetLattice, k: int, batch_size: int):
     """Order k's n-plets in lexicographic batches: slices of the lattice's
-    index rows on a pivot order, enumerate_order on a walk order."""
+    index rows on a pivot order, enumerate_order on a walk order, in
+    batches no larger than the cap allows (nplet_engine._walk_rows)."""
     rows, n = lattice.rows, lattice.covs.n_variables
     if k not in lattice.pivots:
-        return enumerate_order(n, k, batch_size)
+        return enumerate_order(n, k, min(batch_size, _walk_rows(lattice.covs.n_datasets, k)))
     return (NpletBatch._trusted(n, rows[:, at:at + batch_size].T.astype(np.int64))
             for at in range(0, rows.shape[1], batch_size))
 
@@ -347,7 +348,10 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
     - walk: each batch, unranked by enumerate_order, borders its own
       prefix tree, from the empty set up to each n-plet, with one Schur
       complement per distinct prefix; the leave-one-out terms come from
-      the bordered inverse's diagonal. No table is read or written.
+      the bordered inverse's diagonal. No table is read or written. A
+      batch holds no more rows than its prefix tree and gathered parent
+      inverses fit LATTICE_TABLE_BYTES, about 445 at N=20, D=48, order 15
+      (nplet_engine._walk_rows).
 
     Both routes, like the direct path, add S and L member by member, in
     slot order, so an n-plet's S is the same bits on either route.
@@ -356,7 +360,7 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
     C(N, k) floats per dataset, plus the states of orders k - 1 and k fit
     nplet_engine.LATTICE_TABLE_BYTES (64 MiB; at N=20 and D=1 they peak
     near 11 MB, at order 9), and every order below it did too; every
-    other order walks, in O(batch_size * k**2 * D) memory. Walk batches
+    other order walks, each batch within the same cap. Walk batches
     run on one thread pool per scan, which waits at every order boundary
     (opening an order replaces the tables the previous one reads); pivot
     batches, bound by the interpreter lock, run on the calling thread.
@@ -382,12 +386,13 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
     reducer : Reducer
         Receives every (batch, measures) pair in enumeration order.
     batch_size : int
-        Rows per streamed batch, at least 1; memory stays O(batch_size)
-        plus, on pivot orders, the lattice's tables and states, at most
-        64 MiB, and its index rows, k * C(N, k) bytes per order. A walk
-        batch holds O(batch_size * k**2 * D) floats, which only
-        batch_size bounds: one 10,000-row batch at N=20, D=48, order 15
-        peaks at 1.6 GB.
+        The most rows a reducer sees at once, at least 1. A walk order
+        may stream fewer per batch: as many as fit
+        nplet_engine.LATTICE_TABLE_BYTES. The engine's memory is sized by
+        that cap, not by batch_size: on pivot orders the lattice's
+        tables and states, plus its index rows, k * C(N, k) bytes per
+        order; on walk orders each batch's prefix tree and gathered
+        parent inverses, per worker.
     bias_correct : bool
         Apply the finite-sample entropy correction (needs estimated
         covariances).
@@ -446,12 +451,13 @@ def scan(covs: CovSet, min_order: int, max_order: int, reducer: Reducer, *,
 
 
 def extract_features(covs: CovSet, *, bias_correct: bool = False,
-                     limit: int = 20, batch_size: int = 10000,
-                     workers: int = 1, progress=None):
+                     limit: int = 20, workers: int = 1, progress=None):
     """All 21 features per dataset from one exhaustive scan of orders 2..N.
 
     Systems larger than the limit are refused: the scan is exhaustive,
-    so use the greedy or annealing search instead. Returns a list of
+    so use the greedy or annealing search instead. The scan's batches
+    take scan's default size, within nplet_engine.LATTICE_TABLE_BYTES on
+    walk orders; the features do not depend on them. Returns a list of
     FeatureVector, one per dataset.
     """
     n = covs.n_variables
@@ -463,5 +469,5 @@ def extract_features(covs: CovSet, *, bias_correct: bool = False,
     if n < 3:
         raise InvalidOrderRange(f"feature extraction needs N >= 3, got {n}")
     acc = FeatureAccumulator(n)
-    return scan(covs, 2, n, acc, batch_size=batch_size,
-                bias_correct=bias_correct, workers=workers, progress=progress)
+    return scan(covs, 2, n, acc, bias_correct=bias_correct, workers=workers,
+                progress=progress)

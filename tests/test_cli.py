@@ -272,12 +272,13 @@ def test_usage_and_validation_failures_exit_one(tmp_path, data_csv, capsys, monk
         ["synth", "--spec", str(tmp_path / "nope.json"), "--samples", "50",
          "--out", str(tmp_path / "x.csv")],
         ["count", "--n", "5", "--orders", "3:9"],
+        # only scan takes --batch-size
+        ["features", "--input", str(data_csv), "--batch-size", "0"],
+        ["greedy", "--input", str(data_csv), "--batch-size", "0"],
         # argument errors the library raises while computing
         ["scan", "--input", str(data_csv), "--orders", "3:3",
          "--reduce", "top:1:max:o", "--batch-size", "0"],
-        ["features", "--input", str(data_csv), "--batch-size", "0"],
         ["greedy", "--input", str(data_csv), "--kappa", "0"],
-        ["greedy", "--input", str(data_csv), "--batch-size", "0"],
         ["greedy", "--input", str(data_csv), "--restarts", "0"],
         ["anneal", "--input", str(data_csv), "--kappa", "0"],
         ["scan", "--input", str(short), "--orders", "3:5",

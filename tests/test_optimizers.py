@@ -117,6 +117,20 @@ def test_evaluate_objective_callable_aggregator():
         evaluate_objective(toy_hoi(vals), bad)
 
 
+def test_a_non_finite_callable_aggregate_raises_in_greedy_and_anneal():
+    # NaN energies would leave anneal's best NaN and greedy passing rows over
+    def every_other_nan(vals):
+        agg = vals.mean(axis=1)
+        agg[1::2] = np.nan
+        return agg
+
+    spec = ObjectiveSpec(measure="o", direction="max", aggregator=every_other_nan)
+    with pytest.raises(InvalidData, match="non-finite"):
+        greedy(planted_covset(), spec, 3, 5, kappa=3)
+    with pytest.raises(InvalidData, match="non-finite"):
+        anneal(planted_covset(), spec, AnnealSchedule(max_iters=20), kappa=4, seed=0)
+
+
 def test_extensions_are_the_unique_sorted_rows_with_their_first_parent():
     rng = np.random.default_rng(5)
     for n, k, b in ((6, 2, 8), (9, 3, 20), (12, 4, 30), (40, 3, 10)):
@@ -218,11 +232,17 @@ def test_anneal_progress_reports_every_25_iterations_and_at_the_end():
 
 
 @pytest.mark.parametrize("restarts", [1, 3])
-def test_greedy_does_not_depend_on_batch_size(restarts):
+def test_greedy_does_not_depend_on_batch_size(restarts, monkeypatch):
+    # the cap sizes the seed scan's walk batches and extend's border groups:
+    # one row, seven rows of order 4, or whole orders (the seed order walks
+    # under every cap, as the route, not the batching, moves last bits)
     covs = planted_covset()
     spec = ObjectiveSpec(measure="o", direction="max")
-    results = [greedy(covs, spec, 3, 7, kappa=5, seed=4, batch_size=b, restarts=restarts)
-               for b in (1, 7, 10000)]
+    monkeypatch.setattr(nplet_engine, "_pivot_orders", lambda *_: set())
+    results = []
+    for cap in (0, 7 * 16 * 3 ** 2, nplet_engine.LATTICE_TABLE_BYTES):
+        monkeypatch.setattr(nplet_engine, "LATTICE_TABLE_BYTES", cap)
+        results.append(greedy(covs, spec, 3, 7, kappa=5, seed=4, restarts=restarts))
     assert results[0] == results[1] == results[2]
 
 
@@ -512,8 +532,9 @@ def test_grouped_extend_equals_one_group_bit_for_bit(monkeypatch):
 
     want = run()
     assert want[2] > 0
-    # three (D, 4, 4) parent inverses per group at order 5, one at order 7
-    monkeypatch.setattr(nplet_engine, "LATTICE_TABLE_BYTES", 3 * 2 * 8 * 4 * 4)
+    # three rows per walk batch and border group at order 5 (two (D, 4, 4)
+    # arrays each: tree node and gathered parent), one at order 7
+    monkeypatch.setattr(nplet_engine, "LATTICE_TABLE_BYTES", 3 * 2 * 16 * 4 * 4)
     assert run() == want
 
 

@@ -15,6 +15,7 @@ from hoi import (
     CovSet,
     ExhaustiveLimitExceeded,
     FEATURE_NAMES,
+    FeatureAccumulator,
     FeatureVector,
     Histogram,
     InvalidData,
@@ -277,20 +278,32 @@ def test_indefinite_input_message_does_not_depend_on_batching():
         sigma[a, b] = sigma[b, a] = r
     covs = CovSet([CovarianceMatrix(sigma)])
     spec = ObjectiveSpec(measure="tc", direction="max")
-    runs = {
+    message = "n-plet (2, 5, 7) of dataset 0 not positive definite even after a jitter retry"
+    scans = {
         "scan": lambda b, w: scan(covs, 3, 3, TopK("o", "max", 3), batch_size=b, workers=w),
-        "features": lambda b, w: extract_features(covs, batch_size=b, workers=w),
-        # from pairs, the triple is an extension of the beam's best pairs
-        "greedy growth": lambda b, w: greedy(covs, spec, 2, 4, kappa=3, batch_size=b),
-        "greedy seed": lambda b, w: greedy(covs, spec, 3, 4, kappa=3, batch_size=b),
+        "features": lambda b, w: scan(covs, 2, 8, FeatureAccumulator(8), batch_size=b,
+                                      workers=w),
     }
-    for name, run in runs.items():
+    for name, run in scans.items():
         for batch_size in (1, 7, 10000):
             for workers in (1, 2):
                 with pytest.raises(NotPositiveDefinite) as err:
                     run(batch_size, workers)
-                assert str(err.value) == ("n-plet (2, 5, 7) of dataset 0 not positive "
-                                          "definite even after a jitter retry"), name
+                assert str(err.value) == message, name
+    searches = {
+        # from pairs, the triple is an extension of the beam's best pairs
+        "greedy growth": lambda: greedy(covs, spec, 2, 4, kappa=3),
+        "greedy seed": lambda: greedy(covs, spec, 3, 4, kappa=3),
+    }
+    # the cap sizes greedy's seed batches and border groups: one row, seven
+    # rows of order 3, or whole orders
+    for cap in (0, 7 * 16 * 2 ** 2, nplet_engine.LATTICE_TABLE_BYTES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nplet_engine, "LATTICE_TABLE_BYTES", cap)
+            for name, run in searches.items():
+                with pytest.raises(NotPositiveDefinite) as err:
+                    run()
+                assert str(err.value) == message, (name, cap)
 
 
 def degenerate_covset(seed, n, kinds):
@@ -542,10 +555,9 @@ def test_bordered_near_singular_orders_raise_the_direct_paths_coordinates(
 @pytest.mark.parametrize("kinds", [["combination"] * 2, ["combination", "correlation"]])
 def test_a_cleared_route_walks_as_a_zero_cap_does_in_whole_batch_groups(kinds):
     # clearing the pivot route and zeroing LATTICE_TABLE_BYTES both send
-    # every order down the walk, with the same bits, fallback rows and
-    # NotPositiveDefinite coordinates; but a zero cap also borders extend's
-    # leaves one row per group, where the cleared route borders each batch
-    # as one group
+    # every order down the walk, with the same bits, fallback rows and first
+    # NotPositiveDefinite coordinate; but a zero cap also walks one row per
+    # batch, where the cleared route borders each batch as one group
     covs = degenerate_covset(3, 26, kinds)
     border = nplet_engine._border
     runs = []
@@ -563,23 +575,70 @@ def test_a_cleared_route_walks_as_a_zero_cap_does_in_whole_batch_groups(kinds):
             try:
                 got = measure_rows(covs, 3, 4, progress=ticks.append)
             except NotPositiveDefinite as err:
-                raised = err.coords
-        runs.append({"measures": got, "fallback": [t["fallback_rows"] for t in ticks],
+                # the first failing (row, dataset), rows counted from the scan's start
+                (row, dataset), seen = err.coords[0], ticks[-1]["nplets"] if ticks else 0
+                raised = (seen + row, dataset, str(err))
+        runs.append({"measures": got, "fallback": ticks[-1]["fallback_rows"] if ticks else 0,
                      "raised": raised, "calls": calls})
     cleared, zero = runs
-    assert cleared["fallback"] == zero["fallback"] and cleared["raised"] == zero["raised"]
+    assert cleared["raised"] == zero["raised"]
     assert (cleared["raised"] is not None) == (kinds[1] == "correlation")
     if cleared["raised"] is not None:
         return
     np.testing.assert_array_equal(cleared["measures"], zero["measures"])
-    assert cleared["fallback"][-1] > 0
+    assert cleared["fallback"] == zero["fallback"] > 0
     # per batch of order k: k - 1 descent levels, then its leaf groups
     at = 0
     for k, size in ((3, 2600), (4, 10000), (4, 4950)):
         at += k
         assert cleared["calls"][at - 1] == size
     assert len(cleared["calls"]) == at
-    assert len(zero["calls"]) == at - 3 + 2600 + 14950  # one row per leaf group
+    assert zero["calls"] == [1] * (3 * 2600 + 4 * 14950)  # one-row batches
+
+
+def test_the_cap_bounds_every_walk_batch(monkeypatch):
+    # a walk batch holds no more rows than its prefix tree and gathered
+    # parent inverses fit LATTICE_TABLE_BYTES, below batch_size here: 300
+    # rows at order 6, 208 at 7 and 153 at 8 of N=12, D=8; its values,
+    # fallback rows and error are the whole-order batches' of the default cap
+    n, d = 12, 8
+    monkeypatch.setattr(nplet_engine, "_pivot_orders", lambda *_: set())
+    well = walk_covset(4, n, d - 1, 3 * n).covs
+    singular = CovSet([degenerate_covset(4, n, ["combination"]).covs[0], *well])
+    indefinite = np.eye(n)  # beyond correlation 1: the first 210 rows of order 6 fail
+    indefinite[0, 1] = indefinite[1, 0] = 1.5
+    indefinite = CovSet([*well, CovarianceMatrix(indefinite)])
+    descent, sizes = nplet_engine._prefix_descent, []
+
+    def recorded(sigma, idx):
+        sizes.append((idx.shape[1] + 1, len(idx)))
+        return descent(sigma, idx)
+
+    def run(covs, cap):
+        seen, ticks, raised = [], [], None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nplet_engine, "LATTICE_TABLE_BYTES", cap)
+            mp.setattr(nplet_engine, "_prefix_descent", recorded)
+            try:
+                scan(covs, 6, 8, Callback(lambda batch, hoi: seen.append(
+                    (batch.order, batch.batch_size,
+                     np.stack([getattr(hoi, m) for m in MEASURES])))), progress=ticks.append)
+            except NotPositiveDefinite as err:
+                raised = (err.coords, str(err))
+        return seen, ticks[-1]["fallback_rows"] if ticks else 0, raised
+
+    base = run(singular, nplet_engine.LATTICE_TABLE_BYTES)
+    assert [size for _, size, _ in base[0]] == [924, 792, 495]  # whole orders
+    sizes.clear()
+    cap, bound = 300 * 16 * d * 5 ** 2, {6: 300, 7: 208, 8: 153}
+    seen, fallback, raised = run(singular, cap)
+    assert [size for _, size, _ in seen] == [300] * 3 + [24] + [208] * 3 + [168] + [153] * 3 + [36]
+    assert all(size <= bound[k] for k, size in sizes) and len(sizes) == len(seen)
+    np.testing.assert_array_equal(np.concatenate([m for *_, m in seen], axis=1),
+                                  np.concatenate([m for *_, m in base[0]], axis=1))
+    assert fallback == base[1] > 0 and raised is None
+    want = run(indefinite, nplet_engine.LATTICE_TABLE_BYTES)[2]
+    assert want is not None and run(indefinite, cap)[2] == want
 
 
 @st.composite
@@ -855,7 +914,7 @@ def test_exhaustive_paths_never_invert(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", no_inverse)
     covs = toy_covset(11, n=7, d=2)
     assert len(scan(covs, 1, 7, TopK("o", "max", 3), batch_size=16, workers=2)[0]) == 3
-    assert len(extract_features(covs, batch_size=16)) == 2
+    assert len(extract_features(covs)) == 2
     res = greedy(covs, ObjectiveSpec("o", "max"), start_order=3, target_order=3, kappa=4)
     assert res.best.order == 3
     # every other entry point: the direct path, fixed and mixed, greedy
@@ -1037,7 +1096,9 @@ def test_walk_orders_stream_from_enumerate_order(monkeypatch, cap, pivots):
     monkeypatch.setattr(scanner, "enumerate_order", recorded)
     got = scanned_batches(covs, 1, 10, batch_size=7)
     assert enumerated == [k for k in range(1, 11) if k not in pivots]
-    want = [b.indices for k in range(1, 11) for b in enumerate_batches(10, k, 7)]
+    # a walk order streams batches of at most the rows the cap allows
+    want = [b.indices for k in range(1, 11)
+            for b in enumerate_batches(10, k, min(7, nplet_engine._walk_rows(1, k)))]
     assert len(got) == len(want)
     for (_, idx), idx_want in zip(got, want):
         assert idx.dtype == np.int64
@@ -1151,7 +1212,8 @@ def test_features_invariant_to_workers_and_stable_across_batch_size():
             assert extract_features(covs, workers=workers) == base
         for batch_size in batch_sizes:
             for workers in (1, 2):
-                other = extract_features(covs, batch_size=batch_size, workers=workers)
+                other = scan(covs, 2, n, FeatureAccumulator(n), batch_size=batch_size,
+                             workers=workers)
                 for got, want in zip(other, base):
                     for name in FEATURE_NAMES:
                         assert getattr(got, name) == getattr(want, name), (n, batch_size, name)

@@ -16,6 +16,10 @@ agree bit for bit, the largest |difference| and, for scale, the largest
 - walk_d1, walk_d3: every measure of every n-plet of orders 2..12 of
   N=20 at D=1 and D=3, on a lattice built with LATTICE_TABLE_BYTES set
   to 0, so that every order walks.
+- walk_d48: a TopK(o, max, 10) scan of order 15 of N=20 at D=48 (48
+  covariances of 400 samples), which walks: the one case whose walk
+  batches split under the default LATTICE_TABLE_BYTES. A tree whose walk
+  batches only batch_size bounds takes about 1.6 GB and 5 s for it.
 - mixed: compute_hoi_batch of 3,000 mask rows of orders 1..20 at N=20,
   D=2 (the direct path; rows may repeat).
 - search_s1..s3: greedy (3 -> 8, kappa 10) and anneal (20 chains,
@@ -32,7 +36,7 @@ agree bit for bit, the largest |difference| and, for scale, the largest
   of N=10, T=1500, half of them rounded to two decimals so that columns
   hold ties.
 
-A recording takes about 13 s on one core and 120 MB on disk, nearly all
+A recording takes about 20 s on one core and 120 MB on disk, nearly all
 of it the walk cases' measures.
 """
 
@@ -119,6 +123,14 @@ def case_walk_d1(hoi):
 
 def case_walk_d3(hoi):
     return _walk(hoi, 3)
+
+
+def case_walk_d48(hoi):
+    covs = _covset(hoi, _mixed_data(48, 20, 400, 48))
+    top = hoi.scan(covs, 15, 15, hoi.TopK("o", "max", 10))
+    return {"indices": np.array([[np.isin(np.arange(20), e.indices) for e in per_d]
+                                 for per_d in top]),
+            "values": np.array([[(e.tc, e.dtc, e.o, e.s) for e in per_d] for per_d in top])}
 
 
 def case_mixed(hoi):
